@@ -74,6 +74,7 @@ from repro.analysis import format_table, render_scaling_report
 from repro.core import build_routing, verify_construction
 from repro.core.statistics import concentrator_load_share, routing_statistics
 from repro.core.builder import available_strategies
+from repro.core.route_index import EVAL_BACKEND_BITSET, EVAL_BACKENDS
 from repro.exceptions import ReproError
 from repro.faults import CampaignEngine
 from repro.faults.simulation import CampaignStatus
@@ -545,10 +546,7 @@ def _cmd_compile(args: argparse.Namespace) -> int:
 
     graph, result = _build(args)
     artifact = compile_routing_artifact(
-        graph,
-        result.routing,
-        scheme=result.scheme,
-        backend=args.eval_backend,
+        graph, result.routing, scheme=result.scheme
     )
     artifact.save(args.output)
     print(result.describe())
@@ -575,9 +573,7 @@ def _load_serve_artifact(args: argparse.Namespace):
     if not args.graph:
         raise ValueError("one of --artifact or --graph is required")
     graph, result = _build(args)
-    return compile_routing_artifact(
-        graph, result.routing, scheme=result.scheme, backend=args.eval_backend
-    )
+    return compile_routing_artifact(graph, result.routing, scheme=result.scheme)
 
 
 async def _serve_async(args: argparse.Namespace, artifact) -> int:
@@ -840,6 +836,74 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
+    backend_options = argparse.ArgumentParser(add_help=False)
+    backend_options.add_argument(
+        "--eval-backend",
+        choices=EVAL_BACKENDS,
+        default=EVAL_BACKEND_BITSET,
+        help=(
+            "diameter evaluation backend: 'bitset' (pure Python, the "
+            "default) or 'numpy' (packed-uint64 batches; falls back to "
+            "bitset where numpy is not installed); values are identical "
+            "either way"
+        ),
+    )
+
+    # A parser per subcommand, not one shared parser: argparse shares a
+    # parent's actions with every child, so per-child --samples defaults
+    # would overwrite each other.
+    def sweep_options(samples: int) -> argparse.ArgumentParser:
+        """Options shared by the ``campaign`` and ``grid`` sweeps."""
+        options = argparse.ArgumentParser(
+            add_help=False, parents=[backend_options]
+        )
+        options.add_argument(
+            "--samples",
+            type=int,
+            default=samples,
+            help=f"fault sets per sampled campaign (default: {samples})",
+        )
+        options.add_argument("--seed", type=int, default=0)
+        options.add_argument(
+            "--bound",
+            type=float,
+            default=None,
+            help=(
+                "diameter bound: stream bounded pass/fail decisions instead "
+                "of exact diameters (exit code 1 on any violation)"
+            ),
+        )
+        options.add_argument(
+            "--workers",
+            type=int,
+            default=1,
+            help="worker processes for the evaluation",
+        )
+        options.add_argument(
+            "--chunk-size", type=int, default=32, help="fault sets per shard"
+        )
+        options.add_argument(
+            "--greedy",
+            action="store_true",
+            help=(
+                "augment every sampled battery of positive size with one "
+                "adversarially-grown fault set (batched greedy search), so "
+                "the row's worst case reflects a sampled and adversarial "
+                "battery"
+            ),
+        )
+        options.add_argument(
+            "--candidate-limit",
+            type=int,
+            default=40,
+            metavar="K",
+            help=(
+                "greedy adversary candidate budget per round (with --greedy; "
+                "default: 40)"
+            ),
+        )
+        return options
+
     def add_common(sub: argparse.ArgumentParser, graph_required: bool = True) -> None:
         sub.add_argument(
             "--graph",
@@ -977,6 +1041,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub_campaign = subparsers.add_parser(
         "campaign",
         help="run indexed fault campaigns (per fault-set size, or whole scenario suites)",
+        parents=[sweep_options(samples=100)],
     )
     add_common(sub_campaign, graph_required=False)
     sub_campaign.add_argument(
@@ -991,53 +1056,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub_campaign.add_argument(
         "--sizes", default="1,2,3", help="comma-separated fault-set sizes, e.g. 1,2,3"
-    )
-    sub_campaign.add_argument("--samples", type=int, default=100)
-    sub_campaign.add_argument("--seed", type=int, default=0)
-    sub_campaign.add_argument(
-        "--bound",
-        type=float,
-        default=None,
-        help=(
-            "diameter bound: stream bounded pass/fail decisions instead of "
-            "exact diameters (exit code 1 on any violation)"
-        ),
-    )
-    sub_campaign.add_argument(
-        "--workers", type=int, default=1, help="worker processes for the evaluation"
-    )
-    sub_campaign.add_argument(
-        "--chunk-size", type=int, default=32, help="fault sets per shard"
-    )
-    sub_campaign.add_argument(
-        "--eval-backend",
-        choices=["bitset", "numpy", "auto"],
-        default=None,
-        help=(
-            "diameter evaluation backend: 'bitset' (pure Python), 'numpy' "
-            "(packed-uint64 batteries; falls back to bitset without numpy) "
-            "or 'auto'; default from REPRO_EVAL_BACKEND, values are "
-            "identical either way"
-        ),
-    )
-    sub_campaign.add_argument(
-        "--greedy",
-        action="store_true",
-        help=(
-            "augment each battery with one adversarially-grown fault set "
-            "per size (batched greedy search); the row's worst case then "
-            "reflects a sampled and adversarial battery"
-        ),
-    )
-    sub_campaign.add_argument(
-        "--candidate-limit",
-        type=int,
-        default=40,
-        metavar="K",
-        help=(
-            "greedy adversary candidate budget per round (with --greedy; "
-            "default: 40)"
-        ),
     )
     sub_campaign.set_defaults(handler=_cmd_campaign)
 
@@ -1064,6 +1082,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--resume without recomputing finished rows."
         ),
         formatter_class=argparse.RawDescriptionHelpFormatter,
+        parents=[sweep_options(samples=50)],
     )
     sub_grid.add_argument(
         "spec",
@@ -1071,48 +1090,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "grid spec(s), e.g. hypercube:d=3..5/kernel|circular/t=1..2/"
             "sizes:1-3"
-        ),
-    )
-    sub_grid.add_argument("--samples", type=int, default=50)
-    sub_grid.add_argument("--seed", type=int, default=0)
-    sub_grid.add_argument(
-        "--bound",
-        type=float,
-        default=None,
-        help="diameter bound: stream pass/fail decisions (exit 1 on violation)",
-    )
-    sub_grid.add_argument(
-        "--workers", type=int, default=1, help="worker processes for the evaluation"
-    )
-    sub_grid.add_argument(
-        "--chunk-size", type=int, default=32, help="fault sets per shard"
-    )
-    sub_grid.add_argument(
-        "--eval-backend",
-        choices=["bitset", "numpy", "auto"],
-        default=None,
-        help=(
-            "diameter evaluation backend (bitset | numpy | auto); rows are "
-            "byte-identical across backends"
-        ),
-    )
-    sub_grid.add_argument(
-        "--greedy",
-        action="store_true",
-        help=(
-            "augment every sizes-model campaign with one adversarially-"
-            "grown fault set (batched greedy search); recorded in the "
-            "store manifest, so greedy and non-greedy stores never mix"
-        ),
-    )
-    sub_grid.add_argument(
-        "--candidate-limit",
-        type=int,
-        default=40,
-        metavar="K",
-        help=(
-            "greedy adversary candidate budget per round (with --greedy; "
-            "default: 40)"
         ),
     )
     sub_grid.add_argument(
@@ -1265,12 +1242,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--output", required=True, metavar="PATH",
         help="write the compiled artifact to this file",
     )
-    sub_compile.add_argument(
-        "--eval-backend",
-        choices=["bitset", "numpy", "auto"],
-        default=None,
-        help="evaluation backend recorded in the artifact (default: env/auto)",
-    )
     sub_compile.set_defaults(handler=_cmd_compile)
 
     sub_serve = subparsers.add_parser(
@@ -1289,6 +1260,7 @@ def build_parser() -> argparse.ArgumentParser:
             "exits (CI smoke)."
         ),
         formatter_class=argparse.RawDescriptionHelpFormatter,
+        parents=[backend_options],
     )
     add_common(sub_serve, graph_required=False)
     sub_serve.add_argument(
@@ -1303,12 +1275,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub_serve.add_argument(
         "--port", type=int, default=0,
         help="TCP port (default 0: pick a free port and print it)",
-    )
-    sub_serve.add_argument(
-        "--eval-backend",
-        choices=["bitset", "numpy", "auto"],
-        default=None,
-        help="override the artifact's evaluation backend for this server",
     )
     sub_serve.add_argument(
         "--cursor-lru", type=int, default=128, metavar="N",

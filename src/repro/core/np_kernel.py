@@ -33,33 +33,27 @@ allocations (page faults) would otherwise dominate the vectorised work.
 
 The kernel is a **performance backend only**: it returns exactly the values
 of :func:`repro.core.route_index._rows_diameter_witness` (the hypothesis
-equivalence suites enforce this four ways against the sets, bitset and
-naive kernels).  It is built lazily by :class:`RouteIndex` when the
+equivalence suites enforce this three ways against the bitset kernel and
+the naive oracle).  It is built lazily by :class:`RouteIndex` when the
 ``numpy`` backend is selected and is never pickled — worker processes
 rebuild it from the shipped bitset rows on first use.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.graphs.traversal import INFINITY
 
 try:  # gated dependency: the library must work without numpy installed
     import numpy as np
-except ImportError:  # pragma: no cover - exercised via REPRO_NO_NUMPY runs
+except ImportError:  # pragma: no cover - exercised by numpy-less installs
     np = None
 
 
 def numpy_available() -> bool:
-    """True when the numpy backend can be used.
-
-    Requires an importable ``numpy`` and an unset ``REPRO_NO_NUMPY``
-    environment variable (the kill switch that forces the pure-Python
-    bitset kernel even where numpy is installed).
-    """
-    return np is not None and not os.environ.get("REPRO_NO_NUMPY")
+    """True when numpy is importable, so the numpy backend can be used."""
+    return np is not None
 
 
 def _pack_ints(values: Sequence[int], width: int) -> "np.ndarray":

@@ -37,10 +37,7 @@ like ``check_tolerance`` actually ask — "is the surviving diameter at most
 abandoned as soon as its eccentricity exceeds the bound, and the first
 violating source short-circuits the whole evaluation.
 :meth:`RouteIndex.surviving_diameter` accepts the same optimisation through
-its ``cap`` parameter (it returns ``inf`` as soon as the cap is exceeded) and
-a ``kernel`` parameter selecting between the bitset kernel (default) and the
-historical set-based kernel, which is kept for equivalence testing and
-benchmarking.
+its ``cap`` parameter (it returns ``inf`` as soon as the cap is exceeded).
 
 Evaluation cursors
 ------------------
@@ -66,7 +63,6 @@ being rebuilt per worker.
 from __future__ import annotations
 
 import math
-import os
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple, Union
 
 from repro.core.routing import MultiRouting, Routing
@@ -82,95 +78,31 @@ AnyRouting = Union[Routing, MultiRouting]
 
 _NO_PAIRS: FrozenSet[IdPair] = frozenset()
 
-#: Default density factor ``k`` in the strategy switch ``k * arcs <= n^2``:
-#: batched all-sources propagation below the threshold, per-source frontier
-#: BFS above it.  Override per index via the ``density_threshold`` constructor
-#: argument or globally via the ``REPRO_BFS_DENSITY_THRESHOLD`` environment
-#: variable (the constructor argument wins).  The value ``"auto"`` (either
-#: place) calibrates the factor from observed per-strategy timings at build
-#: time — see :meth:`RouteIndex.calibrate_density_threshold`.
-DEFAULT_DENSITY_THRESHOLD = 8
-
-#: Sentinel selecting timing-based calibration of the density factor.
-DENSITY_THRESHOLD_AUTO = "auto"
+#: Factor ``k`` of the BFS strategy rule ``k * arcs <= n^2``: batched
+#: all-sources propagation at or below it, per-source frontier BFS above.
+BFS_DENSITY_FACTOR = 8
 
 #: Strategy labels reported by :meth:`RouteIndex.preferred_strategy`.
 STRATEGY_BATCHED = "batched"
 STRATEGY_PER_SOURCE = "per-source"
 
-#: Evaluation backends: ``"bitset"`` is the pure-Python big-int kernel,
-#: ``"numpy"`` the packed-uint64 batched kernel (requires numpy; silently
-#: falls back to bitset where it is absent), ``"auto"`` picks numpy when it
-#: is importable.  Select per index via the ``backend`` constructor argument
-#: or globally via the ``REPRO_EVAL_BACKEND`` environment variable (the
-#: constructor argument wins; ``REPRO_NO_NUMPY=1`` force-disables numpy
-#: everywhere).  Every backend returns identical values.
+#: Evaluation backends: ``"bitset"`` (the default) is the pure-Python
+#: big-int kernel, ``"numpy"`` the packed-uint64 batched kernel.  An index
+#: built for numpy evaluates on the bitset kernel in a process without
+#: numpy.  Every backend returns identical values.
 EVAL_BACKEND_BITSET = "bitset"
 EVAL_BACKEND_NUMPY = "numpy"
-EVAL_BACKEND_AUTO = "auto"
-_EVAL_BACKENDS = (EVAL_BACKEND_BITSET, EVAL_BACKEND_NUMPY, EVAL_BACKEND_AUTO)
+EVAL_BACKENDS = (EVAL_BACKEND_BITSET, EVAL_BACKEND_NUMPY)
 
 
-def _resolve_density_threshold(
-    value: Optional[Union[int, str]],
-) -> Union[int, str]:
-    """Resolve the density factor: explicit arg > env override > default.
-
-    Returns either a validated integer factor or the ``"auto"`` sentinel
-    (timing-based calibration, applied by the constructor after the bitset
-    structures exist).  Resolution happens **once**, at index construction:
-    the resolved value travels with the index (including its pickled and
-    :meth:`RouteIndex.slim` forms), so worker processes evaluate with the
-    parent's factor no matter what their own environment says.
-    """
-    if value is not None:
-        if isinstance(value, str):
-            if value != DENSITY_THRESHOLD_AUTO:
-                raise ValueError(
-                    f"density_threshold must be an integer or 'auto', got {value!r}"
-                )
-            return value
-        if value < 1:
-            raise ValueError("density_threshold must be at least 1")
-        return value
-    env = os.environ.get("REPRO_BFS_DENSITY_THRESHOLD")
-    if env:
-        if env.strip().lower() == DENSITY_THRESHOLD_AUTO:
-            return DENSITY_THRESHOLD_AUTO
-        try:
-            parsed = int(env)
-        except ValueError:
-            raise ValueError(
-                f"REPRO_BFS_DENSITY_THRESHOLD must be an integer or 'auto', "
-                f"got {env!r}"
-            ) from None
-        if parsed < 1:
-            raise ValueError("REPRO_BFS_DENSITY_THRESHOLD must be at least 1")
-        return parsed
-    return DEFAULT_DENSITY_THRESHOLD
-
-
-def _resolve_eval_backend(value: Optional[str]) -> str:
-    """Resolve the evaluation backend: explicit arg > env override > default.
-
-    ``"auto"`` resolves to ``"numpy"`` when numpy is importable (and not
-    disabled via ``REPRO_NO_NUMPY``), else ``"bitset"``.  An explicit
-    ``"numpy"`` is kept as-is even where numpy is absent: evaluation falls
-    back to the bitset kernel per process (see
-    :attr:`RouteIndex.eval_backend`), so an index built and shipped with the
-    numpy backend still evaluates correctly on a worker without numpy.
-    """
+def _check_backend(value: Optional[str]) -> str:
+    """Validate a requested backend; ``None`` means the bitset default."""
     if value is None:
-        value = os.environ.get("REPRO_EVAL_BACKEND") or EVAL_BACKEND_BITSET
-    value = value.strip().lower()
-    if value not in _EVAL_BACKENDS:
+        return EVAL_BACKEND_BITSET
+    if value not in EVAL_BACKENDS:
         raise ValueError(
-            f"unknown eval backend {value!r}; expected one of {_EVAL_BACKENDS}"
+            f"unknown eval backend {value!r}; expected one of {EVAL_BACKENDS}"
         )
-    if value == EVAL_BACKEND_AUTO:
-        from repro.core.np_kernel import numpy_available
-
-        return EVAL_BACKEND_NUMPY if numpy_available() else EVAL_BACKEND_BITSET
     return value
 
 
@@ -193,6 +125,10 @@ class RouteIndex:
         The underlying network ``G``.
     routing:
         A :class:`Routing` or :class:`MultiRouting` over ``graph``.
+    backend:
+        ``"bitset"`` (the default, also for ``None``) or ``"numpy"``.  The
+        choice travels with the index (pickles and :meth:`slim` copies), so
+        worker processes evaluate on the backend the parent asked for.
 
     Notes
     -----
@@ -206,22 +142,11 @@ class RouteIndex:
         self,
         graph: Graph,
         routing: AnyRouting,
-        density_threshold: Optional[Union[int, str]] = None,
         backend: Optional[str] = None,
     ) -> None:
         self.graph = graph
         self.routing = routing
-        # Factor k of the "k * arcs <= n^2" batched-vs-per-source BFS switch.
-        # Resolved exactly once, here in the constructing process; "auto"
-        # defers to a timing calibration after the bitset structures exist.
-        resolved_threshold = _resolve_density_threshold(density_threshold)
-        self._density_threshold = (
-            DEFAULT_DENSITY_THRESHOLD
-            if resolved_threshold == DENSITY_THRESHOLD_AUTO
-            else resolved_threshold
-        )
-        # Evaluation backend ("bitset" or "numpy"), resolved once likewise.
-        self._backend = _resolve_eval_backend(backend)
+        self._backend = _check_backend(backend)
         # Lazily built numpy kernel; never pickled (workers rebuild it from
         # the shipped bitset rows on first use).
         self._np_kernel = None
@@ -248,9 +173,6 @@ class RouteIndex:
         self._pairs_through: Dict[int, Set[IdPair]] = {}
         self._pair_routes: Dict[IdPair, Tuple[int, ...]] = {}
         self._multi = isinstance(routing, MultiRouting)
-        # Set-based kernel structures (PR-1 path), built lazily on first use:
-        # (base successor sets, node -> affected pairs, pair -> route node sets).
-        self._set_kernel = None
 
         id_of = self._id_of
         if self._multi:
@@ -284,17 +206,11 @@ class RouteIndex:
                     kill = kill_rows[id_of[node]]
                     kill[sid] = kill.get(sid, 0) | target_bit
 
-        if resolved_threshold == DENSITY_THRESHOLD_AUTO:
-            self.calibrate_density_threshold()
-
     # ------------------------------------------------------------------
     # Pickling (worker shipping)
     # ------------------------------------------------------------------
     def __getstate__(self):
         state = self.__dict__.copy()
-        # The lazy set-kernel cache is redundant with the routing; dropping it
-        # keeps the pickled payload small when shipping the index to workers.
-        state["_set_kernel"] = None
         # The numpy kernel holds process-local scratch tensors and is cheap
         # to rebuild from the bitset rows; receivers rebuild it lazily.
         state["_np_kernel"] = None
@@ -332,23 +248,17 @@ class RouteIndex:
         return graph is self.graph and routing is self.routing
 
     @property
-    def density_threshold(self) -> int:
-        """The factor ``k`` of the ``k * arcs <= n^2`` BFS strategy switch."""
-        return self._density_threshold
-
-    @property
     def backend(self) -> str:
-        """The backend resolved at construction (``"bitset"`` or ``"numpy"``)."""
+        """The backend this index was built for (``"bitset"`` or ``"numpy"``)."""
         return self._backend
 
     @property
     def eval_backend(self) -> str:
         """The backend evaluations actually use **in this process**.
 
-        Equals :attr:`backend` except when the numpy backend was selected
-        but numpy is unavailable here (not installed, or disabled via
-        ``REPRO_NO_NUMPY``) — then evaluations silently fall back to the
-        pure-Python bitset kernel.  Values are identical either way.
+        Equals :attr:`backend` except when the numpy backend was requested
+        but numpy is not importable here — then evaluations fall back to
+        the pure-Python bitset kernel.  Values are identical either way.
         """
         if self._backend == EVAL_BACKEND_NUMPY:
             from repro.core.np_kernel import numpy_available
@@ -357,60 +267,19 @@ class RouteIndex:
                 return EVAL_BACKEND_NUMPY
         return EVAL_BACKEND_BITSET
 
-    def _ensure_np_kernel(self):
-        """Build (once per process) and return the numpy kernel, or ``None``."""
+    def _active_np_kernel(self):
+        """The numpy kernel when this process evaluates on it, else ``None``.
+
+        Built lazily, once per process (it is never pickled).
+        """
+        if self.eval_backend != EVAL_BACKEND_NUMPY:
+            return None
         kernel = self._np_kernel
         if kernel is None:
-            from repro.core.np_kernel import NumpyKernel, numpy_available
+            from repro.core.np_kernel import NumpyKernel
 
-            if not numpy_available():
-                return None
             kernel = self._np_kernel = NumpyKernel(self)
         return kernel
-
-    def calibrate_density_threshold(
-        self, faults: Iterable[Node] = (), repeats: int = 3
-    ) -> int:
-        """Set the density factor from observed per-strategy timings.
-
-        Runs both BFS strategies ``repeats`` times on the surviving rows of
-        ``faults`` (best-of timing, to shrug off scheduler noise) and sets
-        the factor to the break-even point ``k* = (total^2 / arcs) * (T_b /
-        T_p)``: with it, the ``k * arcs <= total^2`` switch picks the
-        batched strategy exactly when it was observed to be the faster one
-        on this workload.  The result is clamped to ``[1, 1024]`` and
-        returned.  Calibration is a performance knob only — every strategy
-        returns identical values — but it is timing-based and therefore
-        machine-dependent, so it runs only when explicitly requested
-        (``density_threshold="auto"`` or this method).
-        """
-        import time as _time
-
-        fault_mask = self._fault_mask(self._check_faults(faults))
-        rows = self._surviving_rows(fault_mask)
-        alive = self._full_mask & ~fault_mask
-        total = alive.bit_count()
-        arcs = 0
-        for row in rows:
-            arcs += row.bit_count()
-        if total < 2 or arcs == 0:
-            return self._density_threshold
-        best_batched = best_per_source = float("inf")
-        for _ in range(max(1, repeats)):
-            start = _time.perf_counter()
-            _batched_diameter(rows, alive, total, None)
-            best_batched = min(best_batched, _time.perf_counter() - start)
-            start = _time.perf_counter()
-            _per_source_diameter(rows, alive, None)
-            best_per_source = min(
-                best_per_source, _time.perf_counter() - start
-            )
-        if best_per_source <= 0 or best_batched <= 0:
-            return self._density_threshold
-        ratio = (total * total) / arcs
-        factor = round(ratio * (best_batched / best_per_source))
-        self._density_threshold = max(1, min(1024, factor))
-        return self._density_threshold
 
     @property
     def node_pool(self) -> Tuple[Node, ...]:
@@ -428,7 +297,7 @@ class RouteIndex:
     def preferred_strategy(self, faults: Iterable[Node] = ()) -> str:
         """Return which BFS strategy a diameter evaluation of ``faults`` picks.
 
-        ``"batched"`` (all-sources propagation) when ``density_threshold *
+        ``"batched"`` (all-sources propagation) when ``BFS_DENSITY_FACTOR *
         arcs <= n^2`` on the surviving rows, ``"per-source"`` (frontier BFS
         with early completion exit) otherwise.  Campaign rows record this so
         sweeps over workload families can correlate throughput with the
@@ -441,7 +310,7 @@ class RouteIndex:
         arcs = 0
         for row in rows:
             arcs += row.bit_count()
-        if arcs * self._density_threshold <= total * total:
+        if arcs * BFS_DENSITY_FACTOR <= total * total:
             return STRATEGY_BATCHED
         return STRATEGY_PER_SOURCE
 
@@ -453,10 +322,10 @@ class RouteIndex:
 
         The export hook behind :mod:`repro.serving.artifact`: everything the
         evaluation surface needs — node labels in id order, the base
-        adjacency/predecessor rows, the per-node kill masks (or the
-        multirouting pair tables) and the resolved tunables — as ints,
-        tuples, lists and dicts only, so a compiler can lay the state out in
-        any on-disk format without touching the graph or routing objects.
+        adjacency/predecessor rows and the per-node kill masks (or the
+        multirouting pair tables) — as ints, tuples, lists and dicts only,
+        so a compiler can lay the state out in any on-disk format without
+        touching the graph or routing objects.
         :meth:`from_state` reconstructs an evaluation-equivalent index from
         the returned mapping.
         """
@@ -465,8 +334,6 @@ class RouteIndex:
             "multi": self._multi,
             "base_rows": list(self._base_rows),
             "base_preds": list(self._base_preds),
-            "density_threshold": self._density_threshold,
-            "backend": self._backend,
         }
         if self._multi:
             # Insertion order of ``_pair_routes`` is part of the identity
@@ -486,22 +353,15 @@ class RouteIndex:
 
         The result is equivalent to :meth:`slim`'s graph-free form: the whole
         evaluation surface works (diameters, cursors, batches, every
-        backend), while :meth:`matches` is always ``False`` and the lazy set
-        kernel is unavailable.  ``backend`` overrides the exported backend
-        (resolved in *this* process, e.g. to honour a server's
-        ``--eval-backend`` flag against an artifact compiled elsewhere).
+        backend), while :meth:`matches` is always ``False``.  ``backend`` is
+        chosen by the caller (e.g. a server's ``--eval-backend`` flag), as
+        in the constructor.
         """
         index = object.__new__(cls)
         index.graph = None
         index.routing = None
-        index._density_threshold = int(state["density_threshold"])
-        index._backend = (
-            _resolve_eval_backend(backend)
-            if backend is not None
-            else str(state["backend"])
-        )
+        index._backend = _check_backend(backend)
         index._np_kernel = None
-        index._set_kernel = None
         nodes = tuple(state["nodes"])
         index._nodes = nodes
         index._node_set = frozenset(nodes)
@@ -544,14 +404,12 @@ class RouteIndex:
         kill masks and node labels.  The slim index supports the whole
         evaluation surface (``surviving_diameter`` / ``..._at_most``,
         cursors, ``surviving_route_graph``, ``node_pool``); only
-        :meth:`matches` (always ``False``) and the lazy set kernel (which
-        needs the routing) are unavailable.
+        :meth:`matches` (always ``False``) is unavailable.
         """
         clone = object.__new__(RouteIndex)
         clone.__dict__.update(self.__dict__)
         clone.graph = None
         clone.routing = None
-        clone._set_kernel = None
         clone._np_kernel = None  # rebuilt lazily in the receiving process
         clone._node_pool = self.node_pool  # materialise before shipping
         return clone
@@ -650,10 +508,7 @@ class RouteIndex:
     # Diameter evaluation
     # ------------------------------------------------------------------
     def surviving_diameter(
-        self,
-        faults: Iterable[Node],
-        cap: Optional[float] = None,
-        kernel: Optional[str] = None,
+        self, faults: Iterable[Node], cap: Optional[float] = None
     ) -> float:
         """Return the diameter of ``R(G, rho)/F`` (``inf`` if disconnected).
 
@@ -665,37 +520,18 @@ class RouteIndex:
             ``cap`` (so a finite return value is always the exact diameter,
             and any return value compares against ``cap`` exactly like the
             true diameter does).
-        kernel:
-            ``None`` (default) follows the index's resolved backend
-            (:attr:`eval_backend`).  An explicit ``"bitset"`` forces the
-            big-int kernel, ``"numpy"`` the packed-uint64 kernel (raising
-            where numpy is unavailable), and ``"sets"`` the historical PR-1
-            set-based kernel, kept for equivalence testing and
-            benchmarking.  All kernels return identical values.
         """
         fault_set = self._check_faults(faults)
-        if kernel == "sets":
-            if cap is not None:
-                raise ValueError("cap is only supported by the bitset kernel")
-            return _succ_diameter(self._set_surviving_succ(fault_set))
-        if kernel is None:
-            kernel = self.eval_backend
-        if kernel == EVAL_BACKEND_NUMPY:
-            np_kernel = self._ensure_np_kernel()
-            if np_kernel is None:
-                raise ValueError(
-                    "the numpy kernel was requested but numpy is unavailable "
-                    "(not installed, or disabled via REPRO_NO_NUMPY)"
-                )
+        np_kernel = self._active_np_kernel()
+        if np_kernel is not None:
             ids = sorted(self._id_of[node] for node in fault_set)
             return np_kernel.diameters([ids], cap=cap)[0]
-        if kernel != EVAL_BACKEND_BITSET:
-            raise ValueError(f"unknown kernel {kernel!r}")
         fault_mask = self._fault_mask(fault_set)
         rows = self._surviving_rows(fault_mask)
-        return _rows_diameter(
-            rows, self._full_mask & ~fault_mask, cap, self._density_threshold
+        value, _witness, _capped = _rows_diameter_witness(
+            rows, self._full_mask & ~fault_mask, cap
         )
+        return value
 
     #: Battery entries evaluated per numpy-kernel call: bounds the scratch
     #: tensors to a fixed width so arbitrarily large batteries stream through
@@ -726,22 +562,21 @@ class RouteIndex:
         (same semantics as in :meth:`surviving_diameter`).
         """
         batch = list(fault_sets)
-        if self.eval_backend == EVAL_BACKEND_NUMPY:
-            np_kernel = self._ensure_np_kernel()
-            if np_kernel is not None:
-                id_of = self._id_of
-                id_lists = [
-                    sorted(id_of[node] for node in self._check_faults(fs))
-                    for fs in batch
-                ]
-                out: List[float] = []
-                for start in range(0, len(id_lists), self._NP_BATCH):
-                    out.extend(
-                        np_kernel.diameters(
-                            id_lists[start : start + self._NP_BATCH], cap=cap
-                        )
+        np_kernel = self._active_np_kernel()
+        if np_kernel is not None:
+            id_of = self._id_of
+            id_lists = [
+                sorted(id_of[node] for node in self._check_faults(fs))
+                for fs in batch
+            ]
+            out: List[float] = []
+            for start in range(0, len(id_lists), self._NP_BATCH):
+                out.extend(
+                    np_kernel.diameters(
+                        id_lists[start : start + self._NP_BATCH], cap=cap
                     )
-                return out
+                )
+            return out
         return [self.surviving_diameter(fs, cap=cap) for fs in batch]
 
     def surviving_diameter_at_most(
@@ -793,65 +628,6 @@ class RouteIndex:
             value
             for _child, value in cursor.batch_with_added(candidates, cap=cap)
         ]
-
-    # ------------------------------------------------------------------
-    # Historical set-based kernel (equivalence/benchmark reference)
-    # ------------------------------------------------------------------
-    def _ensure_set_kernel(
-        self,
-    ) -> Tuple[
-        Dict[Node, Set[Node]],
-        Dict[Node, Set[Pair]],
-        Dict[Pair, Tuple[FrozenSet[Node], ...]],
-    ]:
-        if self._set_kernel is None:
-            base_succ: Dict[Node, Set[Node]] = {node: set() for node in self._nodes}
-            pairs_through: Dict[Node, Set[Pair]] = {}
-            pair_routes: Dict[Pair, Tuple[FrozenSet[Node], ...]] = {}
-            if self._multi:
-                for pair in self.routing.pairs():
-                    routes = tuple(
-                        frozenset(path) for path in self.routing.get_routes(*pair)
-                    )
-                    if not routes:
-                        continue
-                    pair_routes[pair] = routes
-                    base_succ[pair[0]].add(pair[1])
-                    for node in frozenset().union(*routes):
-                        pairs_through.setdefault(node, set()).add(pair)
-            else:
-                for pair, path in self.routing.items():
-                    base_succ[pair[0]].add(pair[1])
-                    for node in path:
-                        pairs_through.setdefault(node, set()).add(pair)
-            self._set_kernel = (base_succ, pairs_through, pair_routes)
-        return self._set_kernel
-
-    def _set_surviving_succ(self, fault_set: FrozenSet[Node]) -> Dict[Node, Set[Node]]:
-        """Successor sets of ``R(G, rho)/F`` via the PR-1 set-based kernel."""
-        base_succ, pairs_through, pair_routes = self._ensure_set_kernel()
-        succ: Dict[Node, Set[Node]] = {}
-        if not fault_set:
-            for node, base in base_succ.items():
-                succ[node] = set(base)
-            return succ
-        for node, base in base_succ.items():
-            if node not in fault_set:
-                succ[node] = base - fault_set
-
-        affected: Set[Pair] = set()
-        for fault in fault_set:
-            affected |= pairs_through.get(fault, set())
-        for source, target in affected:
-            if source in fault_set or target in fault_set:
-                continue
-            if self._multi and any(
-                routes.isdisjoint(fault_set)
-                for routes in pair_routes[(source, target)]
-            ):
-                continue
-            succ[source].discard(target)
-        return succ
 
 
 class EvalCursor:
@@ -1040,17 +816,10 @@ class EvalCursor:
         self, cap: Optional[float]
     ) -> Tuple[float, Optional[Tuple[int, int]], Optional[Tuple[int, int, int]]]:
         """One diameter evaluation through the index's resolved backend."""
-        index = self._index
-        if index.eval_backend == EVAL_BACKEND_NUMPY:
-            kernel = index._ensure_np_kernel()
-            if kernel is not None:
-                value, witness, capped = kernel.diameter_witness(
-                    self._fault_id_list(), cap
-                )
-                return value, witness, capped
-        return _rows_diameter_witness(
-            self._materialise_rows(), self._alive, cap, index._density_threshold
-        )
+        kernel = self._index._active_np_kernel()
+        if kernel is not None:
+            return kernel.diameter_witness(self._fault_id_list(), cap)
+        return _rows_diameter_witness(self._materialise_rows(), self._alive, cap)
 
     def with_added(self, node: Node) -> "EvalCursor":
         """Return the cursor for ``F | {node}`` via a delta update.
@@ -1170,18 +939,14 @@ class EvalCursor:
         Memoised children (a prior exact diameter, or a lower bound already
         above ``cap``) skip their BFS lane entirely.
         """
-        index = self._index
         node_list = list(nodes)
-        if index.eval_backend == EVAL_BACKEND_NUMPY:
-            kernel = index._ensure_np_kernel()
-            if kernel is not None:
-                children = [self.with_added(node) for node in node_list]
-                self._np_batch_evaluate(children, cap, kernel)
-                for node, child in zip(node_list, children):
-                    self._note_sibling_bound(node, child)
-                return [
-                    (child, child.diameter(cap=cap)) for child in children
-                ]
+        kernel = self._index._active_np_kernel()
+        if kernel is not None:
+            children = [self.with_added(node) for node in node_list]
+            self._np_batch_evaluate(children, cap, kernel)
+            for node, child in zip(node_list, children):
+                self._note_sibling_bound(node, child)
+            return [(child, child.diameter(cap=cap)) for child in children]
         results: List[Tuple["EvalCursor", float]] = []
         for node in node_list:
             child = self.with_added(node)
@@ -1254,22 +1019,8 @@ class EvalCursor:
                     child._unreached = witness
 
 
-def _rows_diameter(
-    rows: List[int],
-    alive: int,
-    cap: Optional[float] = None,
-    threshold: int = DEFAULT_DENSITY_THRESHOLD,
-) -> float:
-    """Diameter of the bitset digraph (``inf`` when > ``cap``, see below)."""
-    value, _witness, _capped = _rows_diameter_witness(rows, alive, cap, threshold)
-    return value
-
-
 def _rows_diameter_witness(
-    rows: List[int],
-    alive: int,
-    cap: Optional[float] = None,
-    threshold: int = DEFAULT_DENSITY_THRESHOLD,
+    rows: List[int], alive: int, cap: Optional[float] = None
 ) -> Tuple[float, Optional[Tuple[int, int]], Optional[Tuple[int, int, int]]]:
     """Diameter of the digraph given by bitset rows.
 
@@ -1292,7 +1043,8 @@ def _rows_diameter_witness(
     sources progress together, so the cost is ``O(arcs)`` per diameter unit.
     Dense graphs (where a BFS completes in a level or two and most sources
     terminate almost immediately) use per-source frontier BFS, which
-    exploits that early exit.  Both return identical values.
+    exploits that early exit.  :data:`BFS_DENSITY_FACTOR` draws the line
+    between the two.  Both return identical values.
     """
     if not alive:
         return INFINITY, None, None
@@ -1302,7 +1054,7 @@ def _rows_diameter_witness(
     arcs = 0
     for row in rows:
         arcs += row.bit_count()
-    if arcs * threshold <= total * total:
+    if arcs * BFS_DENSITY_FACTOR <= total * total:
         return _batched_diameter(rows, alive, total, cap)
     return _per_source_diameter(rows, alive, cap)
 
@@ -1398,36 +1150,3 @@ def _per_source_diameter(
         if eccentricity > worst:
             worst = eccentricity
     return worst, None, None
-
-
-def _succ_diameter(succ: Dict[Node, Set[Node]]) -> float:
-    """Diameter of the digraph given by successor sets, via level-set BFS.
-
-    The PR-1 set-based kernel, kept as the equivalence/benchmark reference
-    for the bitset kernel.  Matches the conventions of
-    :func:`repro.graphs.traversal.diameter`: ``inf`` for the empty or
-    non-strongly-connected graph, ``0`` for a single node.
-    """
-    total = len(succ)
-    if total == 0:
-        return INFINITY
-    worst = 0
-    for source in succ:
-        visited = {source}
-        frontier = {source}
-        eccentricity = 0
-        while frontier and len(visited) < total:
-            level: Set[Node] = set()
-            for node in frontier:
-                level |= succ[node]
-            level -= visited
-            if not level:
-                break
-            eccentricity += 1
-            visited |= level
-            frontier = level
-        if len(visited) != total:
-            return INFINITY
-        if eccentricity > worst:
-            worst = eccentricity
-    return worst

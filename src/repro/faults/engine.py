@@ -247,13 +247,11 @@ class CampaignEngine:
     index:
         Optional pre-built :class:`RouteIndex` to reuse; must match
         ``(graph, routing)``.  Built lazily on first use otherwise.
-    density_threshold, backend:
-        Forwarded to the lazily built :class:`RouteIndex` (ignored when a
-        pre-built ``index`` is supplied — that index's resolved tunables
-        win).  Both are resolved **once**, in the parent process, and travel
-        with the slim index to every worker: workers never consult their own
-        environment, so a pool whose processes see divergent environment
-        variables still evaluates every shard identically.
+    backend:
+        ``"bitset"`` (default) or ``"numpy"``, forwarded to the lazily built
+        :class:`RouteIndex` (ignored when a pre-built ``index`` is supplied
+        — that index's backend wins).  It travels with the slim index to
+        every worker.
     policy:
         Optional :class:`~repro.runtime.SupervisorPolicy` tuning the
         supervised dispatch (task timeouts, retry budget, pool rebuilds).
@@ -275,7 +273,6 @@ class CampaignEngine:
         workers: int = 1,
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         index: Optional[RouteIndex] = None,
-        density_threshold: Optional[Union[int, str]] = None,
         backend: Optional[str] = None,
         policy: Optional[SupervisorPolicy] = None,
         supervised: bool = True,
@@ -293,7 +290,6 @@ class CampaignEngine:
         self.workers = workers
         self.chunk_size = chunk_size
         self._index = index
-        self._density_threshold = density_threshold
         self._backend = backend
         # Aggregates cannot tolerate holes: dispatch is always fail-fast at
         # the shard level, whatever the caller's quarantine preference.
@@ -312,10 +308,7 @@ class CampaignEngine:
         """The engine's route index (built on first access)."""
         if self._index is None:
             self._index = RouteIndex(
-                self.graph,
-                self.routing,
-                density_threshold=self._density_threshold,
-                backend=self._backend,
+                self.graph, self.routing, backend=self._backend
             )
         return self._index
 
@@ -750,7 +743,7 @@ class CampaignEngine:
         else:
             result = aggregate_outcomes(fault_size, self._evaluate_shards(shards))
         result.bfs_strategy = strategy
-        result.eval_backend = self.index.eval_backend
+        result.eval_backend = self.index.backend
         result.candidate_limit = candidate_limit if run_greedy else None
         if frame is not None:
             frame.append(result.record())

@@ -60,10 +60,12 @@ class CampaignResult:
     faults_min: Optional[int] = None
     faults_mean: Optional[float] = None
     faults_max: Optional[int] = None
-    #: Resolved evaluation backend ("bitset" / "numpy") the campaign ran on,
-    #: and the greedy adversary's candidate budget when a greedy probe was
-    #: part of the battery (``None`` otherwise) — the adversary tunables,
-    #: recorded so stored rows carry their evaluation provenance.
+    #: Requested evaluation backend ("bitset" / "numpy") — what the caller
+    #: asked for, not what a numpy-less host fell back to, so a row never
+    #: depends on the writing host — and the greedy adversary's candidate
+    #: budget when a greedy probe was part of the battery (``None``
+    #: otherwise): the adversary tunables, recorded so stored rows carry
+    #: their evaluation provenance.
     eval_backend: Optional[str] = None
     candidate_limit: Optional[int] = None
 

@@ -74,9 +74,10 @@ RESULT_COLUMNS: Tuple[Column, ...] = (
     Column("worst_diam", "float"),
     # Evaluation metadata.
     Column("bfs", "str"),         # BFS strategy of the evaluating index
-    # Adversary/evaluation tunables: the resolved eval backend ("bitset" /
-    # "numpy") the campaign ran on, and the greedy adversary's candidate
-    # budget when an adversarial probe was part of the battery.
+    # Adversary/evaluation tunables: the requested eval backend ("bitset" /
+    # "numpy"; the same on hosts with and without numpy, whose evaluation
+    # falls back to bitset), and the greedy adversary's candidate budget
+    # when an adversarial probe was part of the battery.
     Column("backend", "str"),
     Column("candidate_limit", "int"),
     # Witness fault set (worst set / first violation), encoded with

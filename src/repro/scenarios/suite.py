@@ -50,7 +50,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.builder import build_routing
 from repro.core.construction import ConstructionResult
-from repro.core.route_index import RouteIndex
+from repro.core.route_index import EVAL_BACKEND_BITSET, RouteIndex
 from repro.exceptions import ReproError
 from repro.faults.engine import DEFAULT_CHUNK_SIZE, _combinations_slice, shard_seed
 from repro.faults.models import FaultSet
@@ -87,12 +87,8 @@ class _SuiteTask:
     adversarially-grown set of ``fault_size`` via the batched greedy
     search, with ``candidate_limit`` candidates per round).
 
-    ``density_threshold`` and ``backend`` carry the **parent-resolved**
-    index tunables.  Workers rebuilding a scenario construct their index
-    from these values instead of consulting their own environment — worker
-    processes whose environment diverges from the parent's (or from each
-    other's) would otherwise silently evaluate with different strategies.
-    ``None`` preserves the historical per-process resolution.
+    ``backend`` carries the evaluation backend the suite was asked for;
+    workers rebuilding a scenario construct their index with it.
     """
 
     spec: str
@@ -104,7 +100,6 @@ class _SuiteTask:
     start: int = 0
     seed: int = 0
     bound: Optional[float] = None
-    density_threshold: Optional[int] = None
     backend: Optional[str] = None
     candidate_limit: int = 0
 
@@ -250,36 +245,26 @@ def _cache_workload(key: str, value: Tuple[RouteIndex, str]) -> None:
     _SCENARIO_CACHE[key] = value
 
 
-def _workload_key(
-    spec: str, density_threshold: Optional[int], backend: Optional[str]
-) -> str:
-    """Cache key of one (scenario, resolved index tunables) workload.
+def _workload_key(spec: str, backend: Optional[str]) -> str:
+    """Cache key of one (scenario, eval backend) workload.
 
-    The tunables are part of the key so a parent-broadcast slim index (built
-    with the parent's resolved values) is never conflated with a worker-side
-    rebuild under different values.
+    The backend is part of the key so a parent-broadcast slim index is never
+    conflated with a worker-side rebuild on a different backend.
     """
-    return f"{spec}\x00{density_threshold}\x00{backend}"
+    return f"{spec}\x00{backend}"
 
 
 def _scenario_workload(
-    spec: str,
-    density_threshold: Optional[int] = None,
-    backend: Optional[str] = None,
+    spec: str, backend: Optional[str] = None
 ) -> Tuple[RouteIndex, str]:
-    key = _workload_key(spec, density_threshold, backend)
+    key = _workload_key(spec, backend)
     cached = _SCENARIO_CACHE.get(key)
     if cached is None:
         from repro.scenarios.spec import parse_scenario
 
         graph, result = parse_scenario(spec).build()
         cached = (
-            RouteIndex(
-                graph,
-                result.routing,
-                density_threshold=density_threshold,
-                backend=backend,
-            ),
+            RouteIndex(graph, result.routing, backend=backend),
             result.fingerprint(),
         )
         _cache_workload(key, cached)
@@ -291,9 +276,7 @@ def _eval_suite_task(task: _SuiteTask):
     chaos_point(
         "task", f"{task.spec}#{task.campaign_key[1]}:start={task.start}"
     )
-    index, fingerprint = _scenario_workload(
-        task.spec, task.density_threshold, task.backend
-    )
+    index, fingerprint = _scenario_workload(task.spec, task.backend)
     if task.mode == "greedy":
         from repro.faults.adversary import greedy_fault_set_from_index
 
@@ -351,15 +334,14 @@ def _expand_tasks(
     node_counts: Optional[Sequence[Optional[int]]] = None,
     skip: Iterable[Tuple[int, int]] = (),
     drop: Iterable[int] = (),
-    tunables: Optional[Sequence[Optional[Tuple[int, str]]]] = None,
+    backend: Optional[str] = None,
     greedy: bool = False,
     candidate_limit: int = 40,
 ) -> Tuple[List[_SuiteTask], List[Tuple[Tuple[int, int], int]]]:
     """Flatten the suite into shard tasks plus per-campaign metadata.
 
-    ``tunables[i]`` optionally carries scenario ``i``'s parent-resolved
-    ``(density_threshold, backend)`` pair; it is stamped onto every task of
-    that scenario so workers evaluate with exactly the parent's resolution.
+    ``backend`` is stamped onto every task, so workers evaluate on the
+    backend the parent was asked for.
 
     With ``greedy`` set, every ``random`` (sizes-model) campaign of
     positive fault size gains one trailing ``"greedy"`` task: a single
@@ -400,12 +382,6 @@ def _expand_tasks(
         if scenario_index in dropped:
             continue
         node_count = node_counts[scenario_index] if node_counts else None
-        scenario_tunables = (
-            tunables[scenario_index] if tunables is not None else None
-        )
-        density_threshold, backend = (
-            scenario_tunables if scenario_tunables is not None else (None, None)
-        )
         for plan_index, (mode, fault_size, p, total) in enumerate(
             _campaign_plans(scenario, samples, node_count)
         ):
@@ -429,7 +405,6 @@ def _expand_tasks(
                         start=start,
                         seed=shard_seed(seed, tag, shard_index),
                         bound=bound,
-                        density_threshold=density_threshold,
                         backend=backend,
                     )
                 )
@@ -448,7 +423,6 @@ def _expand_tasks(
                         start=total,
                         seed=shard_seed(seed, tag + "|greedy", 0),
                         bound=bound,
-                        density_threshold=density_threshold,
                         backend=backend,
                         candidate_limit=candidate_limit,
                     )
@@ -537,7 +511,6 @@ def run_scenario_suite(
     share_index: bool = True,
     skip_inapplicable: Union[bool, Iterable[Union[str, int]]] = False,
     skipped: Optional[List[Tuple[Scenario, str]]] = None,
-    density_threshold: Optional[Union[int, str]] = None,
     backend: Optional[str] = None,
     policy: Optional[SupervisorPolicy] = None,
     supervised: bool = True,
@@ -599,13 +572,11 @@ def run_scenario_suite(
         where not every strategy applies everywhere.  Graph construction
         itself is never forgiven: a malformed graph axis raises
         regardless.
-    density_threshold, backend:
-        Index tunables (see :class:`~repro.core.route_index.RouteIndex`).
-        Whatever they resolve to — explicit argument, environment variable
-        or default — is resolved **once, in the parent** and stamped onto
-        every shard task, so workers never consult their own environment:
-        a pool whose processes see divergent ``REPRO_*`` variables still
-        evaluates every shard with the parent's strategy.
+    backend:
+        ``"bitset"`` (default) or ``"numpy"`` (see
+        :class:`~repro.core.route_index.RouteIndex`).  Stamped onto every
+        shard task, so workers evaluate on the backend the parent was asked
+        for, and recorded in every row's ``backend`` column.
     skipped:
         Optional list the suite appends ``(scenario, reason)`` pairs to for
         every scenario dropped under ``skip_inapplicable`` (in suite
@@ -657,6 +628,8 @@ def run_scenario_suite(
     scenario_list = as_scenarios(scenarios)
     if not scenario_list:
         return []
+    if backend is None:
+        backend = EVAL_BACKEND_BITSET
 
     # Resume bookkeeping: a campaign is complete when its content-addressed
     # key is already recorded in the store.  Stored ``inapplicable`` status
@@ -696,9 +669,7 @@ def run_scenario_suite(
     else:
         may_skip = set(skip_inapplicable)
 
-    built: Dict[
-        int, Tuple[Scenario, ConstructionResult, int, int, str, Tuple[int, str]]
-    ] = {}
+    built: Dict[int, Tuple[Scenario, ConstructionResult, int, int, str]] = {}
     dropped: Dict[int, str] = {}
     payload: Optional[Dict[str, Tuple[RouteIndex, str]]] = (
         {} if workers > 1 and share_index else None
@@ -789,17 +760,8 @@ def run_scenario_suite(
                 graph.number_of_edges(),
             )
             continue
-        index = RouteIndex(
-            graph,
-            result.routing,
-            density_threshold=density_threshold,
-            backend=backend,
-        )
-        # The parent's resolved tunables travel with every task and key the
-        # worker-side cache, so shared slim indexes and worker rebuilds
-        # agree with the parent no matter what the workers' environment says.
-        resolved = (index.density_threshold, index.backend)
-        key = _workload_key(scenario.canonical(), *resolved)
+        index = RouteIndex(graph, result.routing, backend=backend)
+        key = _workload_key(scenario.canonical(), backend)
         _cache_workload(key, (index, result.fingerprint()))
         if payload is not None:
             payload[key] = (index.slim(), result.fingerprint())
@@ -809,7 +771,6 @@ def run_scenario_suite(
             graph.number_of_nodes(),
             graph.number_of_edges(),
             index.preferred_strategy(),
-            resolved,
         )
 
     # A partially-complete scenario is rebuilt for its remaining campaigns;
@@ -844,10 +805,6 @@ def run_scenario_suite(
         else:
             node_counts.append(None)
 
-    tunables: List[Optional[Tuple[int, str]]] = [
-        built[scenario_index][5] if scenario_index in built else None
-        for scenario_index in range(len(scenario_list))
-    ]
     tasks, campaigns = _expand_tasks(
         scenario_list,
         samples,
@@ -857,7 +814,7 @@ def run_scenario_suite(
         node_counts=node_counts,
         skip=completed,
         drop=dropped,
-        tunables=tunables,
+        backend=backend,
         greedy=greedy,
         candidate_limit=candidate_limit,
     )
@@ -872,9 +829,7 @@ def run_scenario_suite(
     failed_reasons: Dict[Tuple[int, int], str] = {}
 
     def _finalise(campaign_key: Tuple[int, int], outcomes: List) -> None:
-        scenario, result, nodes, edges, strategy, resolved = built[
-            campaign_key[0]
-        ]
+        scenario, result, nodes, edges, strategy = built[campaign_key[0]]
         # A quarantined campaign is checked first: its collected outcomes
         # (if any shards did finish) are partial and must not feed an
         # aggregate.  The row still carries the real construction metadata
@@ -894,10 +849,10 @@ def run_scenario_suite(
             campaign = aggregate_outcomes(fault_sizes[campaign_key], outcomes)
             campaign.bfs_strategy = strategy
         if campaign_key not in failed_reasons:
-            # Provenance columns: the parent-resolved eval backend, and the
+            # Provenance columns: the requested eval backend, and the
             # greedy candidate budget when this row's battery carried an
             # adversarial probe.
-            campaign.eval_backend = resolved[1]
+            campaign.eval_backend = backend
             if (
                 greedy
                 and scenario.faults.kind == "sizes"

@@ -134,8 +134,6 @@ class RoutingArtifact:
         multi: bool,
         scheme: str,
         routing_name: str,
-        backend: str,
-        density_threshold: int,
         next_hop: array,
         route_offsets: array,
         route_nodes: array,
@@ -154,8 +152,6 @@ class RoutingArtifact:
         self.multi = multi
         self.scheme = scheme
         self.routing_name = routing_name
-        self.backend = backend
-        self.density_threshold = density_threshold
         self.next_hop = next_hop
         self.route_offsets = route_offsets
         self.route_nodes = route_nodes
@@ -188,16 +184,14 @@ class RoutingArtifact:
     def to_index(self, backend: Optional[str] = None) -> RouteIndex:
         """Rebuild the evaluation-only :class:`RouteIndex` for this artifact.
 
-        ``backend`` overrides the backend recorded at compile time (resolved
-        in this process, so ``"auto"`` honours the local numpy situation).
+        ``backend`` (``"bitset"`` by default, or ``"numpy"``) is chosen
+        here, at serve time: the artifact itself is backend-neutral.
         """
         state: Dict[str, object] = {
             "nodes": self.nodes,
             "multi": self.multi,
             "base_rows": self.base_rows,
             "base_preds": self.base_preds,
-            "density_threshold": self.density_threshold,
-            "backend": self.backend,
         }
         if self.multi:
             pair_routes: Dict[Tuple[int, int], Tuple[int, ...]] = {}
@@ -290,8 +284,6 @@ class RoutingArtifact:
             "n": self.n,
             "mask_bytes": self._mask_width,
             "nodes": [encode_node(node) for node in self.nodes],
-            "backend": self.backend,
-            "density_threshold": self.density_threshold,
             "payload_sha256": hashlib.sha256(payload).hexdigest(),
             "sections": directory,
         }
@@ -313,8 +305,7 @@ class RoutingArtifact:
         kind = "multirouting" if self.multi else "routing"
         return (
             f"compiled {kind} artifact: n={self.n}, {routed} routed pairs, "
-            f"scheme={self.scheme or '?'}, backend={self.backend}, "
-            f"fingerprint={self.fingerprint[:12]}…"
+            f"scheme={self.scheme or '?'}, fingerprint={self.fingerprint[:12]}…"
         )
 
 
@@ -323,8 +314,6 @@ def compile_routing_artifact(
     routing: AnyRouting,
     *,
     scheme: str = "",
-    backend: Optional[str] = None,
-    density_threshold: Optional[Union[int, str]] = None,
     index: Optional[RouteIndex] = None,
 ) -> RoutingArtifact:
     """Lower a built routing into a :class:`RoutingArtifact`.
@@ -335,9 +324,7 @@ def compile_routing_artifact(
     The artifact is versioned on ``routing.fingerprint()``.
     """
     if index is None:
-        index = RouteIndex(
-            graph, routing, density_threshold=density_threshold, backend=backend
-        )
+        index = RouteIndex(graph, routing)
     elif not index.matches(graph, routing):
         raise ArtifactError(
             "the supplied index was built for a different (graph, routing) pair"
@@ -403,8 +390,6 @@ def compile_routing_artifact(
         multi=multi,
         scheme=scheme,
         routing_name=routing.name or "",
-        backend=str(state["backend"]),
-        density_threshold=int(state["density_threshold"]),
         next_hop=next_hop,
         route_offsets=route_offsets,
         route_nodes=_int_array("i", route_nodes),
@@ -532,8 +517,6 @@ def load_artifact(
         multi=multi,
         scheme=header.get("scheme", ""),
         routing_name=header.get("routing_name", ""),
-        backend=header.get("backend", "bitset"),
-        density_threshold=int(header.get("density_threshold", 8)),
         next_hop=_bytes_array("i", section("next_hop")),
         route_offsets=_bytes_array("q", section("route_offsets")),
         route_nodes=_bytes_array("i", section("route_nodes")),

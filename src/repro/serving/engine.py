@@ -38,14 +38,10 @@ _INF = float("inf")
 
 
 def _numpy():
-    """Return the numpy module when the packed backend is usable, else None."""
-    from repro.core.np_kernel import numpy_available
+    """Return the numpy module when it is importable, else ``None``."""
+    from repro.core import np_kernel
 
-    if not numpy_available():
-        return None
-    import numpy
-
-    return numpy
+    return np_kernel.np
 
 
 class EngineView:

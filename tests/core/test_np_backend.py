@@ -1,25 +1,20 @@
 """Backend selection, numpy fallback, worker shipping, and cursor memoisation.
 
 Covers the plumbing around the packed-uint64 numpy backend rather than its
-arithmetic (that is the hypothesis suite's job): how ``backend=`` / the
-``REPRO_EVAL_BACKEND`` env var / ``REPRO_NO_NUMPY`` resolve, that the
-resolved tunables survive pickling and ``slim()`` shipping unchanged (so
-workers never re-read the environment), and the ``EvalCursor`` lower-bound
-memoisation added alongside the backend (a failed ``diameter(cap=...)``
-must not be forgotten).
+arithmetic (that is the hypothesis suite's job): which values ``backend=``
+accepts, the bitset fallback in a process without numpy, that the backend
+survives pickling and ``slim()`` shipping unchanged, and the
+``EvalCursor`` lower-bound memoisation added alongside the backend (a
+failed ``diameter(cap=...)`` must not be forgotten).
 """
 
 from __future__ import annotations
 
-import os
 import pickle
-import subprocess
-import sys
-import textwrap
 
 import pytest
 
-from repro.core import RouteIndex, kernel_routing
+from repro.core import RouteIndex, kernel_routing, np_kernel
 from repro.core.np_kernel import numpy_available
 from repro.core.route_index import (
     EVAL_BACKEND_BITSET,
@@ -48,43 +43,23 @@ class TestBackendResolution:
         assert index.backend == EVAL_BACKEND_BITSET
         assert index.eval_backend == EVAL_BACKEND_BITSET
 
-    def test_constructor_argument_wins_over_env(self, workload, monkeypatch):
+    def test_invalid_backend_rejected(self, workload):
         graph, routing = workload
-        monkeypatch.setenv("REPRO_EVAL_BACKEND", "numpy")
-        index = RouteIndex(graph, routing, backend="bitset")
-        assert index.backend == EVAL_BACKEND_BITSET
-
-    def test_env_override(self, workload, monkeypatch):
-        graph, routing = workload
-        monkeypatch.setenv("REPRO_EVAL_BACKEND", "numpy")
-        assert RouteIndex(graph, routing).backend == EVAL_BACKEND_NUMPY
-
-    def test_invalid_backend_rejected(self, workload, monkeypatch):
-        graph, routing = workload
-        with pytest.raises(ValueError, match="unknown eval backend"):
-            RouteIndex(graph, routing, backend="cuda")
-        monkeypatch.setenv("REPRO_EVAL_BACKEND", "cuda")
-        with pytest.raises(ValueError, match="unknown eval backend"):
-            RouteIndex(graph, routing)
-
-    def test_auto_resolves_at_construction(self, workload):
-        graph, routing = workload
-        index = RouteIndex(graph, routing, backend="auto")
-        expected = EVAL_BACKEND_NUMPY if numpy_available() else EVAL_BACKEND_BITSET
-        # "auto" never survives resolution: the stored backend is concrete.
-        assert index.backend == expected
+        for value in ("cuda", "auto", "sets"):
+            with pytest.raises(ValueError, match="unknown eval backend"):
+                RouteIndex(graph, routing, backend=value)
 
     def test_kill_switch_forces_bitset_evaluation(self, workload, monkeypatch):
-        """REPRO_NO_NUMPY downgrades evaluation without changing values."""
+        """Without numpy a numpy index evaluates on bitset, values unchanged."""
         graph, routing = workload
         index = RouteIndex(graph, routing, backend="numpy")
         baseline = [
             index.surviving_diameter(faults)
             for faults in random_fault_sets(graph.nodes(), 2, 5, seed=11)
         ]
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
+        monkeypatch.setattr(np_kernel, "np", None)
         assert not numpy_available()
-        # The construction-time choice is preserved; only this process's
+        # The requested backend is preserved; only this process's
         # effective kernel degrades.
         assert index.backend == EVAL_BACKEND_NUMPY
         assert index.eval_backend == EVAL_BACKEND_BITSET
@@ -93,13 +68,6 @@ class TestBackendResolution:
             for faults in random_fault_sets(graph.nodes(), 2, 5, seed=11)
         ]
         assert degraded == baseline
-
-    def test_explicit_numpy_kernel_unavailable_raises(self, workload, monkeypatch):
-        graph, routing = workload
-        index = RouteIndex(graph, routing)
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        with pytest.raises(ValueError, match="numpy"):
-            index.surviving_diameter((), kernel="numpy")
 
 
 @requires_numpy
@@ -119,13 +87,12 @@ class TestNumpyShipping:
 
     def test_slim_drops_np_kernel_and_keeps_tunables(self, workload):
         graph, routing = workload
-        index = RouteIndex(graph, routing, density_threshold=7, backend="numpy")
+        index = RouteIndex(graph, routing, backend="numpy")
         faults = frozenset(list(graph.nodes())[:2])
         before = index.surviving_diameter(faults)
         slim = pickle.loads(pickle.dumps(index.slim()))
         assert slim.graph is None and slim.routing is None
         assert slim._np_kernel is None
-        assert slim.density_threshold == 7
         assert slim.backend == EVAL_BACKEND_NUMPY
         assert slim.surviving_diameter(faults) == before
 
@@ -140,61 +107,6 @@ class TestNumpyShipping:
         for value, faults in zip(capped, battery):
             exact = index.surviving_diameter(faults)
             assert value == exact if exact <= 2 else value > 2
-
-
-class TestTunablesResolveOnceInParent:
-    """Workers must inherit parent-resolved tunables, never re-read the env."""
-
-    def test_shipped_threshold_survives_divergent_worker_env(
-        self, workload, tmp_path
-    ):
-        """Regression: a worker env override used to re-resolve the threshold.
-
-        The parent resolves ``density_threshold`` at construction; a
-        subprocess with a conflicting ``REPRO_BFS_DENSITY_THRESHOLD`` must
-        still see the parent's value on the unpickled slim index.
-        """
-        graph, routing = workload
-        index = RouteIndex(graph, routing, density_threshold=7, backend="bitset")
-        payload = tmp_path / "index.pickle"
-        payload.write_bytes(pickle.dumps(index.slim()))
-        src_dir = os.path.join(os.path.dirname(__file__), "..", "..", "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.path.abspath(src_dir)
-        env["REPRO_BFS_DENSITY_THRESHOLD"] = "999"
-        env["REPRO_EVAL_BACKEND"] = "numpy"
-        script = textwrap.dedent(
-            f"""
-            import pickle
-            index = pickle.loads(open({str(payload)!r}, "rb").read())
-            print(index.density_threshold, index.backend)
-            """
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", script],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert out.stdout.split() == ["7", "bitset"]
-
-    def test_suite_task_tunables_override_worker_env(self, monkeypatch):
-        """_scenario_workload honours stamped task tunables over the env."""
-        from repro.scenarios.suite import _SCENARIO_CACHE, _scenario_workload
-
-        monkeypatch.setenv("REPRO_BFS_DENSITY_THRESHOLD", "999")
-        spec = "circulant:n=12,offsets=1+2/kernel"
-        _SCENARIO_CACHE.clear()
-        try:
-            index, _ = _scenario_workload(spec, density_threshold=5, backend="bitset")
-            assert index.density_threshold == 5
-            assert index.backend == EVAL_BACKEND_BITSET
-            # Historical path: no stamped tunables -> the worker env applies.
-            legacy, _ = _scenario_workload(spec)
-            assert legacy.density_threshold == 999
-        finally:
-            _SCENARIO_CACHE.clear()
 
 
 class TestCursorLowerBoundMemoisation:

@@ -57,23 +57,6 @@ class TestRouteIndexBasics:
 
 
 class TestKernelSelection:
-    def test_set_kernel_matches_bitset(self, indexed_routing):
-        graph, routing, index = indexed_routing
-        for faults in [(), {0}, {0, 5}, {1, 6, 9}, set(graph.nodes()[:7])]:
-            assert index.surviving_diameter(faults) == index.surviving_diameter(
-                faults, kernel="sets"
-            )
-
-    def test_unknown_kernel_rejected(self, indexed_routing):
-        graph, routing, index = indexed_routing
-        with pytest.raises(ValueError):
-            index.surviving_diameter((), kernel="frozensets")
-
-    def test_cap_rejected_by_set_kernel(self, indexed_routing):
-        graph, routing, index = indexed_routing
-        with pytest.raises(ValueError):
-            index.surviving_diameter((), cap=2, kernel="sets")
-
     def test_capped_value_compares_like_the_true_diameter(self, indexed_routing):
         graph, routing, index = indexed_routing
         for faults in [(), {0, 5}, {1, 6, 9}]:
@@ -207,18 +190,6 @@ class TestPickling:
             assert clone.surviving_route_graph(faults) == index.surviving_route_graph(
                 faults
             )
-
-    def test_lazy_set_kernel_cache_not_pickled(self, indexed_routing):
-        import pickle
-
-        graph, routing, index = indexed_routing
-        index.surviving_diameter({0}, kernel="sets")  # populate the cache
-        assert index._set_kernel is not None
-        clone = pickle.loads(pickle.dumps(index))
-        assert clone._set_kernel is None
-        assert clone.surviving_diameter({0}, kernel="sets") == index.surviving_diameter(
-            {0}
-        )
 
 
 class TestRouteIndexEquivalence:

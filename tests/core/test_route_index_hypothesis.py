@@ -1,20 +1,21 @@
-"""Property-based equivalence: bitset vs sets vs numpy kernels vs naive path.
+"""Property-based equivalence: bitset vs numpy kernels vs naive path.
 
 For random graphs, routings (single routes and multiroutings) and fault
 sets, the :class:`~repro.core.route_index.RouteIndex` evaluation must
 reproduce the naive computation *node for node*: the same surviving route
 graph (same node set, same arc set) and the same diameter — through the
-bitset kernel (the default), the historical set-based kernel, and (when
-numpy is installed) the packed-uint64 numpy backend, all of which must
-agree with each other value-for-value.  The bounded decision API must
-satisfy ``surviving_diameter_at_most(F, b) <=> surviving_diameter(F) <= b``
-for every bound, and delta-derived cursors must equal from-scratch
-evaluations — on every backend.  This is the contract that lets every
-campaign, battery and sweep in the library ride the fast paths without
-changing any observable result.
+bitset kernel (the default, with either BFS strategy) and (when numpy is
+installed) the packed-uint64 numpy backend, all of which must agree with
+each other value-for-value.  The bounded decision API must satisfy
+``surviving_diameter_at_most(F, b) <=> surviving_diameter(F) <= b`` for
+every bound, and delta-derived cursors must equal from-scratch evaluations
+— on every backend.  This is the contract that lets every campaign, battery
+and sweep in the library ride the fast paths without changing any
+observable result.
 
-Without numpy the suite still runs: the numpy legs are skipped (the other
-three stay enforced), which is exactly the no-numpy CI configuration.
+Without numpy the suite still runs: the numpy legs are skipped (the bitset
+and oracle legs stay enforced), which is exactly the no-numpy CI
+configuration.
 """
 
 import random as _random
@@ -33,9 +34,12 @@ from repro.core import (
     surviving_route_graph,
 )
 from repro.core.np_kernel import numpy_available
+from repro.core.route_index import _batched_diameter, _per_source_diameter
 from repro.core.routing import MultiRouting, Routing
 from repro.graphs import generators
 from repro.graphs.traversal import shortest_path
+
+INF = float("inf")
 
 requires_numpy = pytest.mark.skipif(
     not numpy_available(), reason="numpy backend not available"
@@ -147,18 +151,102 @@ class TestIndexedEquivalence:
     @SETTINGS
     @given(graph_routing_faults())
     def test_all_kernels_agree(self, case):
-        """Four-way equivalence: bitset == sets == numpy kernel == naive path.
+        """Three-way equivalence: bitset == numpy kernel == naive path.
 
-        The numpy leg silently degrades to three-way where numpy is not
+        The numpy leg silently degrades to two-way where numpy is not
         installed (the dedicated numpy suite below is skipped explicitly).
         """
         graph, routing, faults = case
-        index = RouteIndex(graph, routing)
         naive = surviving_diameter(graph, routing, faults)
-        assert index.surviving_diameter(faults, kernel="bitset") == naive
-        assert index.surviving_diameter(faults, kernel="sets") == naive
+        bitset = RouteIndex(graph, routing, backend="bitset")
+        assert bitset.surviving_diameter(faults) == naive
         if numpy_available():
-            assert index.surviving_diameter(faults, kernel="numpy") == naive
+            vectorised = RouteIndex(graph, routing, backend="numpy")
+            assert vectorised.surviving_diameter(faults) == naive
+
+
+def _ids(mask):
+    return [node for node in range(mask.bit_length()) if (mask >> node) & 1]
+
+
+def _distances(rows, source):
+    """BFS distances from ``source`` over bitset rows."""
+    dist = {source: 0}
+    frontier = [source]
+    while frontier:
+        step = []
+        for node in frontier:
+            for target in _ids(rows[node]):
+                if target not in dist:
+                    dist[target] = dist[node] + 1
+                    step.append(target)
+        frontier = step
+    return dist
+
+
+@st.composite
+def surviving_rows(draw):
+    """Bitset rows of a random digraph with faulty rows zeroed, plus a cap.
+
+    At least two nodes stay alive, as in every call the index makes.
+    """
+    n = draw(st.integers(min_value=2, max_value=10))
+    full = (1 << n) - 1
+    first = draw(st.integers(min_value=0, max_value=n - 2))
+    second = draw(st.integers(min_value=first + 1, max_value=n - 1))
+    alive = draw(st.integers(min_value=0, max_value=full))
+    alive |= (1 << first) | (1 << second)
+    rows = []
+    for node in range(n):
+        row = draw(st.integers(min_value=0, max_value=full)) & ~(1 << node)
+        rows.append(row & alive if (alive >> node) & 1 else 0)
+    cap = draw(st.sampled_from([None, 0, 1, 2, 3, 1.5]))
+    return rows, alive, cap
+
+
+class TestBfsStrategies:
+    """The batched and per-source BFS strategies are interchangeable.
+
+    Uncapped, they return identical ``(value, witness, capped)`` triples,
+    connected or not; so do capped evaluations of strongly connected rows
+    under a positive integer cap.  Otherwise a capped evaluation may stop
+    at a different point (a disconnection one strategy meets before the cap
+    is a capped witness for the other; a cap below 1 or between integers
+    lets the batched strategy finish an exact level the per-source one
+    abandons), so there both must keep the cap contract and return sound
+    witnesses.
+    """
+
+    @SETTINGS
+    @given(surviving_rows())
+    def test_strategies_agree(self, case):
+        rows, alive, cap = case
+        batched = _batched_diameter(rows, alive, alive.bit_count(), cap)
+        per_source = _per_source_diameter(rows, alive, cap)
+        eccentricities = []
+        for source in _ids(alive):
+            dist = _distances(rows, source)
+            reached = len(dist) == alive.bit_count()
+            eccentricities.append(max(dist.values()) if reached else INF)
+        exact = max(eccentricities)
+        if cap is None or (exact != INF and cap >= 1 and cap == int(cap)):
+            assert batched == per_source
+        for value, witness, capped in (batched, per_source):
+            if cap is None or value != INF:
+                assert value == exact
+            else:
+                assert exact > cap
+            if witness is not None:
+                source_bit, unreached = witness
+                dist = _distances(rows, source_bit.bit_length() - 1)
+                assert unreached and not set(_ids(unreached)) & set(dist)
+            if capped is not None:
+                source_bit, unreached, lower_bound = capped
+                assert lower_bound > cap
+                dist = _distances(rows, source_bit.bit_length() - 1)
+                assert unreached and all(
+                    dist.get(node, INF) >= lower_bound for node in _ids(unreached)
+                )
 
 
 class TestBoundedDecision:

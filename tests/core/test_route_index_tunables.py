@@ -1,4 +1,4 @@
-"""RouteIndex tunables: the BFS density threshold and strategy introspection."""
+"""RouteIndex BFS strategy: the fixed density rule and its introspection."""
 
 from __future__ import annotations
 
@@ -6,11 +6,11 @@ import pytest
 
 from repro.core import RouteIndex, kernel_routing
 from repro.core.route_index import (
-    DEFAULT_DENSITY_THRESHOLD,
+    BFS_DENSITY_FACTOR,
     STRATEGY_BATCHED,
     STRATEGY_PER_SOURCE,
 )
-from repro.faults.adversary import random_fault_sets
+from repro.core.routing import Routing
 from repro.graphs import generators
 
 
@@ -21,95 +21,42 @@ def workload():
     return graph, result.routing
 
 
+def _ring_routing(n: int, extra: int = 0):
+    """A cycle routed one hop forward per node: ``n`` arcs, plus ``extra``
+    backward hops (nodes ``1 .. extra`` route to their predecessor)."""
+    graph = generators.cycle_graph(n)
+    routing = Routing(graph, bidirectional=False)
+    for node in range(n):
+        routing.set_route(node, (node + 1) % n, [node, (node + 1) % n])
+    for node in range(1, extra + 1):
+        routing.set_route(node, node - 1, [node, node - 1])
+    return graph, routing
+
+
 class TestDensityThreshold:
-    def test_default_threshold(self, workload):
-        graph, routing = workload
-        index = RouteIndex(graph, routing)
-        assert index.density_threshold == DEFAULT_DENSITY_THRESHOLD
-
-    def test_constructor_override(self, workload):
-        graph, routing = workload
-        index = RouteIndex(graph, routing, density_threshold=3)
-        assert index.density_threshold == 3
-
-    def test_env_override(self, workload, monkeypatch):
-        graph, routing = workload
-        monkeypatch.setenv("REPRO_BFS_DENSITY_THRESHOLD", "5")
-        assert RouteIndex(graph, routing).density_threshold == 5
-        # The constructor argument wins over the environment.
-        assert RouteIndex(graph, routing, density_threshold=2).density_threshold == 2
-
-    def test_invalid_env_value(self, workload, monkeypatch):
-        graph, routing = workload
-        monkeypatch.setenv("REPRO_BFS_DENSITY_THRESHOLD", "not-a-number")
-        with pytest.raises(ValueError, match="REPRO_BFS_DENSITY_THRESHOLD"):
-            RouteIndex(graph, routing)
-
-    def test_invalid_threshold(self, workload):
-        graph, routing = workload
-        with pytest.raises(ValueError):
-            RouteIndex(graph, routing, density_threshold=0)
-
-    def test_threshold_never_changes_values(self, workload):
-        """The strategy switch is a performance knob, not a semantics knob."""
-        graph, routing = workload
-        low = RouteIndex(graph, routing, density_threshold=1)
-        high = RouteIndex(graph, routing, density_threshold=10_000)
-        assert low.preferred_strategy() != high.preferred_strategy()
-        for fault_set in random_fault_sets(graph.nodes(), 3, 10, seed=3):
-            assert low.surviving_diameter(fault_set) == high.surviving_diameter(
-                fault_set
-            )
-            assert low.cursor(fault_set).diameter() == high.cursor(
-                fault_set
-            ).diameter()
-
-
-class TestAutoCalibration:
-    def test_auto_threshold_calibrates_to_clamped_integer(self, workload):
-        graph, routing = workload
-        index = RouteIndex(graph, routing, density_threshold="auto")
-        assert isinstance(index.density_threshold, int)
-        assert 1 <= index.density_threshold <= 1024
-
-    def test_auto_via_env(self, workload, monkeypatch):
-        graph, routing = workload
-        monkeypatch.setenv("REPRO_BFS_DENSITY_THRESHOLD", "auto")
-        index = RouteIndex(graph, routing)
-        assert isinstance(index.density_threshold, int)
-        assert 1 <= index.density_threshold <= 1024
-
-    def test_calibration_never_changes_values(self, workload):
-        """Calibration is a timing knob; evaluation results are invariant."""
-        graph, routing = workload
-        reference = RouteIndex(graph, routing)
-        calibrated = RouteIndex(graph, routing, density_threshold="auto")
-        for fault_set in random_fault_sets(graph.nodes(), 2, 8, seed=7):
-            assert calibrated.surviving_diameter(
-                fault_set
-            ) == reference.surviving_diameter(fault_set)
-
-    def test_explicit_recalibration_returns_new_threshold(self, workload):
-        graph, routing = workload
-        index = RouteIndex(graph, routing)
-        returned = index.calibrate_density_threshold(repeats=1)
-        assert returned == index.density_threshold
-        assert 1 <= returned <= 1024
+    def test_default_threshold(self):
+        """The rule is ``8 * arcs <= n^2``, with the boundary batched."""
+        assert BFS_DENSITY_FACTOR == 8
+        # n = 8: 8 arcs sit exactly on the boundary, 9 arcs cross it.
+        graph, routing = _ring_routing(8)
+        assert RouteIndex(graph, routing).preferred_strategy() == STRATEGY_BATCHED
+        graph, routing = _ring_routing(8, extra=1)
+        assert (
+            RouteIndex(graph, routing).preferred_strategy() == STRATEGY_PER_SOURCE
+        )
 
 
 class TestPreferredStrategy:
     def test_extremes_select_both_strategies(self, workload):
-        graph, routing = workload
-        # threshold=1: k*arcs <= n^2 easily -> batched; huge threshold ->
-        # per-source.
+        # A sparse ring routing propagates batched; the kernel routing's
+        # complete route graph runs per-source BFS.
+        ring_graph, ring_routing = _ring_routing(24)
         assert (
-            RouteIndex(graph, routing, density_threshold=1).preferred_strategy()
+            RouteIndex(ring_graph, ring_routing).preferred_strategy()
             == STRATEGY_BATCHED
         )
-        assert (
-            RouteIndex(graph, routing, density_threshold=10_000).preferred_strategy()
-            == STRATEGY_PER_SOURCE
-        )
+        graph, routing = workload
+        assert RouteIndex(graph, routing).preferred_strategy() == STRATEGY_PER_SOURCE
 
     def test_strategy_accepts_fault_sets(self, workload):
         graph, routing = workload
@@ -117,13 +64,11 @@ class TestPreferredStrategy:
         strategy = index.preferred_strategy(faults=[graph.nodes()[0]])
         assert strategy in (STRATEGY_BATCHED, STRATEGY_PER_SOURCE)
 
-    def test_campaign_rows_record_strategy(self, workload):
-        graph, routing = workload
+    def test_campaign_rows_record_strategy(self):
+        graph, routing = _ring_routing(24)
         from repro.faults import CampaignEngine
 
-        engine = CampaignEngine(
-            graph, routing, index=RouteIndex(graph, routing, density_threshold=1)
-        )
+        engine = CampaignEngine(graph, routing)
         row = engine.run_campaign(1, samples=5, seed=0)
         assert row.bfs_strategy == STRATEGY_BATCHED
         assert row.as_row()["bfs"] == STRATEGY_BATCHED

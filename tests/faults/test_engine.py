@@ -376,10 +376,10 @@ class TestGreedyAugmentation:
         plain = engine.run_campaign(2, samples=5, seed=1)
         assert augmented.candidate_limit == 7
         assert plain.candidate_limit is None
-        assert augmented.eval_backend == engine.index.eval_backend
+        assert augmented.eval_backend == engine.index.backend
         record = augmented.record()
         assert record["candidate_limit"] == 7
-        assert record["backend"] == engine.index.eval_backend
+        assert record["backend"] == engine.index.backend
 
     def test_greedy_campaign_deterministic_across_workers(self, workload):
         graph, routing = workload

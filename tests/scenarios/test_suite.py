@@ -195,6 +195,20 @@ class TestRecordRoundTrip:
         assert set(frame.column("source")) == {"suite"}
         assert all(fp is not None for fp in frame.column("fingerprint"))
 
+    def test_backend_column_is_the_requested_backend(self, monkeypatch):
+        """Engine and suite rows name the backend asked for, numpy or not."""
+        from repro.core import np_kernel
+        from repro.faults import CampaignEngine
+
+        monkeypatch.setattr(np_kernel, "np", None)
+        spec = "circulant:n=12,offsets=1+2/kernel/sizes:2"
+        (row,) = run_scenario_suite([spec], samples=4, seed=1, backend="numpy")
+        graph, result = parse_scenario(spec).build()
+        engine = CampaignEngine(graph, result.routing, backend="numpy")
+        campaign = engine.run_campaign(2, samples=4, seed=1)
+        assert engine.index.eval_backend == "bitset"
+        assert campaign.record()["backend"] == row.record()["backend"] == "numpy"
+
 
 class TestRealisedFaultSizes:
     def test_random_p_rows_surface_realised_sizes(self):

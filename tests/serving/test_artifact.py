@@ -1,5 +1,6 @@
 """Unit tests for the compiled routing artifact: format, checksums, refusal."""
 
+import json
 import os
 
 import pytest
@@ -12,6 +13,7 @@ from repro.graphs import generators
 from repro.serving import (
     ARTIFACT_FORMAT_VERSION,
     RoutingArtifact,
+    ServingEngine,
     compile_routing_artifact,
     load_artifact,
 )
@@ -126,6 +128,41 @@ class TestDiskRoundTrip:
         assert loaded.to_index().surviving_diameter(
             [nodes[2]]
         ) == original.surviving_diameter([nodes[2]])
+
+    def test_header_backend_fields_are_ignored(self, tmp_path, single_case):
+        """Artifacts that still carry ``backend`` and ``density_threshold``
+        header fields (as earlier writers laid them out, same format
+        version) load and serve exactly like a fresh compile."""
+        graph, result, artifact = single_case
+        path = os.path.join(tmp_path, "older.repart")
+        artifact.save(path)
+        blob = open(path, "rb").read()
+        start = len(ARTIFACT_MAGIC) + 4
+        length = int.from_bytes(blob[len(ARTIFACT_MAGIC) : start], "big")
+        header = json.loads(blob[start : start + length])
+        assert "backend" not in header and "density_threshold" not in header
+        header.update(backend="numpy", density_threshold=8)
+        header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+        with open(path, "wb") as handle:
+            handle.write(
+                ARTIFACT_MAGIC
+                + len(header_bytes).to_bytes(4, "big")
+                + header_bytes
+                + blob[start + length :]
+            )
+        served = ServingEngine(
+            load_artifact(path, expect_fingerprint=artifact.fingerprint)
+        )
+        fresh = ServingEngine(compile_routing_artifact(graph, result.routing))
+        # The backend is chosen when serving, never by the artifact.
+        assert served.index.backend == "bitset"
+        nodes = graph.nodes()
+        pairs = [(s, d) for s in nodes for d in nodes if s != d]
+        for faults in ([], [nodes[0]], [nodes[1], nodes[5]]):
+            served.set_faults(faults)
+            fresh.set_faults(faults)
+            assert served.surviving_diameter() == fresh.surviving_diameter()
+            assert served.batch_next_hop(pairs) == fresh.batch_next_hop(pairs)
 
     def test_tuple_node_labels_survive(self, tmp_path):
         graph = generators.grid_graph(3, 3)  # tuple-labelled nodes

@@ -206,10 +206,6 @@ class TestBatchQueries:
             view.next_hop_id(s, d) for s, d in zip(sources, targets)
         ]
         np = pytest.importorskip("numpy")
-        from repro.core.np_kernel import numpy_available
-
-        if not numpy_available():
-            pytest.skip("numpy backend disabled")
         from_arrays = engine.batch_next_hop_ids(
             np.asarray(sources), np.asarray(targets)
         )

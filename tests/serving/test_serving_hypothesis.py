@@ -196,7 +196,7 @@ class TestBackendsAndDiskRoundTrip:
     def test_bitset_backend_matches_index(self, case):
         graph, routing, faults = case
         index = RouteIndex(graph, routing, backend="bitset")
-        artifact = compile_routing_artifact(graph, routing, backend="bitset")
+        artifact = compile_routing_artifact(graph, routing)
         engine = ServingEngine(artifact, backend="bitset")
         engine.set_faults(faults)
         assert engine.index.eval_backend == "bitset"

@@ -57,6 +57,28 @@ class TestParser:
         assert args.strategy == "auto"
         assert args.t is None
 
+    def test_shared_sweep_options_keep_per_command_defaults(self):
+        parser = build_parser()
+        campaign = parser.parse_args(["campaign", "--graph", "cycle:10"])
+        grid = parser.parse_args(["grid", "cycle:n=10/kernel"])
+        assert (campaign.samples, grid.samples) == (100, 50)
+        for args in (campaign, grid):
+            assert args.eval_backend == "bitset"
+            assert (args.seed, args.bound, args.workers) == (0, None, 1)
+            assert (args.chunk_size, args.greedy, args.candidate_limit) == (
+                32,
+                False,
+                40,
+            )
+        serve = parser.parse_args(["serve", "--eval-backend", "numpy"])
+        assert serve.eval_backend == "numpy"
+        for argv in (
+            ["campaign", "--graph", "cycle:10", "--eval-backend", "auto"],
+            ["compile", "--graph", "cycle:10", "--output", "x", "--eval-backend", "numpy"],
+        ):
+            with pytest.raises(SystemExit):
+                parser.parse_args(argv)
+
 
 class TestCommands:
     def test_graphs_command(self, capsys):
