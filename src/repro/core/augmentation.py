@@ -15,16 +15,16 @@ number of added edges alongside the measured worst-case diameter.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, List, Optional, Set, Tuple
+from typing import Hashable, Iterable, Optional
 
 from repro.core.construction import ConstructionResult, Guarantee
+from repro.core.kernel import kernel_separator
 from repro.core.routing import Routing
-from repro.core.tree_routing import tree_routing
+from repro.core.tree_routing import kernel_tree_routings
 from repro.exceptions import ConstructionError
-from repro.graphs.connectivity import connectivity_parameter
 from repro.graphs.graph import Graph
 from repro.graphs.operations import add_clique
-from repro.graphs.separators import is_separating_set, minimum_separator
+from repro.graphs.separators import is_separating_set
 
 Node = Hashable
 
@@ -55,16 +55,9 @@ def clique_augmented_kernel_routing(
         added edges is recorded in ``details["added_edges"]`` so experiments
         can verify the ``<= t(t+1)/2`` cost bound.
     """
-    if t is None:
-        t = connectivity_parameter(graph)
-    if t < 0:
-        raise ConstructionError("t must be non-negative")
+    t, kernel_set = kernel_separator(graph, t, separating_set)
     width = t + 1
-
-    if separating_set is None:
-        kernel_set: Set[Node] = set(minimum_separator(graph))
-    else:
-        kernel_set = set(separating_set)
+    if separating_set is not None:
         if not is_separating_set(graph, kernel_set):
             raise ConstructionError("the supplied node set does not separate the graph")
     if len(kernel_set) < width:
@@ -77,15 +70,12 @@ def clique_augmented_kernel_routing(
 
     routing = Routing(augmented, bidirectional=True, name="kernel+clique")
     routing.add_all_edge_routes()
-    for node in augmented.nodes():
-        if node in kernel_set:
-            continue
-        # Tree routings are built in the *original* graph so that the added
-        # links are used exclusively for concentrator-to-concentrator hops —
-        # they exist only between kernel nodes anyway, and keeping the tree
-        # routings unchanged shows the added edges alone account for the
-        # improvement from diameter 4 to 3.
-        routes = tree_routing(graph, node, kernel_set, width)
+    # Tree routings are built in the *original* graph so that the added
+    # links are used exclusively for concentrator-to-concentrator hops —
+    # they exist only between kernel nodes anyway, and keeping the tree
+    # routings unchanged shows the added edges alone account for the
+    # improvement from diameter 4 to 3.
+    for node, routes in kernel_tree_routings(graph, kernel_set, width):
         for endpoint, path in routes.items():
             routing.set_route(node, endpoint, path)
 

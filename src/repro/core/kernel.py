@@ -16,17 +16,42 @@ constant 4 whenever fewer than half the connectivity's worth of nodes fail.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, List, Optional, Sequence, Set
+from typing import Hashable, Iterable, List, Optional, Set, Tuple
 
 from repro.core.construction import ConstructionResult, Guarantee
 from repro.core.routing import Routing
-from repro.core.tree_routing import tree_routing
+from repro.core.tree_routing import kernel_tree_routings
 from repro.exceptions import ConstructionError
-from repro.graphs.connectivity import connectivity_parameter
+from repro.graphs.connectivity import connectivity_parameter, require_connectivity
 from repro.graphs.graph import Graph
 from repro.graphs.separators import is_separating_set, minimum_separator
 
 Node = Hashable
+
+
+def kernel_separator(
+    graph: Graph, t: Optional[int], separating_set: Optional[Iterable[Node]]
+) -> Tuple[int, Set[Node]]:
+    """Resolve the fault parameter ``t`` and the kernel set ``M`` of a kernel-family routing.
+
+    A supplied ``M`` is returned as given; each construction checks it.
+    Otherwise ``M`` is a minimum separator, and when ``t`` is ``None`` it is
+    ``|M| - 1``: the separator sweep already finds ``kappa(G) = |M|``, so no
+    separate connectivity sweep runs.  Refusals keep the order of resolving
+    ``t`` first: a disconnected graph, then a negative ``t``, then the
+    separator's own (too few nodes, complete graph).
+    """
+    if t is None and separating_set is None:
+        require_connectivity(graph)
+        kernel_set = set(minimum_separator(graph))
+        return len(kernel_set) - 1, kernel_set
+    if t is None:
+        t = connectivity_parameter(graph)
+    if t < 0:
+        raise ConstructionError("t must be non-negative")
+    if separating_set is None:
+        return t, set(minimum_separator(graph))
+    return t, set(separating_set)
 
 
 def kernel_routing(
@@ -56,16 +81,9 @@ def kernel_routing(
         ``(4, floor(t/2))``; Theorem 3's ``(2t, t)`` is stored under
         ``details["theorem3_guarantee"]``.
     """
-    if t is None:
-        t = connectivity_parameter(graph)
-    if t < 0:
-        raise ConstructionError("t must be non-negative")
+    t, kernel_set = kernel_separator(graph, t, separating_set)
     width = t + 1
-
-    if separating_set is None:
-        kernel_set: Set[Node] = set(minimum_separator(graph))
-    else:
-        kernel_set = set(separating_set)
+    if separating_set is not None:
         if len(kernel_set) < width:
             raise ConstructionError(
                 f"separating set has {len(kernel_set)} nodes; at least {width} required"
@@ -85,10 +103,7 @@ def kernel_routing(
     routing.add_all_edge_routes()
 
     # Component KERNEL 1: a tree routing from every node outside M to M.
-    for node in graph.nodes():
-        if node in kernel_set:
-            continue
-        routes = tree_routing(graph, node, kernel_set, width)
+    for node, routes in kernel_tree_routings(graph, kernel_set, width):
         for endpoint, path in routes.items():
             routing.set_route(node, endpoint, path)
 

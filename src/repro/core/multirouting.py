@@ -18,16 +18,17 @@ All three variants are implemented here on top of
 from __future__ import annotations
 
 import itertools
-from typing import Hashable, Iterable, List, Optional, Sequence, Set
+from typing import Hashable, Iterable, Optional
 
 from repro.core.construction import ConstructionResult, Guarantee
+from repro.core.kernel import kernel_separator
 from repro.core.routing import MultiRouting
-from repro.core.tree_routing import tree_routing, tree_routing_to_neighborhood
+from repro.core.tree_routing import kernel_tree_routings, tree_routing_to_neighborhood
 from repro.exceptions import ConstructionError
 from repro.graphs.connectivity import connectivity_parameter
 from repro.graphs.disjoint_paths import vertex_disjoint_paths
 from repro.graphs.graph import Graph
-from repro.graphs.separators import is_separating_set, minimum_separator
+from repro.graphs.separators import is_separating_set
 
 Node = Hashable
 
@@ -87,16 +88,9 @@ def kernel_multirouting(
     then reach surviving concentrator members in one hop (Lemma 1) which are
     themselves mutually adjacent in the surviving graph, for a diameter of 3.
     """
-    if t is None:
-        t = connectivity_parameter(graph)
-    if t < 0:
-        raise ConstructionError("t must be non-negative")
+    t, kernel_set = kernel_separator(graph, t, separating_set)
     width = t + 1
-
-    if separating_set is None:
-        kernel_set: Set[Node] = set(minimum_separator(graph))
-    else:
-        kernel_set = set(separating_set)
+    if separating_set is not None:
         if not is_separating_set(graph, kernel_set):
             raise ConstructionError("the supplied node set does not separate the graph")
     if len(kernel_set) < width:
@@ -107,10 +101,7 @@ def kernel_multirouting(
     routing = MultiRouting(graph, bidirectional=True, name="multi-kernel")
     for u, v in graph.edges():
         routing.add_route(u, v, (u, v))
-    for node in graph.nodes():
-        if node in kernel_set:
-            continue
-        routes = tree_routing(graph, node, kernel_set, width)
+    for node, routes in kernel_tree_routings(graph, kernel_set, width):
         for endpoint, path in routes.items():
             routing.add_route(node, endpoint, path)
     members = sorted(kernel_set, key=repr)
@@ -151,16 +142,9 @@ def single_tree_multirouting(
     diameters (the benchmarks record the measured worst case; we conservatively
     tag it with the bipolar-style bound of 4).
     """
-    if t is None:
-        t = connectivity_parameter(graph)
-    if t < 0:
-        raise ConstructionError("t must be non-negative")
+    t, kernel_set = kernel_separator(graph, t, separating_set)
     width = t + 1
-
-    if separating_set is None:
-        kernel_set: Set[Node] = set(minimum_separator(graph))
-    else:
-        kernel_set = set(separating_set)
+    if separating_set is not None:
         if not is_separating_set(graph, kernel_set):
             raise ConstructionError("the supplied node set does not separate the graph")
     if len(kernel_set) < width:
@@ -174,10 +158,7 @@ def single_tree_multirouting(
     for u, v in graph.edges():
         routing.add_route(u, v, (u, v))
     # Component MULT 1: tree routings into M.
-    for node in graph.nodes():
-        if node in kernel_set:
-            continue
-        routes = tree_routing(graph, node, kernel_set, width)
+    for node, routes in kernel_tree_routings(graph, kernel_set, width):
         for endpoint, path in routes.items():
             routing.add_route(node, endpoint, path)
     # Component MULT 2: tree routings from each concentrator node to each

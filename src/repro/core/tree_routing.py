@@ -18,7 +18,7 @@ can simply be ``m`` itself.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ConstructionError
 from repro.graphs.disjoint_paths import (
@@ -27,31 +27,45 @@ from repro.graphs.disjoint_paths import (
     vertex_disjoint_paths,
 )
 from repro.graphs.graph import Graph
-from repro.graphs.traversal import bfs_distances
+from repro.graphs.traversal import connected_components
 
 Node = Hashable
 Path = List[Node]
 
 
-def _pick_anchor(graph: Graph, source: Node, separating_set: Set[Node]) -> Node:
-    """Choose a node separated from ``source`` by ``separating_set``.
+def separated_anchors(graph: Graph, separating_set: Iterable[Node]) -> Dict[Node, Node]:
+    """Map every node outside ``M`` to the first node ``M`` separates it from.
 
-    Lemma 2 needs "some node y disconnected from x by M".  We remove ``M`` and
-    return any node outside the component containing ``source``.
+    Lemma 2 needs "some node y disconnected from x by M".  One component
+    labelling of ``G - M`` answers that for every ``x``: in ``graph.nodes()``
+    order, the first node outside ``x``'s component is the root of the
+    second component when ``x`` lies in the first, and the root of the first
+    otherwise.  Empty when ``M`` leaves fewer than two components.
     """
     remaining = graph.without_nodes(separating_set)
-    if not remaining.has_node(source):
-        raise ConstructionError(
-            f"tree routing source {source!r} must not belong to the separating set"
-        )
-    reachable = set(bfs_distances(remaining, source))
-    for node in remaining.nodes():
-        if node not in reachable:
-            return node
-    raise ConstructionError(
-        f"set {sorted(map(repr, separating_set))} does not separate {source!r} "
-        "from any node; it is not a separating set for this source"
-    )
+    components = connected_components(remaining)
+    if len(components) < 2:
+        return {}
+    order = remaining.nodes()
+    first = components[0]
+    second_root = next(node for node in order if node not in first)
+    return {node: second_root if node in first else order[0] for node in order}
+
+
+def kernel_tree_routings(
+    graph: Graph, separating_set: Iterable[Node], width: int
+) -> Iterator[Tuple[Node, Dict[Node, Path]]]:
+    """Yield ``(x, tree routing from x into M)`` for every node ``x`` outside ``M``.
+
+    Nodes come in ``graph.nodes()`` order; every anchor is taken from one
+    :func:`separated_anchors` labelling.  This is component KERNEL 1 (and
+    MULT 1) of the kernel-family constructions.
+    """
+    targets = set(separating_set)
+    anchors = separated_anchors(graph, targets)
+    for node in graph.nodes():
+        if node not in targets:
+            yield node, tree_routing(graph, node, targets, width, anchor=anchors.get(node))
 
 
 def tree_routing(
@@ -117,7 +131,12 @@ def tree_routing(
         return {m: [source, m] for m in chosen}
 
     if anchor is None:
-        anchor = _pick_anchor(graph, source, targets)
+        anchor = separated_anchors(graph, targets).get(source)
+        if anchor is None:
+            raise ConstructionError(
+                f"set {sorted(map(repr, targets))} does not separate {source!r} "
+                "from any node; it is not a separating set for this source"
+            )
     if anchor in targets:
         raise ConstructionError(f"anchor {anchor!r} must lie outside the separating set")
 

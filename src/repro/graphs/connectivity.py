@@ -8,13 +8,10 @@ prerequisite for everything else.  We use the classical reduction:
   the max flow from ``u`` to ``v`` in the *node-split* digraph, where every
   node ``x`` becomes ``x_in -> x_out`` with capacity 1 and every undirected
   edge ``{x, y}`` becomes the two arcs ``x_out -> y_in`` and ``y_out -> x_in``
-  with capacity 1 (capacity infinity works equally; 1 suffices because the
-  flow is bounded by the node capacities);
-* **global vertex connectivity** is the minimum of ``kappa(v, w)`` over a
-  dominating choice of pairs (a fixed node against all non-neighbours, plus
-  all pairs of its neighbours' non-adjacent pairs) — we use the simpler exact
-  variant of Even's algorithm: minimise over one fixed node paired with every
-  non-neighbour, and over all non-adjacent pairs among that node's neighbours.
+  (see :mod:`repro.graphs.flow`, which compiles that network once per graph);
+* **global vertex connectivity** is the minimum of ``kappa(v, w)`` over
+  Even's pairs (:func:`even_pairs`): a minimum-degree node against every
+  non-neighbour, and every non-adjacent pair among its neighbours.
 
 Edge connectivity uses the same machinery without node splitting.
 """
@@ -22,37 +19,37 @@ Edge connectivity uses the same machinery without node splitting.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import Hashable, List, Optional, Tuple
 
 from repro.exceptions import NodeNotFoundError
-from repro.graphs.flow import FlowNetwork
+from repro.graphs.flow import FlowNetwork, split_network
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import is_connected
 
 Node = Hashable
 
-#: Node-split suffixes.  Tuples are used so that arbitrary hashable node
-#: labels never collide with split labels.
-_IN = "in"
-_OUT = "out"
 
+def even_pairs(graph: Graph) -> List[Tuple[Node, Node]]:
+    """Return the non-adjacent pairs whose minimum local connectivity is ``kappa(G)``.
 
-def _split_network(graph: Graph, source: Node, target: Node) -> FlowNetwork:
-    """Build the node-split unit-capacity flow network for ``kappa(source, target)``.
-
-    Internal nodes have capacity 1 (their in->out arc); the source and target
-    are given effectively infinite internal capacity so they never act as the
-    cut.
+    Even's scheme: pick a minimum-degree pivot ``v``; every minimum separator
+    either misses ``v`` (and separates it from some non-neighbour ``w``) or
+    contains it (and separates two non-adjacent neighbours of ``v``).  Pairs
+    come pivot-first, then neighbour pairs by ``(degree, repr)``.
     """
-    network = FlowNetwork()
-    large = graph.number_of_nodes() + 1
-    for node in graph.nodes():
-        capacity = large if node in (source, target) else 1
-        network.add_arc((node, _IN), (node, _OUT), capacity)
-    for u, v in graph.edges():
-        network.add_arc((u, _OUT), (v, _IN), large)
-        network.add_arc((v, _OUT), (u, _IN), large)
-    return network
+    pivot = min(graph.nodes(), key=graph.degree)
+    pairs = [
+        (pivot, node)
+        for node in graph.nodes()
+        if node != pivot and not graph.has_edge(pivot, node)
+    ]
+    neighbors = sorted(
+        graph.neighbors(pivot), key=lambda node: (graph.degree(node), repr(node))
+    )
+    pairs.extend(
+        (x, y) for x, y in itertools.combinations(neighbors, 2) if not graph.has_edge(x, y)
+    )
+    return pairs
 
 
 def local_node_connectivity(
@@ -71,13 +68,12 @@ def local_node_connectivity(
         raise NodeNotFoundError(target)
     if source == target:
         raise ValueError("local connectivity is undefined for identical endpoints")
+    network = split_network(graph)
     if graph.has_edge(source, target):
-        reduced = graph.copy()
-        reduced.remove_edge(source, target)
+        # The direct edge is one path; the flow masks it for the rest.
         inner_cutoff = None if cutoff is None else max(cutoff - 1, 0)
-        return 1 + local_node_connectivity(reduced, source, target, cutoff=inner_cutoff)
-    network = _split_network(graph, source, target)
-    return network.max_flow((source, _OUT), (target, _IN), cutoff=cutoff)
+        return 1 + network.max_flow(source, target, cutoff=inner_cutoff).value
+    return network.max_flow(source, target, cutoff=cutoff).value
 
 
 def node_connectivity(graph: Graph, cutoff: Optional[int] = None) -> int:
@@ -102,30 +98,16 @@ def node_connectivity(graph: Graph, cutoff: Optional[int] = None) -> int:
     if all(graph.degree(node) == n - 1 for node in graph.nodes()):
         return n - 1
 
-    # Even's scheme: pick a minimum-degree node v; kappa(G) is the minimum of
-    # kappa(v, w) over non-neighbours w of v and kappa(x, y) over non-adjacent
-    # pairs x, y of neighbours of v.  We additionally never exceed min degree.
+    # kappa(G) is the minimum local connectivity over Even's pairs; we
+    # additionally never exceed min degree.
     best = graph.min_degree()
     if cutoff is not None:
         best = min(best, max(cutoff, 0) if cutoff > 0 else best)
-    pivot = min(graph.nodes(), key=graph.degree)
-    non_neighbors = [
-        node
-        for node in graph.nodes()
-        if node != pivot and not graph.has_edge(pivot, node)
-    ]
-    for other in non_neighbors:
-        best = min(best, local_node_connectivity(graph, pivot, other, cutoff=best))
+    network = split_network(graph)
+    for x, y in even_pairs(graph):
+        best = min(best, network.max_flow(x, y, cutoff=best).value)
         if best == 0:
             return 0
-    neighbors = sorted(
-        graph.neighbors(pivot), key=lambda node: (graph.degree(node), repr(node))
-    )
-    for x, y in itertools.combinations(neighbors, 2):
-        if not graph.has_edge(x, y):
-            best = min(best, local_node_connectivity(graph, x, y, cutoff=best))
-            if best == 0:
-                return 0
     return best
 
 
@@ -184,6 +166,19 @@ def edge_connectivity(graph: Graph) -> int:
     return best
 
 
+def require_connectivity(graph: Graph) -> None:
+    """Refuse graphs of connectivity 0 (fewer than two nodes, or disconnected).
+
+    Raises
+    ------
+    ValueError
+        If the graph is disconnected (connectivity 0), for which no fault
+        tolerance guarantee is possible.
+    """
+    if graph.number_of_nodes() <= 1 or not is_connected(graph):
+        raise ValueError("graph is disconnected; the model requires connectivity >= 1")
+
+
 def connectivity_parameter(graph: Graph) -> int:
     """Return the paper's fault-tolerance parameter ``t`` where ``kappa(G) = t + 1``.
 
@@ -193,7 +188,5 @@ def connectivity_parameter(graph: Graph) -> int:
         If the graph is disconnected (connectivity 0), for which no fault
         tolerance guarantee is possible.
     """
-    kappa = node_connectivity(graph)
-    if kappa == 0:
-        raise ValueError("graph is disconnected; the model requires connectivity >= 1")
-    return kappa - 1
+    require_connectivity(graph)
+    return node_connectivity(graph) - 1

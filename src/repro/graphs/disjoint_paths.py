@@ -5,93 +5,18 @@ set ``M`` by taking ``t + 1`` node-disjoint paths from ``x`` to some node
 ``y`` separated from ``x`` by ``M`` and truncating each at its first
 ``M``-node.  This module supplies the underlying primitive: a maximum set of
 internally vertex-disjoint ``x``–``y`` paths, extracted from a max-flow on the
-node-split network.
+graph's compiled node-split network (:func:`repro.graphs.flow.split_network`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Hashable, List, Optional, Sequence, Set
 
 from repro.exceptions import NodeNotFoundError
-from repro.graphs.flow import FlowNetwork
+from repro.graphs.flow import split_network
 from repro.graphs.graph import Graph
 
 Node = Hashable
-
-_IN = "in"
-_OUT = "out"
-
-
-def _build_split_network(graph: Graph, source: Node, target: Node) -> FlowNetwork:
-    """Node-split unit network used for disjoint-path extraction.
-
-    Unlike the connectivity variant, *every* arc has capacity exactly 1 so the
-    resulting integral flow decomposes directly into internally disjoint
-    paths (edge arcs can carry at most one unit anyway because their head's
-    node arc has capacity 1; using capacity 1 everywhere merely simplifies the
-    decomposition).
-    """
-    network = FlowNetwork()
-    big = graph.number_of_nodes() + 1
-    for node in graph.nodes():
-        capacity = big if node in (source, target) else 1
-        network.add_arc((node, _IN), (node, _OUT), capacity)
-    for u, v in graph.edges():
-        network.add_arc((u, _OUT), (v, _IN), 1)
-        network.add_arc((v, _OUT), (u, _IN), 1)
-    return network
-
-
-def _extract_flow_paths(
-    network: FlowNetwork,
-    graph: Graph,
-    source: Node,
-    target: Node,
-) -> List[List[Node]]:
-    """Decompose the (already computed) unit flow into source-target paths."""
-    # Flow on arc (a, b) equals the residual capacity of the reverse arc when
-    # the original arc had capacity 1; for the big-capacity arcs the flow is
-    # original minus residual.  We reconstruct "used" arcs of the split graph.
-    # Arc lists (not sets): the walk below consumes arcs with ``pop()``, and
-    # list order follows the deterministic node/edge iteration, so the same
-    # flow always decomposes into the same paths.
-    used: Dict[Tuple[Node, str], List[Tuple[Node, str]]] = {}
-    big = graph.number_of_nodes() + 1
-
-    def flow_on(a: Tuple[Node, str], b: Tuple[Node, str], original: int) -> int:
-        return original - network.capacity(a, b)
-
-    for node in graph.nodes():
-        original = big if node in (source, target) else 1
-        if flow_on((node, _IN), (node, _OUT), original) > 0:
-            used.setdefault((node, _IN), []).append((node, _OUT))
-    for u, v in graph.edges():
-        if flow_on((u, _OUT), (v, _IN), 1) > 0:
-            used.setdefault((u, _OUT), []).append((v, _IN))
-        if flow_on((v, _OUT), (u, _IN), 1) > 0:
-            used.setdefault((v, _OUT), []).append((u, _IN))
-
-    paths: List[List[Node]] = []
-    while used.get((source, _OUT)):
-        # Walk one unit of flow from the source to the target, consuming arcs.
-        split_path: List[Tuple[Node, str]] = [(source, _OUT)]
-        while split_path[-1] != (target, _IN):
-            current = split_path[-1]
-            candidates = used.get(current)
-            if not candidates:
-                # Should not happen with a valid integral flow; guard anyway.
-                break
-            nxt = candidates.pop()
-            split_path.append(nxt)
-        else:
-            nodes_on_path: List[Node] = [source]
-            for split_node, tag in split_path[1:]:
-                if tag == _IN and split_node != nodes_on_path[-1]:
-                    nodes_on_path.append(split_node)
-            paths.append(nodes_on_path)
-            continue
-        break
-    return paths
 
 
 def vertex_disjoint_paths(
@@ -132,18 +57,17 @@ def vertex_disjoint_paths(
         raise ValueError("source and target must be distinct")
 
     paths: List[List[Node]] = []
-    working = graph
     if graph.has_edge(source, target):
+        # The direct edge is one path; the flow masks it for the rest.
         paths.append([source, target])
-        working = graph.copy()
-        working.remove_edge(source, target)
         if k is not None and k <= 1:
             return paths[:k]
 
     remaining = None if k is None else k - len(paths)
-    network = _build_split_network(working, source, target)
-    network.max_flow((source, _OUT), (target, _IN), cutoff=remaining)
-    flow_paths = _extract_flow_paths(network, working, source, target)
+    # Unit edge capacities: an edge carries at most one unit, so the integral
+    # flow decomposes directly into internally disjoint paths.
+    flow = split_network(graph, unit_edges=True).max_flow(source, target, cutoff=remaining)
+    flow_paths = flow.paths()
     if remaining is not None:
         flow_paths = flow_paths[:remaining]
     paths.extend(flow_paths)

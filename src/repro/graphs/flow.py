@@ -1,24 +1,131 @@
-"""Maximum flow on unit-capacity networks (Dinic's algorithm).
+"""Maximum flow on integer arrays (Dinic's algorithm) and the node-split network.
 
-Vertex connectivity and internally vertex-disjoint paths — the two graph
-quantities on which every construction in the paper rests (the connectivity
-``t + 1`` of the underlying graph, and the ``t + 1`` disjoint paths of
-Lemma 2) — reduce to maximum flow on a *node-split* directed network with unit
-capacities.  This module implements that reduction's engine: a small,
-self-contained Dinic's algorithm.
+Vertex connectivity, minimum separators and internally vertex-disjoint
+paths — the graph quantities on which every construction in the paper rests
+(the connectivity ``t + 1`` of the underlying graph, the separating set ``M``
+of the kernel and the ``t + 1`` disjoint paths of Lemma 2) — reduce to
+maximum flow on a *node-split* directed network: node ``x`` becomes
+``x_in -> x_out`` with capacity 1 and every undirected edge ``{x, y}`` the
+two arcs ``x_out -> y_in`` and ``y_out -> x_in``.
 
-The implementation keeps an explicit residual-capacity dictionary rather than
-an edge-struct array because the networks involved are small (a few thousand
-arcs) and clarity wins over micro-optimisation.
+Building a kernel routing runs hundreds of such flows on one graph, so the
+network is compiled once per graph into integer arrays and each flow works on
+a copy of its capacity list:
+
+* :class:`FlowNetwork` numbers its nodes and arcs in insertion order.  Arc
+  ``a`` and its reverse residual arc ``a ^ 1`` are allocated together, every
+  node keeps its arc ids in first-mention order, and :func:`_dinic` is the one
+  max-flow routine.
+* :class:`SplitNetwork` is the compiled node-split network of one
+  :class:`~repro.graphs.graph.Graph`; :func:`split_network` caches it on the
+  graph (the cache is dropped when the graph changes).  A flow between
+  adjacent nodes masks their edge instead of copying the graph.
+
+The search order is part of the result: the minimum cut and the disjoint paths
+a flow yields (and with them every separator and routing downstream) depend on
+which augmenting paths Dinic finds.  Neighbours are visited in insertion order,
+each node's arc pointer moves past the arc it took, and dead ends leave the
+level graph, so the same graph always gives the same flow under any
+``PYTHONHASHSEED``.
 """
 
 from __future__ import annotations
 
-import collections
-from typing import Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Optional, Set, Tuple
+
+if TYPE_CHECKING:
+    from repro.graphs.graph import Graph
 
 Node = Hashable
 Arc = Tuple[Node, Node]
+
+
+def _dinic(
+    adjacency: List[List[int]],
+    head: List[int],
+    capacity: List[int],
+    source: int,
+    sink: int,
+    cutoff: Optional[int],
+) -> int:
+    """Push a maximum flow from ``source`` to ``sink``; ``capacity`` becomes residual.
+
+    Each phase labels the level graph by BFS, stopping at the sink's level
+    (nodes beyond it cannot lie on a shortest augmenting path), then searches
+    augmenting paths from the source with an explicit stack, so paths of any
+    length stay clear of Python's recursion limit.  Returns as soon as the
+    flow value reaches ``cutoff``.
+    """
+    size = len(adjacency)
+    flow = 0
+    while True:
+        level = [-1] * size
+        level[source] = 0
+        queue = [source]
+        for node in queue:
+            depth = level[node]
+            if depth == level[sink]:
+                break
+            depth += 1
+            for arc in adjacency[node]:
+                if capacity[arc] > 0:
+                    nxt = head[arc]
+                    if level[nxt] < 0:
+                        level[nxt] = depth
+                        queue.append(nxt)
+        if level[sink] < 0:
+            return flow
+        pointer = [0] * size
+        while True:
+            stack = [source]
+            taken: List[int] = []
+            while stack:
+                node = stack[-1]
+                if node == sink:
+                    break
+                arcs = adjacency[node]
+                want = level[node] + 1
+                for index in range(pointer[node], len(arcs)):
+                    arc = arcs[index]
+                    if capacity[arc] > 0 and level[head[arc]] == want:
+                        # Past the arc taken, even if it keeps capacity:
+                        # part of the search order results depend on.
+                        pointer[node] = index + 1
+                        stack.append(head[arc])
+                        taken.append(arc)
+                        break
+                else:
+                    # Dead end: this node cannot reach the sink in the level
+                    # graph any more during this phase.
+                    pointer[node] = len(arcs)
+                    level[node] = -1
+                    stack.pop()
+                    if taken:
+                        taken.pop()
+            if not stack:
+                break
+            bottleneck = min(capacity[arc] for arc in taken)
+            for arc in taken:
+                capacity[arc] -= bottleneck
+                capacity[arc ^ 1] += bottleneck
+            flow += bottleneck
+            if cutoff is not None and flow >= cutoff:
+                return flow
+
+
+def _reachable(
+    adjacency: List[List[int]], head: List[int], capacity: List[int], source: int
+) -> List[bool]:
+    """Mark the nodes reachable from ``source`` along arcs with capacity left."""
+    seen = [False] * len(adjacency)
+    seen[source] = True
+    queue = [source]
+    for node in queue:
+        for arc in adjacency[node]:
+            if capacity[arc] > 0 and not seen[head[arc]]:
+                seen[head[arc]] = True
+                queue.append(head[arc])
+    return seen
 
 
 class FlowNetwork:
@@ -30,17 +137,27 @@ class FlowNetwork:
     """
 
     def __init__(self) -> None:
-        self._capacity: Dict[Arc, int] = {}
-        # node -> {neighbor: None}: insertion-ordered so BFS level graphs and
-        # DFS augmenting-path choices are reproducible across interpreter
-        # runs — the min cut (and with it separator / disjoint-path choices
-        # downstream) must not depend on PYTHONHASHSEED.
-        self._adjacency: Dict[Node, Dict[Node, None]] = {}
+        self._ids: Dict[Node, int] = {}
+        self._labels: List[Node] = []
+        self._arc_ids: Dict[Tuple[int, int], int] = {}
+        # node id -> ids of its arcs, in the order the neighbour first
+        # appeared: BFS level graphs and DFS augmenting-path choices follow
+        # insertion order and never PYTHONHASHSEED.
+        self._adjacency: List[List[int]] = []
+        self._head: List[int] = []
+        self._capacity: List[int] = []
 
     def add_node(self, node: Node) -> None:
         """Ensure ``node`` exists in the network."""
-        if node not in self._adjacency:
-            self._adjacency[node] = {}
+        self._id(node)
+
+    def _id(self, node: Node) -> int:
+        ident = self._ids.get(node)
+        if ident is None:
+            ident = self._ids[node] = len(self._labels)
+            self._labels.append(node)
+            self._adjacency.append([])
+        return ident
 
     def add_arc(self, u: Node, v: Node, capacity: int = 1) -> None:
         """Add capacity ``capacity`` on the arc ``u -> v``.
@@ -50,74 +167,26 @@ class FlowNetwork:
         """
         if capacity < 0:
             raise ValueError("capacity must be non-negative")
-        self.add_node(u)
-        self.add_node(v)
-        self._adjacency[u][v] = None
-        self._adjacency[v][u] = None  # residual direction
-        self._capacity[(u, v)] = self._capacity.get((u, v), 0) + capacity
-        self._capacity.setdefault((v, u), 0)
+        tail, tip = self._id(u), self._id(v)
+        arc = self._arc_ids.get((tail, tip))
+        if arc is None:
+            arc = len(self._head)
+            self._arc_ids[(tail, tip)] = arc
+            self._arc_ids[(tip, tail)] = arc + 1
+            self._head += [tip, tail]
+            self._capacity += [0, 0]
+            self._adjacency[tail].append(arc)
+            self._adjacency[tip].append(arc + 1)
+        self._capacity[arc] += capacity
 
     def capacity(self, u: Node, v: Node) -> int:
         """Return the remaining capacity of the arc ``u -> v`` (0 if absent)."""
-        return self._capacity.get((u, v), 0)
+        arc = self._arc_ids.get((self._ids.get(u), self._ids.get(v)))
+        return 0 if arc is None else self._capacity[arc]
 
     def nodes(self) -> List[Node]:
         """Return the nodes of the network."""
-        return list(self._adjacency)
-
-    # ------------------------------------------------------------------
-    # Dinic's algorithm
-    # ------------------------------------------------------------------
-    def _bfs_levels(self, source: Node, sink: Node) -> Optional[Dict[Node, int]]:
-        """Build the BFS level graph; return ``None`` if the sink is unreachable."""
-        levels: Dict[Node, int] = {source: 0}
-        queue = collections.deque([source])
-        while queue:
-            current = queue.popleft()
-            for neighbor in self._adjacency[current]:
-                if neighbor not in levels and self._capacity.get((current, neighbor), 0) > 0:
-                    levels[neighbor] = levels[current] + 1
-                    queue.append(neighbor)
-        return levels if sink in levels else None
-
-    def _dfs_augment(
-        self,
-        source: Node,
-        sink: Node,
-        limit: int,
-        levels: Dict[Node, int],
-        iterators: Dict[Node, "_ReusableIterator"],
-    ) -> int:
-        """Push up to ``limit`` units of flow along one level-graph path.
-
-        The search is iterative (explicit stack) so that augmenting paths of
-        arbitrary length — node-splitting doubles path lengths — cannot hit
-        Python's recursion limit.
-        """
-        path: List[Node] = [source]
-        while path:
-            current = path[-1]
-            if current == sink:
-                bottleneck = limit
-                for u, v in zip(path, path[1:]):
-                    bottleneck = min(bottleneck, self._capacity.get((u, v), 0))
-                for u, v in zip(path, path[1:]):
-                    self._capacity[(u, v)] -= bottleneck
-                    self._capacity[(v, u)] = self._capacity.get((v, u), 0) + bottleneck
-                return bottleneck
-            advanced = False
-            for neighbor in iterators[current]:
-                residual = self._capacity.get((current, neighbor), 0)
-                if residual > 0 and levels.get(neighbor, -1) == levels[current] + 1:
-                    path.append(neighbor)
-                    advanced = True
-                    break
-            if not advanced:
-                # Dead end: this node cannot reach the sink in the level graph
-                # any more during this phase.
-                levels[current] = -1
-                path.pop()
-        return 0
+        return list(self._labels)
 
     def max_flow(self, source: Node, sink: Node, cutoff: Optional[int] = None) -> int:
         """Compute the maximum flow from ``source`` to ``sink``.
@@ -134,29 +203,17 @@ class FlowNetwork:
         Notes
         -----
         The network is mutated (capacities become residual capacities), so a
-        :class:`FlowNetwork` instance supports a single max-flow computation.
-        Callers that need repeated computations build a fresh network each
-        time; see :func:`unit_max_flow`.
+        :class:`FlowNetwork` instance supports a single max-flow computation;
+        :class:`SplitNetwork` runs each flow on a fresh copy instead.
         """
         if source == sink:
             raise ValueError("source and sink must be distinct")
-        if source not in self._adjacency or sink not in self._adjacency:
+        if source not in self._ids or sink not in self._ids:
             return 0
-        flow_value = 0
-        infinity = sum(c for c in self._capacity.values() if c > 0) + 1
-        while True:
-            levels = self._bfs_levels(source, sink)
-            if levels is None:
-                break
-            iterators = {node: _ReusableIterator(self._adjacency[node]) for node in self._adjacency}
-            while True:
-                pushed = self._dfs_augment(source, sink, infinity, levels, iterators)
-                if pushed == 0:
-                    break
-                flow_value += pushed
-                if cutoff is not None and flow_value >= cutoff:
-                    return flow_value
-        return flow_value
+        return _dinic(
+            self._adjacency, self._head, self._capacity,
+            self._ids[source], self._ids[sink], cutoff,
+        )
 
     def min_cut_reachable(self, source: Node) -> Set[Node]:
         """Return the source side of a minimum cut *after* a max-flow run.
@@ -165,38 +222,8 @@ class FlowNetwork:
         capacities then describe the residual network, and the nodes reachable
         from the source in it form the source side of a minimum cut.
         """
-        reachable: Set[Node] = {source}
-        queue = collections.deque([source])
-        while queue:
-            current = queue.popleft()
-            for neighbor in self._adjacency[current]:
-                if neighbor not in reachable and self._capacity.get((current, neighbor), 0) > 0:
-                    reachable.add(neighbor)
-                    queue.append(neighbor)
-        return reachable
-
-
-class _ReusableIterator:
-    """An iterator over a node's adjacency that remembers its position.
-
-    Dinic's algorithm requires the per-node arc iterator to persist across DFS
-    calls within one phase ("current arc" optimisation), otherwise the
-    algorithm degrades to Ford-Fulkerson behaviour on adversarial inputs.
-    """
-
-    def __init__(self, items: Iterable[Node]) -> None:
-        self._items = list(items)
-        self._index = 0
-
-    def __iter__(self) -> "_ReusableIterator":
-        return self
-
-    def __next__(self) -> Node:
-        if self._index >= len(self._items):
-            raise StopIteration
-        item = self._items[self._index]
-        self._index += 1
-        return item
+        seen = _reachable(self._adjacency, self._head, self._capacity, self._ids[source])
+        return {label for label, hit in zip(self._labels, seen) if hit}
 
 
 def unit_max_flow(
@@ -212,3 +239,133 @@ def unit_max_flow(
     network.add_node(source)
     network.add_node(sink)
     return network.max_flow(source, sink, cutoff=cutoff)
+
+
+class SplitNetwork:
+    """The node-split flow network of one undirected graph, compiled once.
+
+    Node ``graph.nodes()[i]`` becomes ``in = 2i -> out = 2i + 1`` with
+    capacity 1; each edge of ``graph.edges()`` becomes its two ``out -> in``
+    arcs with capacity ``edge_capacity``.  A flow's endpoints get node
+    capacity ``n + 1`` so they never act as the cut.
+
+    ``edge_capacity`` decides which flow is found, not its value: ``n + 1``
+    (connectivity and separators) leaves edge arcs unsaturated so every
+    minimum cut consists of node arcs, and 1 (disjoint paths) saturates an
+    edge after one unit.
+    """
+
+    def __init__(self, graph: "Graph", edge_capacity: int) -> None:
+        self.nodes: List[Node] = graph.nodes()
+        self.position: Dict[Node, int] = {node: i for i, node in enumerate(self.nodes)}
+        self._large = len(self.nodes) + 1
+        # Split nodes are labelled by their ids, and node i's arc is the i-th
+        # arc pair, so its arc id is 2i as well.  Edge arcs follow in
+        # graph.edges() order, ``u_out -> v_in`` before ``v_out -> u_in``:
+        # the forward edge arcs are the even ids from 2n on, in that order.
+        network = FlowNetwork()
+        for i in range(len(self.nodes)):
+            network.add_arc(2 * i, 2 * i + 1, 1)
+        for u, v in graph.edges():
+            pu, pv = 2 * self.position[u], 2 * self.position[v]
+            network.add_arc(pu + 1, pv, edge_capacity)
+            network.add_arc(pv + 1, pu, edge_capacity)
+        # Only the arrays stay cached with the graph, not the label maps.
+        self._adjacency = network._adjacency
+        self._head = network._head
+        self._capacity = network._capacity
+
+    def max_flow(self, source: Node, target: Node, cutoff: Optional[int] = None) -> "SplitFlow":
+        """Max flow from ``source_out`` to ``target_in``, stopping at ``cutoff``.
+
+        The edge between adjacent endpoints is masked (capacity 0), which is
+        the flow of the graph without that edge.
+        """
+        s, t = self.position[source], self.position[target]
+        head = self._head
+        capacity = self._capacity.copy()
+        capacity[2 * s] = capacity[2 * t] = self._large
+        for tail, tip in ((2 * s + 1, 2 * t), (2 * t + 1, 2 * s)):
+            for arc in self._adjacency[tail]:
+                if head[arc] == tip:
+                    capacity[arc] = 0
+        value = _dinic(self._adjacency, head, capacity, 2 * s + 1, 2 * t, cutoff)
+        return SplitFlow(self, s, t, value, capacity)
+
+
+class SplitFlow:
+    """One flow on a :class:`SplitNetwork`: its value and residual capacities."""
+
+    __slots__ = ("_split", "_source", "_target", "value", "_residual")
+
+    def __init__(
+        self, split: SplitNetwork, source: int, target: int, value: int, residual: List[int]
+    ) -> None:
+        self._split = split
+        self._source = source
+        self._target = target
+        self.value = value
+        self._residual = residual
+
+    def separator(self) -> Set[Node]:
+        """The nodes whose arc crosses the minimum cut the residual network leaves.
+
+        Exactly ``value`` nodes when edge arcs have capacity ``n + 1`` and the
+        flow ran to completion (no ``cutoff`` reached).
+        """
+        split = self._split
+        seen = _reachable(split._adjacency, split._head, self._residual, 2 * self._source + 1)
+        return {
+            node
+            for i, node in enumerate(split.nodes)
+            if seen[2 * i] and not seen[2 * i + 1]
+        }
+
+    def paths(self) -> List[List[Node]]:
+        """Decompose the (integral, unit) flow into source-target node paths.
+
+        An arc carries flow when its reverse residual arc has capacity.  Each
+        split node lists the heads of its flow arcs (node arcs in node order,
+        then edge arcs in edge order) and the walk below consumes them with
+        ``pop()``, so the same flow always decomposes into the same paths.
+        """
+        residual = self._residual
+        head = self._split._head
+        nodes = self._split.nodes
+        used: Dict[int, List[int]] = {}
+        for i in range(len(nodes)):
+            if residual[2 * i + 1] > 0:
+                used.setdefault(2 * i, []).append(2 * i + 1)
+        for arc in range(2 * len(nodes), len(head), 2):
+            if residual[arc + 1] > 0:
+                used.setdefault(head[arc + 1], []).append(head[arc])
+        start, goal = 2 * self._source + 1, 2 * self._target
+        paths: List[List[Node]] = []
+        while used.get(start):
+            # Walk one unit of flow from the source to the target.
+            walk = [start]
+            while walk[-1] != goal:
+                candidates = used.get(walk[-1])
+                if not candidates:
+                    # Cannot happen with a valid integral flow; guard anyway.
+                    return paths
+                walk.append(candidates.pop())
+            path = [self._source]
+            for split_id in walk[1:]:
+                if split_id % 2 == 0 and split_id // 2 != path[-1]:
+                    path.append(split_id // 2)
+            paths.append([nodes[i] for i in path])
+        return paths
+
+
+def split_network(graph: "Graph", unit_edges: bool = False) -> SplitNetwork:
+    """Return ``graph``'s compiled node-split network, building it on first use.
+
+    ``unit_edges=False`` gives the connectivity/separator variant (edge
+    capacity ``n + 1``), ``True`` the disjoint-path variant (capacity 1).  The
+    network is cached on the graph until the graph next changes.
+    """
+    return graph.derived(
+        ("split-network", unit_edges),
+        lambda g: SplitNetwork(g, 1 if unit_edges else g.number_of_nodes() + 1),
+    )

@@ -24,7 +24,7 @@ from this property.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.exceptions import EdgeNotFoundError, NodeNotFoundError
 
@@ -66,6 +66,9 @@ class Graph:
         # node -> {neighbor: None}; inner dicts act as insertion-ordered sets
         # so iteration order never depends on PYTHONHASHSEED.
         self._adj: Dict[Node, Dict[Node, None]] = {}
+        # Structures derived from the adjacency (see :meth:`derived`);
+        # dropped by every mutation.
+        self._derived: Dict[Hashable, Any] = {}
         self.name = name
         if nodes is not None:
             for node in nodes:
@@ -81,6 +84,7 @@ class Graph:
         """Add ``node`` to the graph.  Adding an existing node is a no-op."""
         if node not in self._adj:
             self._adj[node] = {}
+            self._derived.clear()
 
     def add_nodes_from(self, nodes: Iterable[Node]) -> None:
         """Add every node in ``nodes``."""
@@ -100,6 +104,7 @@ class Graph:
         for neighbor in self._adj[node]:
             self._adj[neighbor].pop(node, None)
         del self._adj[node]
+        self._derived.clear()
 
     def remove_nodes_from(self, nodes: Iterable[Node]) -> None:
         """Remove every node in ``nodes`` (each must be present)."""
@@ -142,6 +147,7 @@ class Graph:
         self.add_node(v)
         self._adj[u][v] = None
         self._adj[v][u] = None
+        self._derived.clear()
 
     def add_edges_from(self, edges: Iterable[Edge]) -> None:
         """Add every edge in ``edges``."""
@@ -160,6 +166,7 @@ class Graph:
             raise EdgeNotFoundError(u, v)
         self._adj[u].pop(v, None)
         self._adj[v].pop(u, None)
+        self._derived.clear()
 
     def remove_edges_from(self, edges: Iterable[Edge]) -> None:
         """Remove every edge in ``edges`` (each must be present)."""
@@ -312,9 +319,32 @@ class Graph:
         removed = set(nodes)
         return self.subgraph(node for node in self._adj if node not in removed)
 
+    def derived(self, key: Hashable, build: Callable[["Graph"], Any]) -> Any:
+        """Return ``build(self)``, built once and reused until the graph changes.
+
+        Expensive structures computed from the adjacency alone (the compiled
+        flow networks of :mod:`repro.graphs.flow`) are cached here under
+        ``key``.  Any node or edge mutation drops the cache, and it is left
+        out of equality, :meth:`copy` and pickles.
+        """
+        try:
+            return self._derived[key]
+        except KeyError:
+            value = self._derived[key] = build(self)
+            return value
+
     # ------------------------------------------------------------------
     # Dunder / misc
     # ------------------------------------------------------------------
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        del state["_derived"]
+        return state
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        self.__dict__.update(state)
+        self._derived = {}
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented

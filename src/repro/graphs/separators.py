@@ -7,25 +7,23 @@ separators (globally and between specific pairs) and verifies candidate
 separating sets.
 
 Minimum separators come out of the same node-split max-flow computation used
-for connectivity: after a max-flow run between a non-adjacent pair, the arcs
+for connectivity (the graph's compiled network, :func:`repro.graphs.flow
+.split_network`): after a max-flow run between a non-adjacent pair, the arcs
 crossing the minimum cut that are node arcs (``x_in -> x_out``) identify the
 separator nodes.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Hashable, List, Optional, Set
+from typing import Hashable, Optional, Set
 
 from repro.exceptions import NodeNotFoundError
-from repro.graphs.flow import FlowNetwork
+from repro.graphs.connectivity import even_pairs
+from repro.graphs.flow import split_network
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import connected_components, is_connected
 
 Node = Hashable
-
-_IN = "in"
-_OUT = "out"
 
 
 def is_separating_set(graph: Graph, candidate: Set[Node]) -> bool:
@@ -76,22 +74,7 @@ def minimum_pair_separator(graph: Graph, source: Node, target: Node) -> Set[Node
     if graph.has_edge(source, target):
         raise ValueError("adjacent nodes cannot be separated by removing vertices")
 
-    network = FlowNetwork()
-    big = graph.number_of_nodes() + 1
-    for node in graph.nodes():
-        capacity = big if node in (source, target) else 1
-        network.add_arc((node, _IN), (node, _OUT), capacity)
-    for u, v in graph.edges():
-        network.add_arc((u, _OUT), (v, _IN), big)
-        network.add_arc((v, _OUT), (u, _IN), big)
-    network.max_flow((source, _OUT), (target, _IN))
-    reachable = network.min_cut_reachable((source, _OUT))
-    separator = {
-        node
-        for node in graph.nodes()
-        if (node, _IN) in reachable and (node, _OUT) not in reachable
-    }
-    return separator
+    return split_network(graph).max_flow(source, target).separator()
 
 
 def minimum_separator(graph: Graph) -> Set[Node]:
@@ -99,7 +82,14 @@ def minimum_separator(graph: Graph) -> Set[Node]:
 
     The returned set has exactly ``kappa(G)`` nodes.  For the paper's model a
     graph of connectivity ``t + 1`` therefore yields a minimal separating set
-    ``M`` of size ``t + 1``, as required by the kernel construction.
+    ``M`` of size ``t + 1``, as required by the kernel construction, and
+    ``len(M) - 1`` is the fault parameter ``t`` itself.
+
+    One sweep over Even's pairs (:func:`repro.graphs.connectivity
+    .even_pairs`) keeps the first strictly smallest pair separator.  Each
+    flow stops once it reaches the best size so far: a flow that stops there
+    cannot improve on it, and one that finishes below it ran exactly as an
+    uncut flow would, so the result is the unpruned sweep's.
 
     Raises
     ------
@@ -116,22 +106,11 @@ def minimum_separator(graph: Graph) -> Set[Node]:
         raise ValueError("complete graphs have no separating set")
 
     best: Optional[Set[Node]] = None
-    pivot = min(graph.nodes(), key=graph.degree)
-    candidates_pairs = []
-    for other in graph.nodes():
-        if other != pivot and not graph.has_edge(pivot, other):
-            candidates_pairs.append((pivot, other))
-    neighbor_order = sorted(
-        graph.neighbors(pivot), key=lambda node: (graph.degree(node), repr(node))
-    )
-    for x, y in itertools.combinations(neighbor_order, 2):
-        if not graph.has_edge(x, y):
-            candidates_pairs.append((x, y))
-
-    for x, y in candidates_pairs:
-        separator = minimum_pair_separator(graph, x, y)
-        if best is None or len(separator) < len(best):
-            best = separator
+    network = split_network(graph)
+    for x, y in even_pairs(graph):
+        flow = network.max_flow(x, y, cutoff=None if best is None else len(best))
+        if best is None or flow.value < len(best):
+            best = flow.separator()
             if len(best) == 1:
                 break
     if best is None:

@@ -12,6 +12,7 @@ from repro.core import (
 )
 from repro.exceptions import ConstructionError
 from repro.graphs import generators, synthetic
+from repro.scenarios import parse_scenario
 
 
 class TestStrategyRegistry:
@@ -115,3 +116,57 @@ class TestApplicableStrategies:
         strategies = applicable_strategies(generators.cycle_graph(45))
         positions = [AUTO_ORDER.index(name) for name in strategies]
         assert positions == sorted(positions)
+
+
+KERNEL_FAMILY = ["kernel", "kernel+clique", "multi-kernel", "multi-single-tree"]
+
+_TOO_SMALL = "separating set has 2 nodes; at least 4 required"
+
+#: (scenario, strategy, exception type, exact message).  ``repro grid
+#: --skip-inapplicable`` stores ``str(exc)`` in its ``inapplicable`` rows, so
+#: these messages are stored bytes.
+REFUSALS = [
+    *[
+        (
+            "gnp:n=30,p=0.1,seed=0",
+            strategy,
+            ValueError,
+            "graph is disconnected; the model requires connectivity >= 1",
+        )
+        for strategy in KERNEL_FAMILY
+    ],
+    *[
+        ("complete:n=6", strategy, ValueError, "complete graphs have no separating set")
+        for strategy in KERNEL_FAMILY
+    ],
+    *[
+        (
+            "path:n=2",
+            strategy,
+            ValueError,
+            "graphs with fewer than 3 nodes have no separating set",
+        )
+        for strategy in KERNEL_FAMILY
+    ],
+    (
+        "cycle:n=8/t=3",
+        "kernel",
+        ConstructionError,
+        "minimum separator has 2 nodes (< t + 1 = 4); the graph is not "
+        "(t + 1)-connected for the requested t",
+    ),
+    ("cycle:n=8/t=3", "kernel+clique", ConstructionError, _TOO_SMALL),
+    ("cycle:n=8/t=3", "multi-kernel", ConstructionError, _TOO_SMALL),
+    ("cycle:n=8/t=3", "multi-single-tree", ConstructionError, _TOO_SMALL),
+]
+
+
+class TestKernelFamilyRefusals:
+    @pytest.mark.parametrize("spec, strategy, kind, message", REFUSALS)
+    def test_refusal_type_and_message_are_pinned(self, spec, strategy, kind, message):
+        graph_spec, _, rest = spec.partition("/")
+        scenario = parse_scenario(f"{graph_spec}/{strategy}" + (f"/{rest}" if rest else ""))
+        with pytest.raises(Exception) as caught:
+            scenario.build()
+        assert type(caught.value) is kind
+        assert str(caught.value) == message

@@ -19,10 +19,13 @@ import sys
 
 import pytest
 
-REPO_SRC = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))),
-    "src",
-)
+REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+REPO_SRC = os.path.join(REPO_ROOT, "src")
+
+#: Committed ``spec fingerprint`` lines: every routing below must keep being
+#: built byte for byte (the CI determinism job diffs its hash-seed dumps
+#: against this file too).
+GOLDEN_FINGERPRINTS = os.path.join(REPO_ROOT, "tests", "golden", "routing_fingerprints.txt")
 
 #: Scenario strings covering >= 5 distinct graph families and several
 #: construction schemes (kernel, circular, bipolar, auto).
@@ -45,6 +48,11 @@ for spec in sys.argv[1:]:
     graph, result = parse_scenario(spec).build()
     print(spec, result.fingerprint())
 """
+
+
+def _golden_entries():
+    with open(GOLDEN_FINGERPRINTS, encoding="utf-8") as handle:
+        return [tuple(line.split()) for line in handle if line.strip()]
 
 
 def _fingerprints(hash_seed: str) -> str:
@@ -100,3 +108,25 @@ class TestConstructionDeterminism:
         _, first = scenario.build()
         _, second = scenario.build()
         assert first.fingerprint() == second.fingerprint()
+
+
+class TestCommittedFingerprints:
+    """Routings are pinned to committed digests, not only to each other.
+
+    Agreement across hash seeds cannot catch a change that builds a
+    different, equally valid routing on every run; these digests can.
+    """
+
+    @pytest.mark.parametrize(
+        "spec, digest", _golden_entries(), ids=[spec for spec, _ in _golden_entries()]
+    )
+    def test_routing_matches_committed_digest(self, spec, digest):
+        from repro.scenarios import parse_scenario
+
+        _, result = parse_scenario(spec).build()
+        assert result.fingerprint() == digest
+
+    def test_golden_covers_the_hash_seed_scenarios(self):
+        specs = [spec for spec, _ in _golden_entries()]
+        assert len(specs) == len(set(specs))
+        assert set(FINGERPRINT_SCENARIOS) <= set(specs)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import (
+    build_routing,
     check_routing_model,
     kernel_guarantees,
     kernel_routing,
@@ -12,7 +13,14 @@ from repro.core import (
 from repro.core.tolerance import check_tolerance
 from repro.exceptions import ConstructionError
 from repro.faults import all_fault_sets
-from repro.graphs import generators, is_separating_set, synthetic
+from repro.graphs import (
+    connectivity_parameter,
+    flow,
+    generators,
+    is_separating_set,
+    synthetic,
+)
+from repro.scenarios import parse_scenario
 
 
 class TestKernelConstruction:
@@ -148,3 +156,63 @@ class TestKernelGuarantees:
     def test_details_record_theorem3(self, kernel_on_cycle):
         theorem3 = kernel_on_cycle.details["theorem3_guarantee"]
         assert theorem3.max_faults == kernel_on_cycle.t
+
+
+class TestConstructionFlowWork:
+    """The kernel family compiles each flow network once and sweeps Even's pairs once."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "circulant:n=24,offsets=1+2/kernel",
+            "hypercube:d=4/kernel+clique",
+            "hypercube:d=4/multi-kernel",
+            "hypercube:d=4/multi-single-tree",
+            "hypercube:d=4/multi-full",
+            "petersen/auto",
+        ],
+    )
+    def test_one_compiled_network_per_graph_and_variant(self, spec, monkeypatch):
+        compiled = []  # holds the graphs too, so no id is reused
+        original = flow.SplitNetwork.__init__
+
+        def counting_init(self, graph, edge_capacity):
+            compiled.append((graph, edge_capacity))
+            original(self, graph, edge_capacity)
+
+        monkeypatch.setattr(flow.SplitNetwork, "__init__", counting_init)
+        scenario = parse_scenario(spec)
+        graph = scenario.build_graph()
+        build_routing(graph, strategy=scenario.strategy, t=scenario.t)
+        assert compiled
+        keys = [(id(compiled_for), capacity) for compiled_for, capacity in compiled]
+        assert len(keys) == len(set(keys))
+        # A second build on the same graph reuses both networks.
+        del compiled[:]
+        build_routing(graph, strategy=scenario.strategy, t=scenario.t)
+        assert compiled == []
+
+    def test_certify_dense_routing_runs_184_max_flows(self, monkeypatch):
+        # circulant(96; 1, 2, 3): 95 Even pairs swept once for both t and
+        # M (a separate connectivity sweep would add 95 more), plus one
+        # flow per tree routing not covered by direct edges (89).
+        calls = []
+        original = flow._dinic
+
+        def counting_dinic(*args):
+            calls.append(1)
+            return original(*args)
+
+        monkeypatch.setattr(flow, "_dinic", counting_dinic)
+        _, result = parse_scenario("circulant:n=96,offsets=1+2+3/kernel").build()
+        assert result.t == 5
+        assert len(calls) == 184
+
+    def test_default_t_equals_connectivity_minus_one(self):
+        for graph in (
+            generators.cycle_graph(9),
+            generators.hypercube_graph(4),
+            generators.petersen_graph(),
+            synthetic.kernel_test_graph(2),
+        ):
+            assert kernel_routing(graph).t == connectivity_parameter(graph)

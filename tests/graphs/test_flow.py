@@ -1,8 +1,12 @@
-"""Unit tests for the Dinic max-flow engine."""
+"""Unit tests for the Dinic max-flow engine and the cached node-split network."""
+
+import copy
+import pickle
 
 import pytest
 
-from repro.graphs.flow import FlowNetwork, unit_max_flow
+from repro.graphs import generators, local_node_connectivity, node_connectivity
+from repro.graphs.flow import FlowNetwork, split_network, unit_max_flow
 
 
 class TestFlowNetworkBasics:
@@ -134,3 +138,73 @@ class TestUnitMaxFlow:
 
     def test_unit_max_flow_no_path(self):
         assert unit_max_flow([(0, 1)], 0, 5) == 0
+
+
+class TestSplitNetwork:
+    """The node-split network compiled once per graph and cached on it."""
+
+    def test_cached_until_the_graph_changes(self):
+        graph = generators.cycle_graph(6)
+        network = split_network(graph)
+        assert split_network(graph) is network
+        assert split_network(graph, unit_edges=True) is not network
+        graph.add_node(0)  # already present: not a change
+        assert split_network(graph) is network
+
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda g: g.remove_edge(0, 1),
+            lambda g: g.add_edge(0, 3),
+            lambda g: g.add_node("extra"),
+            lambda g: g.remove_node(5),
+            lambda g: g.add_edges_from([(1, 4)]),
+            lambda g: g.remove_nodes_from([2]),
+        ],
+    )
+    def test_mutation_never_reuses_a_stale_network(self, mutate):
+        graph = generators.cycle_graph(6)
+        stale = split_network(graph)
+        stale_paths = split_network(graph, unit_edges=True)
+        node_connectivity(graph)
+        mutate(graph)
+        assert split_network(graph) is not stale
+        assert split_network(graph, unit_edges=True) is not stale_paths
+        assert split_network(graph).nodes == graph.nodes()
+        # Values follow the mutated graph, exactly as a fresh copy computes them.
+        fresh = graph.copy()
+        assert node_connectivity(graph) == node_connectivity(fresh)
+        nodes = graph.nodes()
+        assert local_node_connectivity(graph, nodes[0], nodes[2]) == (
+            local_node_connectivity(fresh, nodes[0], nodes[2])
+        )
+
+    def test_cache_stays_out_of_equality_copies_and_pickles(self):
+        graph = generators.hypercube_graph(3)
+        split_network(graph)
+        split_network(graph, unit_edges=True)
+        assert graph._derived
+        plain = generators.hypercube_graph(3)
+        assert graph == plain and plain == graph
+        for clone in (graph.copy(), pickle.loads(pickle.dumps(graph)), copy.deepcopy(graph)):
+            assert clone == graph
+            assert clone._derived == {}
+            assert split_network(clone) is not split_network(graph)
+        assert pickle.dumps(graph) == pickle.dumps(plain)
+
+    def test_flows_leave_the_compiled_capacities_untouched(self):
+        graph = generators.hypercube_graph(3)
+        network = split_network(graph, unit_edges=True)
+        first = network.max_flow(0, 7).paths()
+        assert network.max_flow(0, 7).paths() == first
+        assert len(first) == 3
+
+    def test_adjacent_endpoints_mask_their_edge(self):
+        graph = generators.cycle_graph(6)
+        reduced = graph.copy()
+        reduced.remove_edge(0, 1)
+        for unit_edges in (False, True):
+            masked = split_network(graph, unit_edges).max_flow(0, 1)
+            plain = split_network(reduced, unit_edges).max_flow(0, 1)
+            assert masked.value == plain.value == 1
+            assert masked.paths() == plain.paths() == [[0, 5, 4, 3, 2, 1]]

@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -136,7 +137,7 @@ class TestDiskRoundTrip:
         graph, result, artifact = single_case
         path = os.path.join(tmp_path, "older.repart")
         artifact.save(path)
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         start = len(ARTIFACT_MAGIC) + 4
         length = int.from_bytes(blob[len(ARTIFACT_MAGIC) : start], "big")
         header = json.loads(blob[start : start + length])
@@ -195,7 +196,7 @@ class TestRefusal:
     def test_truncated_header(self, tmp_path, single_case):
         _graph, _result, artifact = single_case
         path = self._saved(tmp_path, artifact)
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         with open(path, "wb") as handle:
             handle.write(blob[: len(ARTIFACT_MAGIC) + 6])
         with pytest.raises(ArtifactError, match="truncated"):
@@ -204,7 +205,7 @@ class TestRefusal:
     def test_payload_tamper_detected(self, tmp_path, single_case):
         _graph, _result, artifact = single_case
         path = self._saved(tmp_path, artifact)
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         blob[-1] ^= 0xFF  # flip one payload byte
         with open(path, "wb") as handle:
             handle.write(bytes(blob))
@@ -214,7 +215,7 @@ class TestRefusal:
     def test_format_version_mismatch(self, tmp_path, single_case):
         _graph, _result, artifact = single_case
         path = self._saved(tmp_path, artifact)
-        blob = open(path, "rb").read()
+        blob = Path(path).read_bytes()
         start = len(ARTIFACT_MAGIC) + 4
         length = int.from_bytes(blob[len(ARTIFACT_MAGIC) : start], "big")
         header = blob[start : start + length].replace(

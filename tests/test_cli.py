@@ -1,6 +1,7 @@
 """Unit tests for the command-line interface."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -258,7 +259,7 @@ class TestGridCommand:
         ]
         assert main(argv) == 0
         capsys.readouterr()
-        full_text = open(store).read()
+        full_text = Path(store).read_text()
         # Simulate a kill: keep the manifest, two finished rows and half of a
         # third, then resume.
         lines = full_text.splitlines(keepends=True)
@@ -267,7 +268,7 @@ class TestGridCommand:
         assert main(argv + ["--resume"]) == 0
         resumed_output = capsys.readouterr().out
         assert "resumed 2 stored rows" in resumed_output
-        assert open(store).read() == full_text
+        assert Path(store).read_text() == full_text
 
     def test_grid_refuses_existing_store_without_resume(self, tmp_path, capsys):
         store = str(tmp_path / "rows.jsonl")
@@ -291,7 +292,7 @@ class TestGridCommand:
             ]
         )
         assert code == 0
-        text = open(report).read()
+        text = Path(report).read_text()
         assert text.splitlines()[0].startswith("family,n,t=")
 
     def test_grid_bound_violation_exit_code(self, capsys):
@@ -410,8 +411,8 @@ class TestStrategyComparisonGrid:
         # The merge diagnostic goes to stderr so piped stdout stays clean.
         assert "merged 2 stores" in captured.err
         assert "merged 2 stores" not in captured.out
-        assert open(merged_csv).read() == open(single_csv).read()
-        assert "circular t=1" in open(merged_csv).read()
+        assert Path(merged_csv).read_text() == Path(single_csv).read_text()
+        assert "circular t=1" in Path(merged_csv).read_text()
 
     def test_merged_report_stdout_stays_clean_csv(self, tmp_path, capsys):
         store_a = str(tmp_path / "a.jsonl")
@@ -453,7 +454,7 @@ class TestReportCommand:
         out = str(tmp_path / "table.csv")
         assert main(["report", "--store", store, "--format", "csv",
                      "--output", out]) == 0
-        assert open(out).read().startswith("family,n,")
+        assert Path(out).read_text().startswith("family,n,")
 
     def test_report_positional_store_path(self, tmp_path, capsys):
         store = str(tmp_path / "rows.jsonl")
@@ -586,7 +587,7 @@ class TestTrafficCommand:
         assert "result store" in capsys.readouterr().out
         lines = [
             json.loads(line)
-            for line in open(target, encoding="utf-8")
+            for line in Path(target).read_text(encoding="utf-8").splitlines()
             if line.strip()
         ]
         header, rows = lines[0], lines[1:]
