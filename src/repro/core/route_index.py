@@ -39,6 +39,19 @@ violating source short-circuits the whole evaluation.
 :meth:`RouteIndex.surviving_diameter` accepts the same optimisation through
 its ``cap`` parameter (it returns ``inf`` as soon as the cap is exceeded).
 
+BFS strategies
+--------------
+Each bitset evaluation runs one of two strategies, chosen by the fixed rule
+``BFS_DENSITY_FACTOR * arcs <= n^2`` on the surviving rows: batched
+all-sources propagation on sparse route graphs, per-source frontier BFS on
+dense ones.  Propagation can only prove a disconnection once every reach
+set has stopped growing, so the batched strategy first runs the per-source
+BFS of the lowest alive node alone.  When that BFS misses a node or passes
+the cap, it ends the evaluation after one BFS, with the triple the
+per-source strategy returns.  Past the tolerance most fault sets
+disconnect, and such a set then costs one BFS instead of a propagation to
+convergence.
+
 Evaluation cursors
 ------------------
 :meth:`RouteIndex.cursor` returns an :class:`EvalCursor` — a snapshot of the
@@ -1045,6 +1058,15 @@ def _rows_diameter_witness(
     terminate almost immediately) use per-source frontier BFS, which
     exploits that early exit.  :data:`BFS_DENSITY_FACTOR` draws the line
     between the two.  Both return identical values.
+
+    The batched strategy is guarded by the lowest alive node's frontier BFS,
+    which is the per-source strategy's first step.  When that BFS misses a
+    node or passes ``cap``, the per-source strategy stops there, so the
+    guard's triple is the per-source result.  Without a cap it is also the
+    propagation's result: the propagation reports the lowest node whose
+    reach set stops growing short of ``alive``, which is then the guard's
+    node, with the same unreached mask (the nodes its BFS never reached).
+    Otherwise the propagation runs as usual.
     """
     if not alive:
         return INFINITY, None, None
@@ -1062,7 +1084,15 @@ def _rows_diameter_witness(
 def _batched_diameter(
     rows: List[int], alive: int, total: int, cap: Optional[float]
 ) -> Tuple[float, Optional[Tuple[int, int]], Optional[Tuple[int, int, int]]]:
-    """All-sources reachability propagation (one ``|=`` per arc per level)."""
+    """All-sources reachability propagation (one ``|=`` per arc per level).
+
+    Guarded by the lowest alive node's own frontier BFS: when it misses a
+    node or passes ``cap``, its triple is the answer (see
+    :func:`_rows_diameter_witness`) and the propagation never runs.
+    """
+    guard = _per_source_diameter(rows, alive, cap, alive & -alive)
+    if guard[0] == INFINITY:
+        return guard
     ids: List[int] = []
     remaining = alive
     while remaining:
@@ -1117,11 +1147,20 @@ def _batched_diameter(
 
 
 def _per_source_diameter(
-    rows: List[int], alive: int, cap: Optional[float]
+    rows: List[int],
+    alive: int,
+    cap: Optional[float],
+    sources: Optional[int] = None,
 ) -> Tuple[float, Optional[Tuple[int, int]], Optional[Tuple[int, int, int]]]:
-    """Per-source frontier BFS with early completion exit (dense graphs)."""
+    """Per-source frontier BFS with early completion exit (dense graphs).
+
+    ``sources`` restricts the BFS to the nodes of that mask, in ascending
+    order (the batched strategy's guard passes the lowest alive node); it
+    defaults to every alive node.
+    """
     worst = 0
-    sources = alive
+    if sources is None:
+        sources = alive
     while sources:
         source_bit = sources & -sources
         sources ^= source_bit

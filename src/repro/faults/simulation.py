@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import dataclasses
 import random as _random
-import statistics
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.routing import MultiRouting, Routing
@@ -333,12 +332,17 @@ def aggregate_outcomes(
     """Fold a stream of ``(fault_set, diameter)`` outcomes into a result.
 
     The stream is consumed incrementally (bounded memory for arbitrarily
-    large batteries).  ``worst_fault_set`` is the first fault set realising
-    the strict maximum diameter, with a *disconnecting* fault set (``inf``
-    diameter) dominating every finite one — a campaign that observed a
-    disconnection always reports a disconnecting set as its worst.
+    large batteries): finite diameters fold into a count, a running sum, a
+    minimum and a maximum.  Diameters are hop counts, so the sum is exact
+    and the mean equals :func:`statistics.fmean` of the finite diameters.
+    ``worst_fault_set`` is the first fault set realising the strict maximum
+    diameter, with a *disconnecting* fault set (``inf`` diameter) dominating
+    every finite one — a campaign that observed a disconnection always
+    reports a disconnecting set as its worst.
     """
-    diameters: List[float] = []
+    finite = 0
+    finite_total = 0
+    finite_min = finite_max = float("inf")
     disconnected = 0
     evaluated = 0
     worst: Optional[FaultSet] = None
@@ -355,20 +359,26 @@ def aggregate_outcomes(
         if diam == float("inf"):
             disconnected += 1
         else:
-            diameters.append(diam)
+            if not finite:
+                finite_min = finite_max = diam
+            elif diam < finite_min:
+                finite_min = diam
+            elif diam > finite_max:
+                finite_max = diam
+            finite += 1
+            finite_total += diam
         if worst is None or diam > worst_diameter:
             worst_diameter = diam
             worst = fault_set
     if evaluated == 0:
         raise ValueError("no fault sets to evaluate")
 
-    finite = diameters or [float("inf")]
     return CampaignResult(
         fault_size=fault_size,
         samples=evaluated,
-        mean_diameter=statistics.fmean(finite) if diameters else float("inf"),
-        max_diameter=max(finite),
-        min_diameter=min(finite),
+        mean_diameter=finite_total / finite if finite else float("inf"),
+        max_diameter=finite_max,
+        min_diameter=finite_min,
         disconnected_fraction=disconnected / evaluated,
         worst_fault_set=worst,
         faults_min=size_min,

@@ -24,7 +24,7 @@ import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
@@ -214,7 +214,8 @@ class TestBfsStrategies:
     is a capped witness for the other; a cap below 1 or between integers
     lets the batched strategy finish an exact level the per-source one
     abandons), so there both must keep the cap contract and return sound
-    witnesses.
+    witnesses.  Either way, when the lowest alive node's own BFS fails, both
+    stop there with the same triple.
     """
 
     @SETTINGS
@@ -247,6 +248,30 @@ class TestBfsStrategies:
                 assert unreached and all(
                     dist.get(node, INF) >= lower_bound for node in _ids(unreached)
                 )
+
+    @SETTINGS
+    @given(surviving_rows())
+    @example(([0, 0b0101, 0b1000, 0b0010], 0b1111, 1))
+    def test_batched_returns_the_failing_lowest_source_triple(self, case):
+        """The batched strategy starts with the lowest alive node's BFS.
+
+        When that BFS misses a node or passes the cap, the per-source
+        strategy stops at the same point, so both return the same triple.
+        (The explicit example: node 0 has no out-arcs, so it is a
+        disconnection, not a capped witness, even under cap 1.)
+        """
+        rows, alive, cap = case
+        lowest = (alive & -alive).bit_length() - 1
+        dist = _distances(rows, lowest)
+        missed = len(dist) < alive.bit_count()
+        if not missed and (cap is None or max(dist.values()) <= cap):
+            return
+        per_source = _per_source_diameter(rows, alive, cap)
+        assert _batched_diameter(rows, alive, alive.bit_count(), cap) == per_source
+        value, witness, capped = per_source
+        assert value == INF
+        assert (witness or capped)[0] == 1 << lowest
+        assert witness is None or missed
 
 
 class TestBoundedDecision:

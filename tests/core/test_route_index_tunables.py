@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from repro.core import RouteIndex, kernel_routing
@@ -9,9 +11,11 @@ from repro.core.route_index import (
     BFS_DENSITY_FACTOR,
     STRATEGY_BATCHED,
     STRATEGY_PER_SOURCE,
+    _rows_diameter_witness,
 )
 from repro.core.routing import Routing
 from repro.graphs import generators
+from repro.scenarios import parse_scenario
 
 
 @pytest.fixture(scope="module")
@@ -72,3 +76,35 @@ class TestPreferredStrategy:
         row = engine.run_campaign(1, samples=5, seed=0)
         assert row.bfs_strategy == STRATEGY_BATCHED
         assert row.as_row()["bfs"] == STRATEGY_BATCHED
+
+
+class _CountingRows(list):
+    """Adjacency rows that count how many times the BFS reads one."""
+
+    reads = 0
+
+    def __getitem__(self, position):
+        self.reads += 1
+        return super().__getitem__(position)
+
+
+class TestDisconnectionGuard:
+    def test_disconnecting_set_costs_one_bfs_on_the_batched_strategy(self):
+        """A disconnection by the lowest alive node ends the evaluation.
+
+        The all-sources propagation reads every alive row before its first
+        level; the guard's single BFS reads fewer rows than there are alive
+        nodes before it finds the unreachable node.
+        """
+        graph, result = parse_scenario("cycle:n=120/kernel").build()
+        index = RouteIndex(graph, result.routing)
+        faults = random.Random(1).sample(index.node_pool, 4)
+        assert index.preferred_strategy(faults) == STRATEGY_BATCHED
+        fault_mask = index._fault_mask(faults)
+        alive = index._full_mask & ~fault_mask
+        rows = _CountingRows(index._surviving_rows(fault_mask))
+        value, witness, capped = _rows_diameter_witness(rows, alive)
+        assert value == float("inf")
+        assert witness is not None and capped is None
+        assert witness[0] == alive & -alive
+        assert rows.reads < alive.bit_count()

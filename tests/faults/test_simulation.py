@@ -1,10 +1,21 @@
 """Unit tests for Monte-Carlo fault-injection campaigns."""
 
+import random
+import statistics
+import tracemalloc
+
 import pytest
 
 from repro.core import kernel_routing
-from repro.faults import FaultSet, run_campaign, sweep_fault_sizes
+from repro.faults import (
+    FaultSet,
+    aggregate_outcomes,
+    run_campaign,
+    sweep_fault_sizes,
+)
 from repro.graphs import generators
+
+INF = float("inf")
 
 
 @pytest.fixture(scope="module")
@@ -193,3 +204,63 @@ class TestSweep:
         campaign = run_campaign(graph, result.routing, 8, samples=20, seed=5)
         assert campaign.samples == 20
         assert campaign.disconnected_fraction >= 0.0
+
+
+def _list_fold(outcomes):
+    """Reference fold that keeps every finite diameter in a list."""
+    diameters = [diam for _fault_set, diam in outcomes if diam != INF]
+    finite = diameters or [INF]
+    return (
+        statistics.fmean(finite) if diameters else INF,
+        max(finite),
+        min(finite),
+        (len(outcomes) - len(diameters)) / len(outcomes),
+    )
+
+
+class TestAggregateOutcomes:
+    def test_matches_the_list_fold(self):
+        rng = random.Random(5)
+        batteries = [
+            [(FaultSet([0]), INF)] * 4,
+            [(FaultSet([1]), INF)],
+            [(FaultSet([2]), 7)],
+            [(FaultSet([3]), 0)],
+        ]
+        for _ in range(300):
+            inf_share = rng.choice([0.0, 0.2, 0.9, 1.0])
+            scale = 10 ** rng.randint(1, 6)
+            battery = []
+            for _ in range(rng.randint(1, 80)):
+                diam = INF if rng.random() < inf_share else rng.randint(0, scale)
+                battery.append((FaultSet([rng.randrange(50)]), diam))
+            batteries.append(battery)
+        for battery in batteries:
+            result = aggregate_outcomes(1, iter(battery))
+            assert (
+                result.mean_diameter,
+                result.max_diameter,
+                result.min_diameter,
+                result.disconnected_fraction,
+            ) == _list_fold(battery)
+            assert result.samples == len(battery)
+
+    def test_memory_stays_bounded(self):
+        fault_set = FaultSet([0])
+        count = 200_000
+
+        def outcomes():
+            for position in range(count):
+                yield fault_set, 3 + position % 50
+
+        tracemalloc.start()
+        try:
+            result = aggregate_outcomes(1, outcomes())
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.samples == count
+        assert result.mean_diameter == statistics.fmean(
+            3 + position % 50 for position in range(count)
+        )
+        assert peak < 256 * 1024
