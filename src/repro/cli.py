@@ -74,7 +74,7 @@ from repro.analysis import format_table, render_scaling_report
 from repro.core import build_routing, verify_construction
 from repro.core.statistics import concentrator_load_share, routing_statistics
 from repro.core.builder import available_strategies
-from repro.core.route_index import EVAL_BACKEND_BITSET, EVAL_BACKENDS
+from repro.core.route_index import EVAL_BACKENDS
 from repro.exceptions import ReproError
 from repro.faults import CampaignEngine
 from repro.faults.simulation import CampaignStatus
@@ -840,12 +840,14 @@ def build_parser() -> argparse.ArgumentParser:
     backend_options.add_argument(
         "--eval-backend",
         choices=EVAL_BACKENDS,
-        default=EVAL_BACKEND_BITSET,
+        default=None,
         help=(
-            "diameter evaluation backend: 'bitset' (pure Python, the "
-            "default) or 'numpy' (packed-uint64 batches; falls back to "
-            "bitset where numpy is not installed); values are identical "
-            "either way"
+            "diameter evaluation backend: 'bitset' (pure Python) or "
+            "'numpy' (packed-uint64 batches; falls back to bitset where "
+            "numpy is not installed); values are identical either way.  "
+            "Unset, campaign and grid pick numpy for route graphs of at "
+            "least 64 nodes with 8 * arcs > n^2 and bitset otherwise, and "
+            "serve uses bitset"
         ),
     )
 

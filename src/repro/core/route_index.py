@@ -52,6 +52,15 @@ per-source strategy returns.  Past the tolerance most fault sets
 disconnect, and such a set then costs one BFS instead of a propagation to
 convergence.
 
+Evaluation backends
+-------------------
+Evaluations run on the bitset kernel of this module or on the packed-uint64
+numpy kernel of :mod:`repro.core.np_kernel`, with identical values.  Unless
+the caller names one, a fixed rule on the fault-free route graph picks it
+when the index is built: numpy for route graphs of at least
+:data:`NUMPY_MIN_NODES` nodes with ``BFS_DENSITY_FACTOR * arcs > n^2`` (the
+dense side of the strategy rule), bitset otherwise.
+
 Evaluation cursors
 ------------------
 :meth:`RouteIndex.cursor` returns an :class:`EvalCursor` — a snapshot of the
@@ -99,24 +108,45 @@ BFS_DENSITY_FACTOR = 8
 STRATEGY_BATCHED = "batched"
 STRATEGY_PER_SOURCE = "per-source"
 
-#: Evaluation backends: ``"bitset"`` (the default) is the pure-Python
-#: big-int kernel, ``"numpy"`` the packed-uint64 batched kernel.  An index
-#: built for numpy evaluates on the bitset kernel in a process without
-#: numpy.  Every backend returns identical values.
+#: Evaluation backends: ``"bitset"`` is the pure-Python big-int kernel,
+#: ``"numpy"`` the packed-uint64 batched kernel.  An index built for numpy
+#: evaluates on the bitset kernel in a process without numpy.  Every
+#: backend returns identical values.
 EVAL_BACKEND_BITSET = "bitset"
 EVAL_BACKEND_NUMPY = "numpy"
 EVAL_BACKENDS = (EVAL_BACKEND_BITSET, EVAL_BACKEND_NUMPY)
 
+#: Smallest route graph the backend rule sends to numpy: one packed 64-bit
+#: word of nodes.  Below it numpy lost on every disconnecting battery tried.
+NUMPY_MIN_NODES = 64
 
-def _check_backend(value: Optional[str]) -> str:
-    """Validate a requested backend; ``None`` means the bitset default."""
-    if value is None:
-        return EVAL_BACKEND_BITSET
-    if value not in EVAL_BACKENDS:
+
+def _check_backend(value: Optional[str]) -> Optional[str]:
+    """Validate a requested backend; ``None`` asks for the backend rule."""
+    if value is not None and value not in EVAL_BACKENDS:
         raise ValueError(
             f"unknown eval backend {value!r}; expected one of {EVAL_BACKENDS}"
         )
     return value
+
+
+def _rule_backend(rows: List[int]) -> str:
+    """The backend rule on the fault-free route graph's rows.
+
+    numpy when ``n >= NUMPY_MIN_NODES`` and ``BFS_DENSITY_FACTOR * arcs >
+    n^2`` (the graphs the per-source BFS strategy serves), bitset
+    otherwise.  It reads the rows alone, never whether numpy imports, so
+    every host resolves an index to the same name.
+    """
+    n = len(rows)
+    if n < NUMPY_MIN_NODES:
+        return EVAL_BACKEND_BITSET
+    arcs = 0
+    for row in rows:
+        arcs += row.bit_count()
+    if arcs * BFS_DENSITY_FACTOR > n * n:
+        return EVAL_BACKEND_NUMPY
+    return EVAL_BACKEND_BITSET
 
 
 def _mask_ids(mask: int) -> List[int]:
@@ -139,9 +169,13 @@ class RouteIndex:
     routing:
         A :class:`Routing` or :class:`MultiRouting` over ``graph``.
     backend:
-        ``"bitset"`` (the default, also for ``None``) or ``"numpy"``.  The
-        choice travels with the index (pickles and :meth:`slim` copies), so
-        worker processes evaluate on the backend the parent asked for.
+        ``"bitset"`` or ``"numpy"``, or ``None`` (the default) for the
+        backend rule: numpy when the fault-free route graph has at least
+        :data:`NUMPY_MIN_NODES` nodes and ``BFS_DENSITY_FACTOR * arcs >
+        n^2``, bitset otherwise.  The resolved name is :attr:`backend`; it
+        travels with the index (pickles, :meth:`slim` copies and
+        :meth:`export_state` rebuilds), so worker processes evaluate on the
+        backend the parent resolved.
 
     Notes
     -----
@@ -159,7 +193,7 @@ class RouteIndex:
     ) -> None:
         self.graph = graph
         self.routing = routing
-        self._backend = _check_backend(backend)
+        backend = _check_backend(backend)
         # Lazily built numpy kernel; never pickled (workers rebuild it from
         # the shipped bitset rows on first use).
         self._np_kernel = None
@@ -218,6 +252,7 @@ class RouteIndex:
                 for node in path:
                     kill = kill_rows[id_of[node]]
                     kill[sid] = kill.get(sid, 0) | target_bit
+        self._backend = backend or _rule_backend(self._base_rows)
 
     # ------------------------------------------------------------------
     # Pickling (worker shipping)
@@ -262,7 +297,7 @@ class RouteIndex:
 
     @property
     def backend(self) -> str:
-        """The backend this index was built for (``"bitset"`` or ``"numpy"``)."""
+        """The resolved backend of this index (``"bitset"`` or ``"numpy"``)."""
         return self._backend
 
     @property
@@ -367,13 +402,14 @@ class RouteIndex:
         The result is equivalent to :meth:`slim`'s graph-free form: the whole
         evaluation surface works (diameters, cursors, batches, every
         backend), while :meth:`matches` is always ``False``.  ``backend`` is
-        chosen by the caller (e.g. a server's ``--eval-backend`` flag), as
-        in the constructor.
+        chosen by the caller (e.g. a server's ``--eval-backend`` flag), and
+        ``None`` applies the backend rule to the state's rows, as in the
+        constructor.
         """
+        backend = _check_backend(backend)
         index = object.__new__(cls)
         index.graph = None
         index.routing = None
-        index._backend = _check_backend(backend)
         index._np_kernel = None
         nodes = tuple(state["nodes"])
         index._nodes = nodes
@@ -384,6 +420,7 @@ class RouteIndex:
         index._full_mask = (1 << n) - 1
         index._base_rows = [int(row) for row in state["base_rows"]]
         index._base_preds = [int(row) for row in state["base_preds"]]
+        index._backend = backend or _rule_backend(index._base_rows)
         index._multi = bool(state["multi"])
         if index._multi:
             index._kill_rows = []
@@ -468,6 +505,12 @@ class RouteIndex:
                 remaining ^= bit
             return rows
 
+        for sid, tid in self._dead_pairs(fault_mask, self._affected_pairs(fault_mask)):
+            rows[sid] &= ~(1 << tid)
+        return rows
+
+    def _affected_pairs(self, fault_mask: int) -> Set[IdPair]:
+        """Multirouting pairs with a route through some node of ``fault_mask``."""
         affected: Set[IdPair] = set()
         pairs_through = self._pairs_through
         remaining = fault_mask
@@ -477,14 +520,24 @@ class RouteIndex:
             if pairs:
                 affected |= pairs
             remaining ^= bit
-        multi_routes = self._pair_routes
-        for sid, tid in affected:
-            if (fault_mask >> sid) & 1 or (fault_mask >> tid) & 1:
-                continue
-            if any(mask & fault_mask == 0 for mask in multi_routes[(sid, tid)]):
-                continue
-            rows[sid] &= ~(1 << tid)
-        return rows
+        return affected
+
+    def _dead_pairs(
+        self, fault_mask: int, pairs: Iterable[IdPair]
+    ) -> List[IdPair]:
+        """Multirouting pairs of ``pairs`` that ``fault_mask`` cuts off.
+
+        A pair is cut off when both endpoints survive but every one of its
+        parallel routes meets a fault.
+        """
+        routes = self._pair_routes
+        return [
+            (sid, tid)
+            for sid, tid in pairs
+            if not (fault_mask >> sid) & 1
+            and not (fault_mask >> tid) & 1
+            and all(mask & fault_mask for mask in routes[(sid, tid)])
+        ]
 
     # ------------------------------------------------------------------
     # Graph materialisation
@@ -546,19 +599,6 @@ class RouteIndex:
         )
         return value
 
-    #: Battery entries evaluated per numpy-kernel call: bounds the scratch
-    #: tensors to a fixed width so arbitrarily large batteries stream through
-    #: the same preallocated buffers.
-    _NP_BATCH = 64
-
-    #: Candidate-batch width for :meth:`EvalCursor.batch_with_added` (the
-    #: greedy adversary's rounds).  Narrower than :attr:`_NP_BATCH`: a
-    #: candidate round's gather tensor is hot for only 2-3 BFS levels, so
-    #: keeping it cache-resident beats amortising Python overhead further —
-    #: 16 lanes × 4 words is the measured sweet spot on dense ~200-node
-    #: instances.
-    _NP_CANDIDATE_BATCH = 16
-
     def surviving_diameters(
         self,
         fault_sets: Iterable[Iterable[Node]],
@@ -582,14 +622,7 @@ class RouteIndex:
                 sorted(id_of[node] for node in self._check_faults(fs))
                 for fs in batch
             ]
-            out: List[float] = []
-            for start in range(0, len(id_lists), self._NP_BATCH):
-                out.extend(
-                    np_kernel.diameters(
-                        id_lists[start : start + self._NP_BATCH], cap=cap
-                    )
-                )
-            return out
+            return np_kernel.diameters(id_lists, cap=cap)
         return [self.surviving_diameter(fs, cap=cap) for fs in batch]
 
     def surviving_diameter_at_most(
@@ -774,12 +807,8 @@ class EvalCursor:
                 rows[pbit.bit_length() - 1] &= not_bit
                 preds ^= pbit
             # ... and kill the arcs of pairs all of whose routes now die.
-            multi_routes = index._pair_routes
-            for sid, tid in index._pairs_through.get(nid, _NO_PAIRS):
-                if (fault_mask >> sid) & 1 or (fault_mask >> tid) & 1:
-                    continue
-                if any(mask & fault_mask == 0 for mask in multi_routes[(sid, tid)]):
-                    continue
+            pairs = index._pairs_through.get(nid, _NO_PAIRS)
+            for sid, tid in index._dead_pairs(fault_mask, pairs):
                 rows[sid] &= ~(1 << tid)
         return rows
 
@@ -937,9 +966,9 @@ class EvalCursor:
         means disconnected *or* proven to exceed the cap.  This is the
         batched candidate-evaluation layer of the greedy adversary.
 
-        On the numpy backend all candidates advance through one packed
-        ``(k, B)`` uint64 reach tensor (one vectorised BFS for the whole
-        round, with ``cap`` aborting hopeless lanes early); the bitset
+        On the numpy backend the candidates advance through packed uint64
+        reach tensors, 16 lanes per vectorised BFS (with ``cap`` aborting
+        hopeless lanes early); the bitset
         backend runs the equivalent loop over :meth:`with_added` children —
         both share this cursor's masked rows, so per-candidate setup is the
         usual delta update either way and the returned values are
@@ -988,11 +1017,8 @@ class EvalCursor:
 
         Children whose answer is already memoised (an exact diameter, or a
         lower bound proving the cap unreachable) contribute no BFS lane.
-        The rest stream through :meth:`NumpyKernel.candidate_witnesses` in
-        :attr:`RouteIndex._NP_CANDIDATE_BATCH`-wide chunks — every child
-        differs from this cursor by at most one node (``with_added``
-        built them), so the kernel derives the per-lane setup once from
-        the shared base — and each entry's result is memoised exactly as
+        The rest go through :meth:`NumpyKernel.batch_witnesses` in one
+        call, and each entry's result is memoised exactly as
         :meth:`diameter` would have.
         """
         pending = [
@@ -1001,35 +1027,23 @@ class EvalCursor:
             if child._diameter is None
             and not (cap is not None and cap < child._lower_bound)
         ]
-        step = RouteIndex._NP_CANDIDATE_BATCH
-        base_mask = self._fault_mask
-        base_ids = _mask_ids(base_mask)
-        for start in range(0, len(pending), step):
-            chunk = pending[start : start + step]
-            # A child's delta from the base is one bit (or none, for a
-            # twin of the base set): -1 marks the bare-base lane.
-            triples = kernel.candidate_witnesses(
-                base_ids,
-                [
-                    (child._fault_mask & ~base_mask).bit_length() - 1
-                    for child in chunk
-                ],
-                cap,
-            )
-            for child, (value, witness, capped) in zip(chunk, triples):
-                if cap is not None and value == INFINITY and witness is None:
-                    # Cap exceeded without a disconnection: remember the
-                    # proven lower bound, not the (unknown) exact value.
-                    bound = math.floor(cap) + 1
-                    if capped is not None and capped[2] > bound:
-                        bound = capped[2]
-                    if bound > child._lower_bound:
-                        child._lower_bound = bound
-                    if capped is not None:
-                        child._capped_unreached = capped
-                else:
-                    child._diameter = value
-                    child._unreached = witness
+        triples = kernel.batch_witnesses(
+            [child._fault_id_list() for child in pending], cap
+        )
+        for child, (value, witness, capped) in zip(pending, triples):
+            if cap is not None and value == INFINITY and witness is None:
+                # Cap exceeded without a disconnection: remember the
+                # proven lower bound, not the (unknown) exact value.
+                bound = math.floor(cap) + 1
+                if capped is not None and capped[2] > bound:
+                    bound = capped[2]
+                if bound > child._lower_bound:
+                    child._lower_bound = bound
+                if capped is not None:
+                    child._capped_unreached = capped
+            else:
+                child._diameter = value
+                child._unreached = witness
 
 
 def _rows_diameter_witness(

@@ -248,10 +248,11 @@ class CampaignEngine:
         Optional pre-built :class:`RouteIndex` to reuse; must match
         ``(graph, routing)``.  Built lazily on first use otherwise.
     backend:
-        ``"bitset"`` (default) or ``"numpy"``, forwarded to the lazily built
-        :class:`RouteIndex` (ignored when a pre-built ``index`` is supplied
-        — that index's backend wins).  It travels with the slim index to
-        every worker.
+        ``"bitset"``, ``"numpy"`` or ``None`` (the default: the backend
+        rule of :class:`RouteIndex` decides), forwarded to the lazily built
+        index (ignored when a pre-built ``index`` is supplied — that index's
+        backend wins).  The resolved name travels with the slim index to
+        every worker and is stamped on every row.
     policy:
         Optional :class:`~repro.runtime.SupervisorPolicy` tuning the
         supervised dispatch (task timeouts, retry budget, pool rebuilds).

@@ -178,11 +178,13 @@ def counter_limit_suffices(
     when none is supplied (one pass over the routes — the same cost a single
     exact evaluation would have paid before its BFS even started).
     """
-    from repro.core.route_index import RouteIndex
+    from repro.core.route_index import EVAL_BACKEND_BITSET, RouteIndex
     from repro.core.surviving import _check_index
 
     if index is None:
-        index = RouteIndex(graph, routing)
+        # A throwaway index for one decision: a numpy kernel build would
+        # never pay back on a single evaluation.
+        index = RouteIndex(graph, routing, backend=EVAL_BACKEND_BITSET)
     else:
         _check_index(graph, routing, index)
     return index.surviving_diameter_at_most(faults, counter_limit)

@@ -50,7 +50,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.builder import build_routing
 from repro.core.construction import ConstructionResult
-from repro.core.route_index import EVAL_BACKEND_BITSET, RouteIndex
+from repro.core.route_index import RouteIndex
 from repro.exceptions import ReproError
 from repro.faults.engine import DEFAULT_CHUNK_SIZE, _combinations_slice, shard_seed
 from repro.faults.models import FaultSet
@@ -87,8 +87,9 @@ class _SuiteTask:
     adversarially-grown set of ``fault_size`` via the batched greedy
     search, with ``candidate_limit`` candidates per round).
 
-    ``backend`` carries the evaluation backend the suite was asked for;
-    workers rebuilding a scenario construct their index with it.
+    ``backend`` carries the evaluation backend the suite was asked for
+    (``None``: the backend rule); workers rebuilding a scenario construct
+    their index with it, and so resolve it as the parent did.
     """
 
     spec: str
@@ -340,8 +341,8 @@ def _expand_tasks(
 ) -> Tuple[List[_SuiteTask], List[Tuple[Tuple[int, int], int]]]:
     """Flatten the suite into shard tasks plus per-campaign metadata.
 
-    ``backend`` is stamped onto every task, so workers evaluate on the
-    backend the parent was asked for.
+    ``backend`` is stamped onto every task, so workers build their
+    indexes with the backend the parent was asked for.
 
     With ``greedy`` set, every ``random`` (sizes-model) campaign of
     positive fault size gains one trailing ``"greedy"`` task: a single
@@ -573,10 +574,11 @@ def run_scenario_suite(
         itself is never forgiven: a malformed graph axis raises
         regardless.
     backend:
-        ``"bitset"`` (default) or ``"numpy"`` (see
-        :class:`~repro.core.route_index.RouteIndex`).  Stamped onto every
-        shard task, so workers evaluate on the backend the parent was asked
-        for, and recorded in every row's ``backend`` column.
+        ``"bitset"``, ``"numpy"`` or ``None`` (the default: the backend
+        rule of :class:`~repro.core.route_index.RouteIndex` decides per
+        scenario).  Stamped onto every shard task, so workers resolve it as
+        the parent did; every row's ``backend`` column records the backend
+        its scenario's index resolved to.
     skipped:
         Optional list the suite appends ``(scenario, reason)`` pairs to for
         every scenario dropped under ``skip_inapplicable`` (in suite
@@ -628,9 +630,6 @@ def run_scenario_suite(
     scenario_list = as_scenarios(scenarios)
     if not scenario_list:
         return []
-    if backend is None:
-        backend = EVAL_BACKEND_BITSET
-
     # Resume bookkeeping: a campaign is complete when its content-addressed
     # key is already recorded in the store.  Stored ``inapplicable`` status
     # rows instead classify their whole scenario as dropped-by-record: the
@@ -669,7 +668,7 @@ def run_scenario_suite(
     else:
         may_skip = set(skip_inapplicable)
 
-    built: Dict[int, Tuple[Scenario, ConstructionResult, int, int, str]] = {}
+    built: Dict[int, Tuple[Scenario, ConstructionResult, int, int, str, str]] = {}
     dropped: Dict[int, str] = {}
     payload: Optional[Dict[str, Tuple[RouteIndex, str]]] = (
         {} if workers > 1 and share_index else None
@@ -771,6 +770,7 @@ def run_scenario_suite(
             graph.number_of_nodes(),
             graph.number_of_edges(),
             index.preferred_strategy(),
+            index.backend,
         )
 
     # A partially-complete scenario is rebuilt for its remaining campaigns;
@@ -829,7 +829,9 @@ def run_scenario_suite(
     failed_reasons: Dict[Tuple[int, int], str] = {}
 
     def _finalise(campaign_key: Tuple[int, int], outcomes: List) -> None:
-        scenario, result, nodes, edges, strategy = built[campaign_key[0]]
+        scenario, result, nodes, edges, strategy, resolved = built[
+            campaign_key[0]
+        ]
         # A quarantined campaign is checked first: its collected outcomes
         # (if any shards did finish) are partial and must not feed an
         # aggregate.  The row still carries the real construction metadata
@@ -849,10 +851,10 @@ def run_scenario_suite(
             campaign = aggregate_outcomes(fault_sizes[campaign_key], outcomes)
             campaign.bfs_strategy = strategy
         if campaign_key not in failed_reasons:
-            # Provenance columns: the requested eval backend, and the
+            # Provenance columns: the resolved eval backend, and the
             # greedy candidate budget when this row's battery carried an
             # adversarial probe.
-            campaign.eval_backend = backend
+            campaign.eval_backend = resolved
             if (
                 greedy
                 and scenario.faults.kind == "sizes"

@@ -40,7 +40,7 @@ import sys
 from array import array
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple, Union
 
-from repro.core.route_index import RouteIndex
+from repro.core.route_index import EVAL_BACKEND_BITSET, RouteIndex
 from repro.core.routing import MultiRouting, Routing
 from repro.exceptions import ArtifactError
 from repro.graphs.graph import Graph
@@ -184,8 +184,9 @@ class RoutingArtifact:
     def to_index(self, backend: Optional[str] = None) -> RouteIndex:
         """Rebuild the evaluation-only :class:`RouteIndex` for this artifact.
 
-        ``backend`` (``"bitset"`` by default, or ``"numpy"``) is chosen
-        here, at serve time: the artifact itself is backend-neutral.
+        ``backend`` (``"bitset"`` by default, also for ``None``, or
+        ``"numpy"``) is chosen here, at serve time: the artifact itself is
+        backend-neutral.  Serving does not apply the index's backend rule.
         """
         state: Dict[str, object] = {
             "nodes": self.nodes,
@@ -204,7 +205,9 @@ class RoutingArtifact:
             state["pair_routes"] = pair_routes
         else:
             state["kill_rows"] = self.kill_rows
-        return RouteIndex.from_state(state, backend=backend)
+        return RouteIndex.from_state(
+            state, backend=EVAL_BACKEND_BITSET if backend is None else backend
+        )
 
     # ------------------------------------------------------------------
     # Disk format

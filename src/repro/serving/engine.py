@@ -304,7 +304,11 @@ class EngineView:
 
 
 class ServingEngine:
-    """Mutable serving front over one artifact: views, deltas, cursor LRU."""
+    """Mutable serving front over one artifact: views, deltas, cursor LRU.
+
+    ``backend`` goes to :meth:`RoutingArtifact.to_index`, so serving
+    evaluates on bitset unless ``"numpy"`` is asked for.
+    """
 
     def __init__(
         self,

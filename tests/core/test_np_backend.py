@@ -2,14 +2,16 @@
 
 Covers the plumbing around the packed-uint64 numpy backend rather than its
 arithmetic (that is the hypothesis suite's job): which values ``backend=``
-accepts, the bitset fallback in a process without numpy, that the backend
-survives pickling and ``slim()`` shipping unchanged, and the
+accepts, the backend rule that resolves ``backend=None``, the bitset
+fallback in a process without numpy, that the resolved backend survives
+pickling, ``slim()`` and ``export_state`` shipping unchanged, and the
 ``EvalCursor`` lower-bound memoisation added alongside the backend (a
 failed ``diameter(cap=...)`` must not be forgotten).
 """
 
 from __future__ import annotations
 
+import json
 import pickle
 
 import pytest
@@ -20,9 +22,14 @@ from repro.core.route_index import (
     EVAL_BACKEND_BITSET,
     EVAL_BACKEND_NUMPY,
 )
+from repro.faults import CampaignEngine
 from repro.faults.adversary import random_fault_sets
 from repro.graphs import generators
 from repro.graphs.traversal import INFINITY
+from repro.results import ResultStore
+from repro.scenarios import parse_scenario
+from repro.scenarios.suite import run_scenario_suite, suite_manifest
+from repro.serving import ServingEngine, compile_routing_artifact
 
 requires_numpy = pytest.mark.skipif(
     not numpy_available(), reason="numpy backend not available"
@@ -34,6 +41,20 @@ def workload():
     graph = generators.circulant_graph(20, [1, 2])
     result = kernel_routing(graph)
     return graph, result.routing
+
+
+#: A dense route graph above the rule's node floor: it resolves to numpy.
+DENSE = "circulant:n=96,offsets=1+2+3/kernel"
+
+_BUILT = {}
+
+
+def _built(spec):
+    """``(graph, routing)`` of a scenario spec, built once per module."""
+    if spec not in _BUILT:
+        graph, result = parse_scenario(spec).build()
+        _BUILT[spec] = (graph, result.routing)
+    return _BUILT[spec]
 
 
 class TestBackendResolution:
@@ -48,6 +69,81 @@ class TestBackendResolution:
         for value in ("cuda", "auto", "sets"):
             with pytest.raises(ValueError, match="unknown eval backend"):
                 RouteIndex(graph, routing, backend=value)
+
+    @pytest.mark.parametrize(
+        "spec, expected",
+        [
+            ("cycle:n=120/kernel", EVAL_BACKEND_BITSET),
+            ("circulant:n=96,offsets=1+2/kernel", EVAL_BACKEND_BITSET),
+            # n >= 64, but 8 * arcs <= n^2: sparse.
+            ("circulant:n=200,offsets=1+2+3/kernel", EVAL_BACKEND_BITSET),
+            (DENSE, EVAL_BACKEND_NUMPY),
+            ("hypercube:d=6/kernel", EVAL_BACKEND_NUMPY),
+            # Dense by arcs, but n = 32 is below the node floor.
+            ("hypercube:d=5/kernel", EVAL_BACKEND_BITSET),
+        ],
+    )
+    def test_rule_resolves_backend(self, spec, expected):
+        graph, routing = _built(spec)
+        assert RouteIndex(graph, routing).backend == expected
+        other = (
+            EVAL_BACKEND_NUMPY if expected == EVAL_BACKEND_BITSET else EVAL_BACKEND_BITSET
+        )
+        assert RouteIndex(graph, routing, backend=other).backend == other
+
+    @pytest.mark.parametrize("spec", [DENSE, "cycle:n=120/kernel"])
+    def test_resolved_backend_travels_with_the_index(self, spec):
+        graph, routing = _built(spec)
+        index = RouteIndex(graph, routing)
+        resolved = index.backend
+        assert pickle.loads(pickle.dumps(index)).backend == resolved
+        assert pickle.loads(pickle.dumps(index.slim())).backend == resolved
+        assert RouteIndex.from_state(index.export_state()).backend == resolved
+
+    @requires_numpy
+    def test_resolution_does_not_depend_on_numpy(self, monkeypatch):
+        """Without numpy a numpy-resolved index keeps its name and its bytes."""
+        graph, routing = _built(DENSE)
+        battery = list(random_fault_sets(graph.nodes(), 3, 40, seed=4))
+        index = RouteIndex(graph, routing)
+        assert index.eval_backend == EVAL_BACKEND_NUMPY
+        values = index.surviving_diameters(battery)
+        record = CampaignEngine(graph, routing).run_campaign(2, samples=24, seed=3).record()
+        monkeypatch.setattr(np_kernel, "np", None)
+        degraded = RouteIndex(graph, routing)
+        assert degraded.backend == EVAL_BACKEND_NUMPY
+        assert degraded.eval_backend == EVAL_BACKEND_BITSET
+        assert degraded.surviving_diameters(battery) == values
+        again = CampaignEngine(graph, routing).run_campaign(2, samples=24, seed=3).record()
+        assert record["backend"] == EVAL_BACKEND_NUMPY
+        assert json.dumps(again, sort_keys=True) == json.dumps(record, sort_keys=True)
+
+    def test_suite_rows_record_each_scenario_resolution(self, tmp_path):
+        specs = ["hypercube:d=6/kernel/sizes:1,3", "hypercube:d=5/kernel/sizes:2"]
+        stores = []
+        for workers in (1, 2):
+            path = tmp_path / f"workers{workers}.jsonl"
+            store = ResultStore.create(str(path), suite_manifest(specs, 12, 5))
+            try:
+                rows = run_scenario_suite(
+                    specs, samples=12, seed=5, workers=workers, store=store
+                )
+            finally:
+                store.close()
+            assert [row.record()["backend"] for row in rows] == [
+                EVAL_BACKEND_NUMPY,
+                EVAL_BACKEND_NUMPY,
+                EVAL_BACKEND_BITSET,
+            ]
+            stores.append(path.read_bytes())
+        assert stores[0] == stores[1]
+
+    def test_serving_keeps_bitset_on_dense_routings(self):
+        graph, routing = _built(DENSE)
+        artifact = compile_routing_artifact(graph, routing)
+        assert artifact.to_index().backend == EVAL_BACKEND_BITSET
+        assert ServingEngine(artifact).index.backend == EVAL_BACKEND_BITSET
+        assert artifact.to_index(backend="numpy").backend == EVAL_BACKEND_NUMPY
 
     def test_kill_switch_forces_bitset_evaluation(self, workload, monkeypatch):
         """Without numpy a numpy index evaluates on bitset, values unchanged."""

@@ -1,0 +1,269 @@
+"""The numpy kernel's tables, scratch memory and mixed-lane batteries.
+
+* the per-fault kill data, built with one vectorised pass per node, must
+  equal what a plain per-(fault, source) loop derives from the index's kill
+  masks, and the gather layout must hold every arc exactly once;
+* the kernel must not pull ``numpy.ma`` into the process (it cost the
+  dense certification benchmark memory) and must keep one scratch set
+  whatever battery widths it sees;
+* batteries mixing shallow, deep and disconnecting lanes must agree with
+  the bitset kernel and the naive oracle, capped and uncapped, including
+  greedy candidate rounds (lanes that share their base faults).
+"""
+
+from __future__ import annotations
+
+import bisect
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.core import RouteIndex, surviving_diameter
+from repro.core.np_kernel import NumpyKernel, numpy_available
+from repro.core.routing import Routing
+from repro.faults.adversary import greedy_fault_set_from_index
+from repro.graphs import generators
+from repro.graphs.traversal import INFINITY, shortest_path
+from repro.scenarios import parse_scenario
+
+pytestmark = pytest.mark.skipif(
+    not numpy_available(), reason="numpy backend not available"
+)
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+_BUILT = {}
+
+
+def _built(spec):
+    """``(graph, routing)`` of a scenario spec, built once per module."""
+    if spec not in _BUILT:
+        graph, result = parse_scenario(spec).build()
+        _BUILT[spec] = (graph, result.routing)
+    return _BUILT[spec]
+
+
+def _reference_kill_arcs(index):
+    """Killed arcs per fault node, by a per-(fault, source) loop.
+
+    Arcs are the fault-free route graph's ``(source, target)`` pairs in
+    source-then-target order; fault ``v`` kills, source by source in its
+    kill-mask order, every arc of the source's row whose target is in the
+    mask.
+    """
+    rows = index._base_rows
+    n = index._n
+    arcs = [(s, t) for s in range(n) for t in range(n) if rows[s] >> t & 1]
+    offsets = [0]
+    for row in rows:
+        offsets.append(offsets[-1] + row.bit_count())
+    table = {}
+    for v in range(n):
+        killed = []
+        for s, mask in index._kill_rows[v].items():
+            for a in range(offsets[s], offsets[s + 1]):
+                if mask >> arcs[a][1] & 1:
+                    killed.append(arcs[a])
+        if killed:
+            table[v] = killed
+    return arcs, table
+
+
+def _slot_arcs(kernel, slots):
+    """The ``(source, target)`` arcs of gather slots."""
+    ns = kernel.small.size
+    small_slots = kernel.dmax * ns
+    hub_starts = kernel.hub_starts.tolist()
+    out = []
+    for slot in slots:
+        if slot < small_slots:
+            source = int(kernel.small[slot % ns])
+        else:
+            position = bisect.bisect_right(hub_starts, slot - small_slots) - 1
+            source = int(kernel.hubs[position])
+        out.append((source, int(kernel.gather_tgt[slot])))
+    return out
+
+
+def _shortest_path_routing(graph, rng):
+    """A total single routing of BFS shortest paths (uni- or bidirectional)."""
+    routing = Routing(graph, bidirectional=rng.random() < 0.5)
+    nodes = graph.nodes()
+    for source in nodes:
+        for target in nodes:
+            if source != target and not routing.has_route(source, target):
+                path = shortest_path(graph, source, target)
+                if path is not None:
+                    routing.set_route(source, target, path)
+    return routing
+
+
+@st.composite
+def single_routings(draw):
+    n = draw(st.integers(min_value=2, max_value=70))
+    seed = draw(st.integers(min_value=0, max_value=10**6))
+    extra = draw(st.floats(min_value=0.0, max_value=0.5))
+    graph = generators.random_connected_graph(n, extra_edge_probability=extra, seed=seed)
+    return graph, _shortest_path_routing(graph, random.Random(seed))
+
+
+class TestKernelTables:
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(single_routings())
+    def test_kill_data_matches_the_per_source_loop(self, case):
+        graph, routing = case
+        index = RouteIndex(graph, routing, backend="numpy")
+        kernel = NumpyKernel(index)
+        arcs, reference = _reference_kill_arcs(index)
+        assert {
+            v: _slot_arcs(kernel, slots.tolist()) for v, slots in kernel.kill_slots.items()
+        } == reference
+        # The layout holds every arc once; the other slots are padding.
+        laid_out = _slot_arcs(
+            kernel,
+            [slot for slot, target in enumerate(kernel.gather_tgt) if target < index._n],
+        )
+        assert sorted(laid_out) == arcs
+
+
+class TestKernelMemory:
+    def test_kernel_keeps_numpy_ma_out_of_the_process(self):
+        code = (
+            "import sys\n"
+            "from repro.core import RouteIndex\n"
+            "from repro.scenarios import parse_scenario\n"
+            "graph, result = parse_scenario('hypercube:d=6/kernel').build()\n"
+            "index = RouteIndex(graph, result.routing, backend='numpy')\n"
+            "pool = index.node_pool\n"
+            "index.surviving_diameters([pool[i:i + 3] for i in range(40)], cap=3)\n"
+            "assert index._np_kernel is not None\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        done = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
+
+    def test_one_scratch_set_for_every_battery_width(self):
+        import numpy as np
+
+        def held_bytes(kernel):
+            """Bytes of the distinct buffers the kernel's attributes reach."""
+            seen, total = set(), 0
+            stack = list(vars(kernel).values())
+            while stack:
+                item = stack.pop()
+                if isinstance(item, np.ndarray):
+                    while isinstance(item.base, np.ndarray):
+                        item = item.base
+                    if id(item) not in seen:
+                        seen.add(id(item))
+                        total += item.nbytes
+                elif isinstance(item, dict):
+                    stack.extend(item.values())
+                elif isinstance(item, (list, tuple)):
+                    stack.extend(item)
+            return total
+
+        graph, routing = _built("hypercube:d=6/kernel")
+        index = RouteIndex(graph, routing, backend="numpy")
+        pool = index.node_pool
+        rng = random.Random(2)
+        index.surviving_diameters([rng.sample(pool, 2)])
+        kernel = index._np_kernel
+        held = held_bytes(kernel)
+        for width in range(1, 41):
+            index.surviving_diameters(
+                [rng.sample(pool, rng.randint(0, 8)) for _ in range(width)],
+                cap=rng.choice([None, 2, 3]),
+            )
+        for size in (2, 3, 5):
+            greedy_fault_set_from_index(index, size, candidate_limit=40, seed=size)
+        assert index._np_kernel is kernel
+        assert held_bytes(kernel) == held
+
+
+#: Routings whose random batteries mix shallow, deep and disconnecting lanes.
+MIXED = (
+    "cycle:n=30/kernel",
+    "circulant:n=40,offsets=1+2+3/kernel",
+    "hypercube:d=4/kernel",
+)
+
+
+def _expected(graph, routing, faults, cap):
+    """The oracle's diameter under the ``cap`` contract."""
+    value = surviving_diameter(graph, routing, faults)
+    return value if cap is None or value <= cap else INFINITY
+
+
+class TestMixedBatteries:
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        st.sampled_from(MIXED),
+        st.integers(min_value=0, max_value=10**6),
+        st.integers(min_value=1, max_value=40),
+        st.sampled_from([None, 1, 2, 3, 6]),
+    )
+    def test_battery_matches_bitset_and_oracle(self, spec, seed, width, cap):
+        graph, routing = _built(spec)
+        rng = random.Random(seed)
+        pool = sorted(graph.nodes(), key=repr)
+        battery = [rng.sample(pool, rng.randint(0, len(pool))) for _ in range(width)]
+        numpy_index = RouteIndex(graph, routing, backend="numpy")
+        bitset_index = RouteIndex(graph, routing, backend="bitset")
+        values = numpy_index.surviving_diameters(battery, cap=cap)
+        assert values == bitset_index.surviving_diameters(battery, cap=cap)
+        assert values == [_expected(graph, routing, faults, cap) for faults in battery]
+
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        st.sampled_from(MIXED),
+        st.integers(min_value=0, max_value=10**6),
+        st.sampled_from([None, 2, 3]),
+    )
+    def test_candidate_round_matches_bitset_and_oracle(self, spec, seed, cap):
+        """Lanes sharing a base set, as the greedy adversary's rounds do."""
+        graph, routing = _built(spec)
+        rng = random.Random(seed)
+        pool = sorted(graph.nodes(), key=repr)
+        base = rng.sample(pool, rng.randint(0, len(pool) // 3))
+        candidates = rng.sample(pool, rng.randint(1, len(pool)))
+        numpy_index = RouteIndex(graph, routing, backend="numpy")
+        bitset_index = RouteIndex(graph, routing, backend="bitset")
+        values = numpy_index.candidate_diameters(base, candidates, cap=cap)
+        assert values == bitset_index.candidate_diameters(base, candidates, cap=cap)
+        assert values == [
+            _expected(graph, routing, set(base) | {node}, cap) for node in candidates
+        ]
+
+    def test_deep_lanes_share_a_battery_with_shallow_and_cut_ones(self):
+        """Lanes 20+ levels deep, one-level lanes and disconnected lanes."""
+        graph, routing = _built("circulant:n=96,offsets=1+2+3/kernel")
+        pool = sorted(graph.nodes(), key=repr)
+        rng = random.Random(7)
+        battery = [rng.sample(pool, 10) for _ in range(200)]
+        battery += [[], [1, 2, 3, 93, 94, 95]]  # fault-free; node 0 cut off
+        numpy_index = RouteIndex(graph, routing)
+        assert numpy_index.eval_backend == "numpy"
+        bitset_index = RouteIndex(graph, routing, backend="bitset")
+        values = numpy_index.surviving_diameters(battery)
+        assert values == bitset_index.surviving_diameters(battery)
+        finite = [value for value in values if value != INFINITY]
+        assert max(finite) >= 20 and min(finite) <= 2
+        assert values[-1] == INFINITY
+        for cap in (3, 12):
+            assert numpy_index.surviving_diameters(
+                battery, cap=cap
+            ) == bitset_index.surviving_diameters(battery, cap=cap)

@@ -64,7 +64,7 @@ class TestParser:
         grid = parser.parse_args(["grid", "cycle:n=10/kernel"])
         assert (campaign.samples, grid.samples) == (100, 50)
         for args in (campaign, grid):
-            assert args.eval_backend == "bitset"
+            assert args.eval_backend is None  # the index's backend rule decides
             assert (args.seed, args.bound, args.workers) == (0, None, 1)
             assert (args.chunk_size, args.greedy, args.candidate_limit) == (
                 32,
