@@ -2,20 +2,21 @@
 
 Four claims are measured and enforced:
 
-1. **Shared slim-index payloads keep parallel suites correct (and cheap).**
-   The same grid suite is run with ``share_index=True`` (the parent
-   broadcasts each scenario's pre-built slim route index through the pool
-   initializer) and with ``share_index=False`` (every worker rebuilds every
-   scenario from its canonical string).  The rows must be byte-identical —
-   the payload is an optimisation, never a semantic change — and both wall
-   times are recorded so regressions in either path show up in the JSON.
+1. **Shared slim-index payloads keep parallel suites correct.**  The same
+   grid suite runs pooled (the parent broadcasts each scenario's slim route
+   index through the pool initializer) and in-process.  The rows must be
+   byte-identical — the pool is an optimisation, never a semantic change —
+   and both wall times are recorded so regressions in either path show up
+   in the JSON.
 
 2. **Supervised dispatch is free on the clean path.**  The same suite runs
    through the :class:`~repro.runtime.Supervisor` (timeouts, retry budgets,
-   dead-worker detection armed) and through the bare ``pool.imap`` baseline
-   (``supervised=False``).  Rows must be identical and the supervised best
-   time must stay within 5% of the baseline (or a small absolute delta on
-   quick runs, where timer noise exceeds 5%).
+   dead-worker detection armed) and through a bare
+   ``multiprocessing.Pool(...).imap`` over the suite's own worker function,
+   pool initializer, payload and task list (:class:`_BarePool`).  Rows must
+   be identical and the supervised best time must stay within 5% of the
+   baseline (or a small absolute delta on quick runs, where timer noise
+   exceeds 5%).
 
 3. **Resumed grid campaigns recompute nothing that was stored.**  A grid
    sweep is persisted to a JSONL result store, the store is truncated
@@ -45,6 +46,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import os
 import sys
 import tempfile
@@ -71,8 +73,8 @@ _DEFAULT_JSON = os.path.join(_REPO_ROOT, "BENCH_grid.json")
 def _grid_workload(quick: bool):
     """Return ``(grid_spec, samples, workers)`` for the payload gate.
 
-    Few, comparatively large scenarios: exactly the shape the shared
-    payload targets (per-worker rebuild cost dominates small batteries).
+    Few, comparatively large scenarios: the shape where the shared payload
+    matters (building a scenario costs more than its small batteries).
     """
     if quick:
         return ("circulant:n=40..48,offsets=1+2/kernel/sizes:2", 8, 2)
@@ -85,20 +87,17 @@ def _bench_shared_payload(quick: bool) -> dict:
 
     start = time.perf_counter()
     shared_rows = run_scenario_suite(
-        scenarios, samples=samples, seed=11, workers=workers, share_index=True
+        scenarios, samples=samples, seed=11, workers=workers
     )
     shared_seconds = time.perf_counter() - start
 
     start = time.perf_counter()
-    rebuild_rows = run_scenario_suite(
-        scenarios, samples=samples, seed=11, workers=workers, share_index=False
-    )
-    rebuild_seconds = time.perf_counter() - start
+    inprocess_rows = run_scenario_suite(scenarios, samples=samples, seed=11)
+    inprocess_seconds = time.perf_counter() - start
 
     identical = [row.as_row() for row in shared_rows] == [
-        row.as_row() for row in rebuild_rows
+        row.as_row() for row in inprocess_rows
     ]
-    speedup = rebuild_seconds / shared_seconds if shared_seconds else float("inf")
     print(
         format_table(
             [row.as_row() for row in shared_rows],
@@ -109,8 +108,8 @@ def _bench_shared_payload(quick: bool) -> dict:
         )
     )
     print(
-        f"\nshared payload {shared_seconds:.3f}s vs per-worker rebuild "
-        f"{rebuild_seconds:.3f}s -> {speedup:.2f}x "
+        f"\nshared payload {shared_seconds:.3f}s vs in-process "
+        f"{inprocess_seconds:.3f}s "
         f"(rows {'identical' if identical else 'DIVERGE'})"
     )
     return {
@@ -119,8 +118,7 @@ def _bench_shared_payload(quick: bool) -> dict:
         "samples": samples,
         "workers": workers,
         "shared_s": round(shared_seconds, 4),
-        "rebuild_s": round(rebuild_seconds, 4),
-        "speedup": round(speedup, 2),
+        "inprocess_s": round(inprocess_seconds, 4),
         "rows_identical": identical,
     }
 
@@ -132,36 +130,70 @@ def _overhead_workload(quick: bool):
     return ("circulant:n=96..104,offsets=1+2/kernel/sizes:2,4", 24, 4, 3)
 
 
+class _BarePool:
+    """The overhead gate's baseline in place of the suite's Supervisor.
+
+    It receives what the supervisor would — the suite's worker function,
+    pool initializer, payload and task list — and drains the tasks through
+    one bare ``multiprocessing.Pool(...).imap``: no window, deadlines,
+    liveness polling, retries or crash recovery.
+    """
+
+    def __init__(self, worker_fn, initializer=None, initargs=(), workers=1, **_):
+        self.worker_fn = worker_fn
+        self.initializer = initializer
+        self.initargs = initargs
+        self.workers = workers
+
+    def __enter__(self) -> "_BarePool":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        pass
+
+    def run(self, tasks):
+        with multiprocessing.Pool(
+            self.workers, initializer=self.initializer, initargs=self.initargs
+        ) as pool:
+            yield from zip(tasks, pool.imap(self.worker_fn, tasks))
+
+
 def _bench_supervisor_overhead(quick: bool) -> dict:
-    """Clean-path cost of supervised dispatch vs the bare ``pool.imap``.
+    """Clean-path cost of supervised dispatch vs a bare ``Pool.imap``.
 
     The supervisor's sliding window, deadlines and liveness polling must be
     invisible when nothing fails: the gate takes the best of ``repeats``
     runs each way (damping scheduler noise), requires identical rows, and
-    requires the supervised best within 5% of the unsupervised best — or
+    requires the supervised best within 5% of the bare-pool best — or
     within a small absolute delta, since quick-mode runs are short enough
-    for timer noise to exceed 5%.
+    for timer noise to exceed 5%.  Both runs go through
+    :func:`run_scenario_suite`; the baseline swaps :class:`_BarePool` in for
+    the suite's supervisor, so scenario builds and row folding are timed
+    alike.
     """
+    from repro.scenarios import suite as suite_module
+
     grid_spec, samples, workers, repeats = _overhead_workload(quick)
     scenarios = expand_grids([grid_spec])
 
-    def timed(supervised: bool):
+    def timed(runner):
         best = float("inf")
         rows = None
-        for _ in range(repeats):
-            start = time.perf_counter()
-            rows = run_scenario_suite(
-                scenarios,
-                samples=samples,
-                seed=11,
-                workers=workers,
-                supervised=supervised,
-            )
-            best = min(best, time.perf_counter() - start)
+        supervisor = suite_module.Supervisor
+        suite_module.Supervisor = runner
+        try:
+            for _ in range(repeats):
+                start = time.perf_counter()
+                rows = run_scenario_suite(
+                    scenarios, samples=samples, seed=11, workers=workers
+                )
+                best = min(best, time.perf_counter() - start)
+        finally:
+            suite_module.Supervisor = supervisor
         return best, rows
 
-    supervised_s, supervised_rows = timed(True)
-    plain_s, plain_rows = timed(False)
+    supervised_s, supervised_rows = timed(suite_module.Supervisor)
+    plain_s, plain_rows = timed(_BarePool)
     identical = [row.as_row() for row in supervised_rows] == [
         row.as_row() for row in plain_rows
     ]
@@ -180,7 +212,7 @@ def _bench_supervisor_overhead(quick: bool) -> dict:
         "workers": workers,
         "repeats": repeats,
         "supervised_s": round(supervised_s, 4),
-        "unsupervised_s": round(plain_s, 4),
+        "bare_pool_s": round(plain_s, 4),
         "overhead": round(overhead, 4),
         "rows_identical": identical,
         "within_gate": within_gate,
@@ -373,7 +405,7 @@ def run(quick: bool, json_path: str) -> int:
 
     failures = []
     if not payload["rows_identical"]:
-        failures.append("shared-payload rows diverge from per-worker rebuild rows")
+        failures.append("shared-payload rows diverge from in-process rows")
     if not overhead["rows_identical"]:
         failures.append("supervised rows diverge from bare-pool rows")
     if not overhead["within_gate"]:
@@ -398,8 +430,7 @@ def run(quick: bool, json_path: str) -> int:
             print(f"FAIL — {failure}")
         return 1
     print(
-        f"PASS — payload rows identical ({payload['speedup']:.2f}x), "
-        f"supervisor overhead {overhead['overhead']:+.1%}, resume "
+        f"PASS — payload rows identical, supervisor overhead {overhead['overhead']:+.1%}, resume "
         f"skipped {resume['full_tasks'] - resume['resumed_tasks']} of "
         f"{resume['full_tasks']} tasks with byte-identical store + report, "
         f"split strategy runs merged to the combined run's table"

@@ -851,6 +851,30 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
+    # The store options of the commands that persist rows (traffic, grid).
+    # One parser serves both: argparse shares a parent's actions with
+    # every child, which is safe here because no default differs.
+    store_options = argparse.ArgumentParser(add_help=False)
+    store_options.add_argument(
+        "--store",
+        default=None,
+        metavar="PATH",
+        help=(
+            "JSONL result store: one record per row (traffic: per spec; "
+            "grid: per campaign row, plus the run manifest)"
+        ),
+    )
+    store_options.add_argument(
+        "--fsync",
+        choices=FSYNC_POLICIES,
+        default=None,
+        help=(
+            "store durability policy: never (default), close (one fsync "
+            "at the end) or always (fsync per appended row); also via "
+            "REPRO_STORE_FSYNC"
+        ),
+    )
+
     # A parser per subcommand, not one shared parser: argparse shares a
     # parent's actions with every child, so per-child --samples defaults
     # would overwrite each other.
@@ -945,6 +969,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub_traffic = subparsers.add_parser(
         "traffic",
         help="drive traffic workloads over routings (throughput, latency, drops)",
+        parents=[store_options],
     )
     sub_traffic.add_argument(
         "spec",
@@ -1029,15 +1054,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="TICK:NODE",
         help="repair NODE at TICK (repeatable)",
     )
-    sub_traffic.add_argument(
-        "--store", default=None, help="persist one traffic row per spec (JSONL)"
-    )
-    sub_traffic.add_argument(
-        "--fsync",
-        choices=FSYNC_POLICIES,
-        default=None,
-        help="store fsync policy (default: never, or REPRO_STORE_FSYNC)",
-    )
     sub_traffic.set_defaults(handler=_cmd_traffic)
 
     sub_campaign = subparsers.add_parser(
@@ -1084,7 +1100,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--resume without recomputing finished rows."
         ),
         formatter_class=argparse.RawDescriptionHelpFormatter,
-        parents=[sweep_options(samples=50)],
+        parents=[sweep_options(samples=50), store_options],
     )
     sub_grid.add_argument(
         "spec",
@@ -1093,12 +1109,6 @@ def build_parser() -> argparse.ArgumentParser:
             "grid spec(s), e.g. hypercube:d=3..5/kernel|circular/t=1..2/"
             "sizes:1-3"
         ),
-    )
-    sub_grid.add_argument(
-        "--store",
-        default=None,
-        metavar="PATH",
-        help="JSONL result store (one record per campaign row + run manifest)",
     )
     sub_grid.add_argument(
         "--resume",
@@ -1141,16 +1151,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "fail fast on the first exhausted task instead of quarantining "
             "its campaign as a failed row"
-        ),
-    )
-    sub_grid.add_argument(
-        "--fsync",
-        choices=FSYNC_POLICIES,
-        default=None,
-        help=(
-            "store durability policy: never (default), close (one fsync "
-            "at the end) or always (fsync per appended row); also via "
-            "REPRO_STORE_FSYNC"
         ),
     )
     sub_grid.add_argument(

@@ -30,10 +30,10 @@ Two design rules enforce it:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import random as _random
-import weakref
 from typing import (
     Hashable,
     Iterable,
@@ -55,7 +55,7 @@ from repro.faults.simulation import (
     aggregate_outcomes,
 )
 from repro.graphs.graph import Graph
-from repro.runtime import Supervisor, SupervisorPolicy, chaos_point, shutdown_pool
+from repro.runtime import Supervisor, SupervisorPolicy, chaos_point
 
 Node = Hashable
 AnyRouting = Union[Routing, MultiRouting]
@@ -116,22 +116,42 @@ class _Shard:
         if isinstance(pool, Graph):
             pool = sorted(pool.nodes(), key=repr)
         if self.exhaustive_size is not None:
-            return tuple(
-                FaultSet(combo, description=f"exhaustive size {self.exhaustive_size}")
-                for combo in _combinations_slice(
-                    pool, self.exhaustive_size, self.start, self.count
-                )
+            return _battery_slice(
+                pool, self.exhaustive_size, self.start, self.count, exhaustive=True
             )
-        if self.fault_size > len(pool):
-            return ()
-        rng = _random.Random(self.seed)
+        return _battery_slice(pool, self.fault_size, self.start, self.count, self.seed)
+
+
+def _battery_slice(
+    pool: Sequence[Node],
+    fault_size: int,
+    start: int,
+    count: int,
+    seed: int = 0,
+    exhaustive: bool = False,
+) -> Tuple[FaultSet, ...]:
+    """Regenerate fault sets ``start .. start + count`` of a generative battery.
+
+    The one generator behind engine shards and suite tasks, so a battery
+    slice is the same wherever it is regenerated.  With ``exhaustive`` the
+    slice is that range of :func:`itertools.combinations` of ``fault_size``
+    over ``pool`` (described ``"exhaustive size k"``); otherwise it is
+    ``count`` uniform random sets of ``fault_size`` drawn from
+    ``random.Random(seed)``, described ``"random #i"`` by their global
+    sample index ``i`` (none when ``fault_size`` exceeds the pool).
+    """
+    if exhaustive:
         return tuple(
-            FaultSet(
-                rng.sample(pool, self.fault_size),
-                description=f"random #{self.start + offset}",
-            )
-            for offset in range(self.count)
+            FaultSet(combo, description=f"exhaustive size {fault_size}")
+            for combo in _combinations_slice(pool, fault_size, start, count)
         )
+    if fault_size > len(pool):
+        return ()
+    rng = _random.Random(seed)
+    return tuple(
+        FaultSet(rng.sample(pool, fault_size), description=f"random #{start + offset}")
+        for offset in range(count)
+    )
 
 
 def _combinations_slice(pool, size: int, start: int, count: int):
@@ -197,38 +217,33 @@ def _init_worker(index: RouteIndex) -> None:
     _WORKER_INDEX = index
 
 
-def _evaluate_shard(shard: _Shard) -> List[Outcome]:
-    index = _WORKER_INDEX
-    assert index is not None, "worker pool was not initialised"
+def _evaluate_shard(
+    task: Tuple[_Shard, Optional[float]], index: Optional[RouteIndex] = None
+) -> Tuple[Tuple[FaultSet, ...], List[float]]:
+    """Evaluate one ``(shard, cap)`` task on ``index`` (the worker's by default).
+
+    Returns the shard's fault sets and their values.  ``cap=None`` yields
+    exact surviving diameters.  With a cap, a value is the exact diameter
+    when it is at most the cap and ``inf`` otherwise, which is all either
+    capped consumer needs: the early-exit scan treats any value strictly
+    above the cap as a violation witness, and the streaming decision
+    campaign folds it into a failed row.
+    """
+    shard, cap = task
+    if index is None:
+        index = _WORKER_INDEX
+        assert index is not None, "worker pool was not initialised"
     chaos_point("task", f"shard:start={shard.start},size={shard.fault_size}")
     fault_sets = shard.materialise(index.node_pool)
     # One batched call per shard: the numpy backend evaluates the whole
     # battery slice in a handful of vectorised level advances, and the
     # bitset backend degrades to the same per-set loop as before.
-    return list(zip(fault_sets, index.surviving_diameters(fault_sets)))
+    return fault_sets, index.surviving_diameters(fault_sets, cap=cap)
 
 
-def _evaluate_shard_capped(task: Tuple[_Shard, float]) -> List[Outcome]:
-    """Evaluate one shard with an eccentricity cap (bounded decision path).
-
-    Outcomes report the exact diameter when it is at most the cap and
-    ``inf`` otherwise, which is all either consumer needs: the early-exit
-    scan treats any outcome strictly above the cap as a violation witness,
-    and the streaming decision campaign folds it into a failed row.
-    """
-    shard, bound = task
-    index = _WORKER_INDEX
-    assert index is not None, "worker pool was not initialised"
-    chaos_point("task", f"shard:start={shard.start},size={shard.fault_size}")
-    fault_sets = shard.materialise(index.node_pool)
-    return list(zip(fault_sets, index.surviving_diameters(fault_sets, cap=bound)))
-
-
-def _shutdown_pool(pool) -> None:
-    # Hardened teardown: terminate, join each worker with a deadline, and
-    # escalate to SIGKILL for workers that ignore SIGTERM (satellite of the
-    # supervision layer — an interrupted run never leaves zombie workers).
-    shutdown_pool(pool)
+#: Shard dispatch is fail-fast: aggregates cannot tolerate holes (see
+#: :class:`CampaignEngine`).
+_STRICT = SupervisorPolicy(strict=True)
 
 
 class CampaignEngine:
@@ -253,18 +268,14 @@ class CampaignEngine:
         index (ignored when a pre-built ``index`` is supplied — that index's
         backend wins).  The resolved name travels with the slim index to
         every worker and is stamped on every row.
-    policy:
-        Optional :class:`~repro.runtime.SupervisorPolicy` tuning the
-        supervised dispatch (task timeouts, retry budget, pool rebuilds).
-        The engine always runs its supervisor **strict**: a campaign
-        aggregate with missing outcomes would be silently wrong, so a shard
-        that exhausts its retry budget raises
-        :class:`~repro.runtime.TaskFailedError` rather than being
-        quarantined (the suite layer quarantines whole campaigns instead).
-    supervised:
-        ``False`` restores the bare ``pool.imap`` dispatch with no
-        timeouts, retries or crash recovery — the benchmark baseline for
-        the supervisor's overhead gate.
+
+    Every shard runs through one strict :class:`~repro.runtime.Supervisor`
+    that the engine keeps for its lifetime, in-process or pooled: a shard
+    that still fails after its retries raises
+    :class:`~repro.runtime.TaskFailedError`, chained to the shard's own
+    error, whatever the worker count.  A campaign aggregate with missing
+    outcomes would be silently wrong, so shards are never quarantined (the
+    suite layer quarantines whole campaigns instead).
     """
 
     def __init__(
@@ -275,8 +286,6 @@ class CampaignEngine:
         chunk_size: int = DEFAULT_CHUNK_SIZE,
         index: Optional[RouteIndex] = None,
         backend: Optional[str] = None,
-        policy: Optional[SupervisorPolicy] = None,
-        supervised: bool = True,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
@@ -292,14 +301,7 @@ class CampaignEngine:
         self.chunk_size = chunk_size
         self._index = index
         self._backend = backend
-        # Aggregates cannot tolerate holes: dispatch is always fail-fast at
-        # the shard level, whatever the caller's quarantine preference.
-        self._policy = dataclasses.replace(
-            policy if policy is not None else SupervisorPolicy(), strict=True
-        )
-        self.supervised = supervised
-        self._pool = None
-        self._pool_finalizer = None
+        self._runner: Optional[Supervisor] = None
 
     # ------------------------------------------------------------------
     # Index access
@@ -360,73 +362,41 @@ class CampaignEngine:
                     count=min(self.chunk_size, total - start),
                 )
 
-    def _ensure_pool(self):
-        """Create (once) and return the engine's worker pool.
+    def _outcomes(
+        self, shards: Iterable[_Shard], cap: Optional[float] = None
+    ) -> Iterator[Outcome]:
+        """Yield ``(fault_set, diameter)`` in battery order, capped at ``cap``.
 
-        The pool — and with it the slim form of the pre-built RouteIndex
-        shipped to every worker — persists for the engine's lifetime, so a
-        sweep over many fault sizes pays the pool start-up and the index
-        serialisation exactly once (and the index itself is built exactly
-        once, in the parent).  Shipping ``index.slim()`` keeps the payload to
-        the bitset rows, kill masks and node labels: the graph and routing
-        objects never cross the process boundary.
+        The engine's supervisor is built on first use and kept: with
+        ``workers > 1`` its pool — and with it the slim form of the index
+        (bitset rows, kill masks and node labels; the graph and routing
+        never cross the process boundary), built once in the parent and
+        shipped through the pool initializer — serves every campaign of a
+        sweep, so the sweep pays pool start-up and index shipping once.
         """
-        if self._pool is None:
-            import multiprocessing
-
-            self._pool = multiprocessing.Pool(
-                self.workers,
+        if self._runner is None:
+            index = self.index
+            self._runner = Supervisor(
+                _evaluate_shard,
                 initializer=_init_worker,
-                initargs=(self.index.slim(),),
+                initargs=(index.slim(),),
+                local_fn=functools.partial(_evaluate_shard, index=index),
+                policy=_STRICT,
+                workers=self.workers,
             )
-            self._pool_finalizer = weakref.finalize(
-                self, _shutdown_pool, self._pool
-            )
-        return self._pool
-
-    def _rebuild_pool(self):
-        """Tear down a broken/wedged pool and start a fresh one.
-
-        Called by the supervisor after a task timeout or a pool-machinery
-        failure; the fresh pool re-ships the slim index through its
-        initializer exactly like the first one did.
-        """
-        self.close()
-        return self._ensure_pool()
-
-    def _supervisor(self, worker_fn, local_fn) -> Supervisor:
-        return Supervisor(
-            worker_fn,
-            ensure_pool=self._ensure_pool,
-            rebuild_pool=self._rebuild_pool,
-            local_fn=local_fn,
-            policy=self._policy,
-            workers=self.workers,
-        )
-
-    def _local_shard(self, shard: _Shard) -> List[Outcome]:
-        """In-process equivalent of :func:`_evaluate_shard` (degraded mode)."""
-        index = self.index
-        fault_sets = shard.materialise(index.node_pool)
-        return list(zip(fault_sets, index.surviving_diameters(fault_sets)))
-
-    def _local_shard_capped(self, task: Tuple[_Shard, float]) -> List[Outcome]:
-        """In-process equivalent of :func:`_evaluate_shard_capped`."""
-        shard, bound = task
-        index = self.index
-        fault_sets = shard.materialise(index.node_pool)
-        return list(
-            zip(fault_sets, index.surviving_diameters(fault_sets, cap=bound))
-        )
+        for _task, (fault_sets, values) in self._runner.run(
+            (shard, cap) for shard in shards
+        ):
+            yield from zip(fault_sets, values)
 
     def close(self) -> None:
-        """Terminate the worker pool (no-op when none was started)."""
-        if self._pool is not None:
-            if self._pool_finalizer is not None:
-                self._pool_finalizer.detach()
-                self._pool_finalizer = None
-            _shutdown_pool(self._pool)
-            self._pool = None
+        """Terminate the worker pool (no-op when none was started).
+
+        The engine stays usable: its next pooled evaluation starts a fresh
+        pool.
+        """
+        if self._runner is not None:
+            self._runner.close()
 
     def __enter__(self) -> "CampaignEngine":
         return self
@@ -434,64 +404,12 @@ class CampaignEngine:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-    def _evaluate_shards(self, shards: Iterable[_Shard]) -> Iterator[Outcome]:
-        if self.workers == 1:
-            index = self.index
-            pool = index.node_pool
-            for shard in shards:
-                fault_sets = shard.materialise(pool)
-                yield from zip(fault_sets, index.surviving_diameters(fault_sets))
-            return
-        if not self.supervised:
-            for outcomes in self._ensure_pool().imap(_evaluate_shard, shards):
-                yield from outcomes
-            return
-        supervisor = self._supervisor(_evaluate_shard, self._local_shard)
-        # Strict policy: the supervisor raises instead of yielding
-        # FailedTask, so every result here is a real outcome list.
-        for _shard, outcomes in supervisor.run(shards):
-            yield from outcomes
-
-    def _evaluate_shards_capped(
-        self, shards: Iterable[_Shard], bound: float
-    ) -> Iterator[Outcome]:
-        """Yield ``(fault_set, capped_diameter)`` in battery order.
-
-        Every fault set is evaluated with an eccentricity cap of ``bound``:
-        the outcome is the exact diameter when it is at most the bound and
-        ``inf`` otherwise.  This is the streaming-decision path — cheaper
-        than exact evaluation because each source's BFS is abandoned the
-        moment it exceeds the cap and the first violating source
-        short-circuits its fault set's whole evaluation.
-        """
-        if self.workers == 1:
-            index = self.index
-            pool = index.node_pool
-            for shard in shards:
-                fault_sets = shard.materialise(pool)
-                yield from zip(
-                    fault_sets, index.surviving_diameters(fault_sets, cap=bound)
-                )
-            return
-        tasks = ((shard, bound) for shard in shards)
-        if not self.supervised:
-            for outcomes in self._ensure_pool().imap(
-                _evaluate_shard_capped, tasks
-            ):
-                yield from outcomes
-            return
-        supervisor = self._supervisor(
-            _evaluate_shard_capped, self._local_shard_capped
-        )
-        for _task, outcomes in supervisor.run(tasks):
-            yield from outcomes
-
     # ------------------------------------------------------------------
     # Public evaluation surface
     # ------------------------------------------------------------------
     def evaluate(self, fault_sets: Iterable[FaultSet]) -> Iterator[Outcome]:
         """Yield ``(fault_set, surviving_diameter)`` in battery order."""
-        return self._evaluate_shards(self._explicit_shards(fault_sets))
+        return self._outcomes(self._explicit_shards(fault_sets))
 
     def worst_case(self, fault_sets: Iterable[FaultSet]) -> Tuple[float, Optional[FaultSet], int]:
         """Return ``(worst_diameter, worst_fault_set, evaluated_count)``.
@@ -526,94 +444,27 @@ class CampaignEngine:
         including it.  When the bound holds, every set was evaluated and
         ``worst_diameter`` is the exact battery-wide maximum.
 
-        The parallel path submits shards through a sliding window (a few
-        shards per worker) and stops submitting on the first violation, so
-        an early exit leaves at most one window of in-flight shards behind
-        instead of the whole remaining enumeration.
+        Shards stream through the supervisor's sliding window (a few shards
+        per worker), so an early exit leaves at most one window of
+        in-flight shards behind instead of the whole remaining enumeration;
+        in-process, a violating shard costs at most one chunk of extra
+        evaluations, which whole-shard batching more than pays back.
         """
         worst = -1.0
         worst_set: Optional[FaultSet] = None
         evaluated = 0
-        if self.workers == 1:
-            index = self.index
-            pool = index.node_pool
-            for shard in shards:
-                fault_sets = shard.materialise(pool)
-                # Whole-shard batching mirrors the parallel path's shard
-                # granularity: a violating shard costs at most one chunk of
-                # extra evaluations, and the batched numpy path more than
-                # pays that back.
-                capped_values = index.surviving_diameters(fault_sets, cap=bound)
-                for fault_set, capped in zip(fault_sets, capped_values):
-                    evaluated += 1
-                    if capped > bound:
-                        return (
-                            index.surviving_diameter(fault_set),
-                            fault_set,
-                            evaluated,
-                            False,
-                        )
-                    if capped > worst:
-                        worst = capped
-                        worst_set = fault_set
-            return worst, worst_set, evaluated, True
-
-        if self.supervised:
-            # The supervisor's sliding window matches the legacy dispatch
-            # (workers * 4 shards in flight, results in submission order),
-            # so abandoning the generator on the first violation leaves at
-            # most one window of in-flight shards behind — exactly the old
-            # early-exit cost — while gaining timeouts and crash recovery.
-            supervisor = self._supervisor(
-                _evaluate_shard_capped, self._local_shard_capped
-            )
-            tasks = ((shard, bound) for shard in shards)
-            for _task, outcomes in supervisor.run(tasks):
-                for fault_set, capped in outcomes:
-                    evaluated += 1
-                    if capped > bound:
-                        return (
-                            self.index.surviving_diameter(fault_set),
-                            fault_set,
-                            evaluated,
-                            False,
-                        )
-                    if capped > worst:
-                        worst = capped
-                        worst_set = fault_set
-            return worst, worst_set, evaluated, True
-
-        import collections
-
-        pool = self._ensure_pool()
-        shard_iterator = iter(shards)
-        window = self.workers * 4
-        pending = collections.deque()
-
-        def refill() -> None:
-            while len(pending) < window:
-                shard = next(shard_iterator, None)
-                if shard is None:
-                    return
-                pending.append(
-                    pool.apply_async(_evaluate_shard_capped, ((shard, bound),))
+        for fault_set, capped in self._outcomes(shards, cap=bound):
+            evaluated += 1
+            if capped > bound:
+                return (
+                    self.index.surviving_diameter(fault_set),
+                    fault_set,
+                    evaluated,
+                    False,
                 )
-
-        refill()
-        while pending:
-            for fault_set, capped in pending.popleft().get():
-                evaluated += 1
-                if capped > bound:
-                    return (
-                        self.index.surviving_diameter(fault_set),
-                        fault_set,
-                        evaluated,
-                        False,
-                    )
-                if capped > worst:
-                    worst = capped
-                    worst_set = fault_set
-            refill()
+            if capped > worst:
+                worst = capped
+                worst_set = fault_set
         return worst, worst_set, evaluated, True
 
     def bounded_worst_case(
@@ -739,10 +590,10 @@ class CampaignEngine:
         strategy = self.index.preferred_strategy()
         if bound is not None:
             result: CampaignRow = aggregate_decisions(
-                fault_size, bound, self._evaluate_shards_capped(shards, bound)
+                fault_size, bound, self._outcomes(shards, cap=bound)
             )
         else:
-            result = aggregate_outcomes(fault_size, self._evaluate_shards(shards))
+            result = aggregate_outcomes(fault_size, self._outcomes(shards))
         result.bfs_strategy = strategy
         result.eval_backend = self.index.backend
         result.candidate_limit = candidate_limit if run_greedy else None

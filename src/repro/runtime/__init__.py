@@ -4,11 +4,13 @@
 knows nothing about graphs, routings or result schemas.  It provides the
 crash/recovery discipline both sweep drivers share:
 
-* :class:`Supervisor` / :class:`SupervisorPolicy` — task timeouts, bounded
-  retry with backoff, dead-worker detection with pool rebuild, poisoned
-  task quarantine, and in-process degradation;
-* :func:`shutdown_pool` — hardened pool teardown (terminate, join with a
-  deadline, escalate to kill) shared by the engine and the suite runner;
+* :class:`Supervisor` / :class:`SupervisorPolicy` — the one path that runs
+  shard tasks: it starts, rebuilds and closes its own worker pool from an
+  initializer and its arguments (or runs in-process with one worker), and
+  adds task timeouts, bounded retry with backoff, dead-worker detection
+  with pool rebuild, poisoned task quarantine, and in-process degradation;
+* :func:`shutdown_pool` — the supervisor's hardened pool teardown
+  (terminate, join with a deadline, escalate to kill);
 * :func:`chaos_point` — environment-triggered fault injection used by the
   chaos test-suite and CI to prove the recovery paths work.
 """

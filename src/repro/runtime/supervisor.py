@@ -1,21 +1,24 @@
-"""Supervised task dispatch over :mod:`multiprocessing` pools.
+"""Supervised task dispatch over an owned :mod:`multiprocessing` pool.
 
 The campaign engine and the scenario-suite runner both reduce to the same
 shape: a deterministic list of pure tasks drained through a process pool,
 results folded in task order.  Before this module a single worker segfault,
 OOM-kill or wedged scenario aborted (or hung) the entire sweep.
-:class:`Supervisor` wraps the dispatch with the crash/recovery discipline
-the distributed-systems literature catalogues for crash-stop executions —
-timeouts as failure detectors, bounded idempotent retry, quarantine for
-poisoned work:
+:class:`Supervisor` is the one code path that runs those tasks, and it wraps
+the dispatch with the crash/recovery discipline the distributed-systems
+literature catalogues for crash-stop executions — timeouts as failure
+detectors, bounded idempotent retry, quarantine for poisoned work:
 
 * **per-task wall-clock timeouts** — a task that exceeds
   :attr:`SupervisorPolicy.task_timeout` is declared lost, the pool (whose
   worker is wedged on it) is rebuilt, and the task is retried;
 * **bounded retry with exponential backoff** — a task that raises is
-  retried up to :attr:`SupervisorPolicy.max_retries` times.  Tasks are pure
-  functions of their descriptors (seeds travel *inside* the task), so a
-  retry recomputes byte-identical results — recovery never changes rows;
+  retried up to :attr:`SupervisorPolicy.max_retries` times, sleeping
+  :data:`BACKOFF_BASE` seconds before the first retry and
+  :data:`BACKOFF_FACTOR` times longer before each next one (at most
+  :data:`BACKOFF_MAX`).  Tasks are pure functions of their descriptors
+  (seeds travel *inside* the task), so a retry recomputes byte-identical
+  results — recovery never changes rows;
 * **dead-worker detection** — the supervisor snapshots the pool's worker
   pids and, while waiting, notices vanished workers (``SIGKILL``, OOM,
   segfault).  :class:`multiprocessing.pool.Pool` respawns the process but
@@ -24,23 +27,27 @@ poisoned work:
   and results are read from the newest submission only);
 * **poisoned-task quarantine** — a task that fails ``max_retries + 1``
   times is yielded as a :class:`FailedTask` instead of killing the sweep;
-  with :attr:`SupervisorPolicy.strict` the original fail-fast behaviour is
-  restored (:class:`TaskFailedError`);
+  with :attr:`SupervisorPolicy.strict` it raises :class:`TaskFailedError`
+  instead, chained to the task's last exception;
 * **graceful degradation** — when the pool breaks and cannot be rebuilt
-  (:attr:`SupervisorPolicy.max_pool_rebuilds` exceeded, or rebuilding
+  (more than :data:`MAX_POOL_REBUILDS` rebuilds in one run, or rebuilding
   itself fails), the remaining tasks run sequentially in-process.
 
 Results are yielded strictly in task-submission order through a sliding
-window of ``workers * window_per_worker`` in-flight tasks — exactly the
-order ``pool.imap`` would produce — so supervised and unsupervised runs are
-byte-identical on the clean path.
+window of ``workers * WINDOW_PER_WORKER`` in-flight tasks — exactly the
+order ``pool.imap`` would produce — so rows never depend on the worker
+count.
 
-The supervisor does **not** own pool construction: callers hand it
-``ensure_pool`` / ``rebuild_pool`` callbacks so engines keep their existing
-pool lifecycle (broadcast initializers, slim-index payloads, finalizers).
+The supervisor owns its pool.  It starts the pool lazily from
+``initializer`` / ``initargs`` (the read-only payload every worker needs,
+such as a slim route index), starts a fresh one after timeouts and broken
+pools, and tears it down on :meth:`Supervisor.close`, on leaving a ``with``
+block, or when the supervisor is garbage-collected.  With ``workers == 1``
+no pool exists and :mod:`multiprocessing` is never imported: tasks run
+in-process under the same retry and quarantine discipline.
 
-:func:`shutdown_pool` is the shared hardened teardown: ``terminate()``,
-then ``join()`` every worker with a deadline, escalating to ``kill()`` for
+:func:`shutdown_pool` is the hardened teardown: ``terminate()``, then
+``join()`` every worker with a deadline, escalating to ``kill()`` for
 processes that ignore ``SIGTERM`` — interrupted runs never leave zombie
 workers behind.
 """
@@ -50,6 +57,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 import time
+import weakref
 from typing import Callable, Deque, Dict, Iterable, Iterator, Optional, Set, Tuple
 
 from repro.exceptions import ReproError
@@ -61,6 +69,19 @@ __all__ = [
     "TaskFailedError",
     "shutdown_pool",
 ]
+
+#: Sleep before the first retry of a task, in seconds.
+BACKOFF_BASE = 0.05
+#: Growth of the sleep from one retry of a task to the next.
+BACKOFF_FACTOR = 2.0
+#: Upper bound of any single retry sleep, in seconds.
+BACKOFF_MAX = 2.0
+#: Pool rebuilds one run may spend before degrading to in-process execution.
+MAX_POOL_REBUILDS = 3
+#: Seconds between liveness checks while waiting on the oldest task.
+POLL_INTERVAL = 0.05
+#: In-flight tasks per worker in the submission window.
+WINDOW_PER_WORKER = 4
 
 
 class TaskFailedError(ReproError):
@@ -79,33 +100,19 @@ class SupervisorPolicy:
     """Tunables of one supervised run (immutable, safe to share).
 
     ``task_timeout`` is a wall-clock failure detector: ``None`` disables it
-    (the historical behaviour — a wedged worker hangs the sweep).  A timed
-    out or crashed task costs one attempt; after ``max_retries + 1``
-    attempts it is quarantined (``strict=False``) or raised
-    (``strict=True``).  ``max_pool_rebuilds`` bounds how often a broken
-    pool is rebuilt before degrading to in-process execution
-    (``fallback_inprocess``); with the fallback disabled an unrebuildable
-    pool raises instead.
+    (a wedged worker then hangs the sweep).  A timed out or crashed task
+    costs one attempt; after ``max_retries + 1`` attempts it is quarantined
+    (``strict=False``) or raised (``strict=True``).
     """
 
     task_timeout: Optional[float] = None
     max_retries: int = 2
-    backoff_base: float = 0.05
-    backoff_factor: float = 2.0
-    backoff_max: float = 2.0
     strict: bool = False
-    max_pool_rebuilds: int = 3
-    fallback_inprocess: bool = True
-    poll_interval: float = 0.05
-    window_per_worker: int = 4
-    shutdown_grace: float = 5.0
 
-    def backoff(self, attempts: int) -> float:
-        """Return the sleep before retry number ``attempts`` (bounded)."""
-        return min(
-            self.backoff_max,
-            self.backoff_base * self.backoff_factor ** max(0, attempts - 1),
-        )
+
+def _backoff(attempts: int) -> float:
+    """Return the sleep before retry number ``attempts`` (bounded)."""
+    return min(BACKOFF_MAX, BACKOFF_BASE * BACKOFF_FACTOR ** max(0, attempts - 1))
 
 
 @dataclasses.dataclass
@@ -190,46 +197,47 @@ def shutdown_pool(pool, grace: float = 5.0) -> None:
 
 
 class Supervisor:
-    """Drain pure tasks through a pool with timeouts, retries and rebuilds.
+    """Drain pure tasks through an owned pool with timeouts, retries, rebuilds.
 
     Parameters
     ----------
     worker_fn:
         Module-level function executed in the workers (must be picklable).
-    ensure_pool:
-        Callback returning the (lazily created) pool.  ``None`` — or
-        ``workers <= 1`` — selects the in-process path, which still applies
-        retry and quarantine (but no timeouts: a synchronous call cannot be
-        abandoned).
-    rebuild_pool:
-        Callback tearing the current pool down and returning a fresh one;
-        used after timeouts and pool-machinery failures.
+    initializer, initargs:
+        Run once in every worker process the supervisor starts, including
+        the workers of a rebuilt pool: the broadcast of read-only state
+        (a slim route index, a dict of them) that ``worker_fn`` reads.
     local_fn:
-        In-process equivalent of ``worker_fn`` for sequential execution and
-        degraded mode (defaults to ``worker_fn`` itself).
+        In-process equivalent of ``worker_fn``, used when ``workers == 1``
+        and in degraded mode (defaults to ``worker_fn`` itself).  The
+        in-process path applies retry and quarantine but no timeouts: a
+        synchronous call cannot be abandoned.
     policy:
         The :class:`SupervisorPolicy`; defaults to quarantine semantics.
     workers:
-        Worker count of the pool (sizes the sliding window).
+        Pool size; ``1`` runs every task in-process and never starts a pool.
 
     :meth:`run` yields ``(task, result)`` pairs in task order, where
-    ``result`` is the worker's return value or a :class:`FailedTask`.
-    ``stats`` counts retries, timeouts, worker deaths, rebuilds,
-    quarantines and degradation for callers that surface them.
+    ``result`` is the task's return value or a :class:`FailedTask`.  The
+    pool outlives a run, so a caller running many batches pays pool
+    start-up and payload shipping once; :meth:`close` (or leaving a
+    ``with`` block) tears it down, and a closed supervisor starts a fresh
+    pool on its next run.  ``stats`` counts tasks, retries, timeouts,
+    worker deaths, rebuilds, quarantines and degradation across runs.
     """
 
     def __init__(
         self,
         worker_fn: Callable,
-        ensure_pool: Optional[Callable[[], object]] = None,
-        rebuild_pool: Optional[Callable[[], object]] = None,
+        initializer: Optional[Callable] = None,
+        initargs: Tuple = (),
         local_fn: Optional[Callable] = None,
         policy: Optional[SupervisorPolicy] = None,
         workers: int = 1,
     ) -> None:
         self.worker_fn = worker_fn
-        self.ensure_pool = ensure_pool
-        self.rebuild_pool = rebuild_pool
+        self.initializer = initializer
+        self.initargs = tuple(initargs)
         self.local_fn = local_fn if local_fn is not None else worker_fn
         self.policy = policy if policy is not None else SupervisorPolicy()
         self.workers = workers
@@ -242,6 +250,39 @@ class Supervisor:
             "quarantined": 0,
             "degraded": 0,
         }
+        self._pool = None
+        self._finalizer: Optional[weakref.finalize] = None
+
+    # ------------------------------------------------------------------
+    # Pool lifecycle
+    # ------------------------------------------------------------------
+    def _ensure_pool(self):
+        """Start (once) and return the worker pool."""
+        if self._pool is None:
+            import multiprocessing
+
+            self._pool = multiprocessing.Pool(
+                self.workers, initializer=self.initializer, initargs=self.initargs
+            )
+            # The finalizer holds the pool, not the supervisor, so the
+            # workers of a supervisor that is dropped unclosed are still
+            # reaped when it is collected.
+            self._finalizer = weakref.finalize(self, shutdown_pool, self._pool)
+        return self._pool
+
+    def close(self) -> None:
+        """Tear the worker pool down (no-op when none is running)."""
+        finalizer = self._finalizer
+        self._pool = None
+        self._finalizer = None
+        if finalizer is not None:
+            finalizer()
+
+    def __enter__(self) -> "Supervisor":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # Shared failure plumbing
@@ -272,15 +313,10 @@ class Supervisor:
                         task, attempts, f"{type(exc).__name__}: {exc}", exc
                     )
                 self.stats["retries"] += 1
-                time.sleep(self.policy.backoff(attempts))
+                time.sleep(_backoff(attempts))
 
     def _drain_local(self, iterator: Iterator, pending: Iterable[_Entry]):
         """Degraded mode: finish every remaining task in-process."""
-        if not self.policy.fallback_inprocess:
-            raise TaskFailedError(
-                "worker pool could not be rebuilt and in-process fallback "
-                "is disabled"
-            )
         self.stats["degraded"] = 1
         for entry in pending:
             if entry.failed is not None:
@@ -302,7 +338,7 @@ class Supervisor:
 
     def run(self, tasks: Iterable) -> Iterator[Tuple[object, object]]:
         """Yield ``(task, result_or_FailedTask)`` in task-submission order."""
-        if self.workers <= 1 or self.ensure_pool is None:
+        if self.workers <= 1:
             for task in tasks:
                 self.stats["tasks"] += 1
                 yield task, self._run_local(task)
@@ -314,16 +350,15 @@ class Supervisor:
 
         policy = self.policy
         try:
-            pool = self.ensure_pool()
+            pool = self._ensure_pool()
         except Exception:
-            pool = None
-        if pool is None:
             yield from self._drain_local(iterator, ())
             return
 
-        window = max(1, self.workers * policy.window_per_worker)
+        window = max(1, self.workers * WINDOW_PER_WORKER)
         pending: Deque[_Entry] = collections.deque()
         pids = self._worker_pids(pool)
+        rebuilds = 0
 
         def submit(entry: _Entry) -> None:
             entry.result = pool.apply_async(self.worker_fn, (entry.task,))
@@ -355,23 +390,21 @@ class Supervisor:
                     submit(entry)
 
         def rebuild() -> bool:
-            """Tear down and rebuild the pool; False means degrade."""
-            nonlocal pool, pids
+            """Replace the pool with a fresh one; False means degrade."""
+            nonlocal pool, pids, rebuilds
             self.stats["rebuilds"] += 1
-            if (
-                self.rebuild_pool is None
-                or self.stats["rebuilds"] > policy.max_pool_rebuilds
-            ):
-                pool = None
+            rebuilds += 1
+            self.close()
+            if rebuilds > MAX_POOL_REBUILDS:
                 return False
             try:
-                pool = self.rebuild_pool()
+                pool = self._ensure_pool()
                 pids = self._worker_pids(pool)
                 # The old pool lost both its executing tasks and the queued
                 # backlog: everything unfinished goes back out.
                 resubmit_in_flight()
             except Exception:
-                pool = None
+                self.close()
                 return False
             return True
 
@@ -394,7 +427,7 @@ class Supervisor:
                         return
                 continue
             try:
-                value = head.result.get(policy.poll_interval)
+                value = head.result.get(POLL_INTERVAL)
             except multiprocessing.TimeoutError:
                 if (
                     head.deadline is not None
@@ -468,7 +501,7 @@ class Supervisor:
                     )
                     continue
                 self.stats["retries"] += 1
-                time.sleep(policy.backoff(head.attempts))
+                time.sleep(_backoff(head.attempts))
                 try:
                     submit(head)
                 except (ValueError,) + _POOL_ERRORS:

@@ -21,13 +21,12 @@ count and any ``PYTHONHASHSEED``:
 2. workers regenerate their battery slice locally from per-shard SHA-256
    seeds; the parent builds each scenario exactly once and broadcasts the
    slim route indexes through the pool initializer (one payload per worker
-   process, as the engine's pools do).  With ``share_index=False`` workers
-   instead rebuild graph, routing and index from the canonical scenario
-   string alone (the construction pipeline is bit-for-bit deterministic);
-3. every worker reports the fingerprint of the routing it used, and the
-   parent verifies it against its own construction — under
-   ``share_index=False`` this is a genuine cross-process determinism check
-   that fails loudly instead of silently skewing rows.
+   process, as the engine's pools do), and in-process tasks read the same
+   slim indexes — no process ever rebuilds a scenario;
+3. every task, in-process or pooled, runs through one
+   :class:`~repro.runtime.Supervisor`, whose retries recompute
+   byte-identical outcomes, so recovery from a failed task or a dead
+   worker never changes a row.
 
 With ``bound`` given the suite runs *bounded-decision* campaigns: fault sets
 are evaluated with an eccentricity cap (``surviving_diameter_at_most``
@@ -49,10 +48,9 @@ import random as _random
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.builder import build_routing
-from repro.core.construction import ConstructionResult
 from repro.core.route_index import RouteIndex
 from repro.exceptions import ReproError
-from repro.faults.engine import DEFAULT_CHUNK_SIZE, _combinations_slice, shard_seed
+from repro.faults.engine import DEFAULT_CHUNK_SIZE, _battery_slice, shard_seed
 from repro.faults.models import FaultSet
 from repro.faults.simulation import (
     CampaignResult,
@@ -61,13 +59,7 @@ from repro.faults.simulation import (
     aggregate_decisions,
     aggregate_outcomes,
 )
-from repro.runtime import (
-    FailedTask,
-    Supervisor,
-    SupervisorPolicy,
-    chaos_point,
-    shutdown_pool,
-)
+from repro.runtime import FailedTask, Supervisor, SupervisorPolicy, chaos_point
 from repro.scenarios.spec import Scenario, as_scenarios
 
 CampaignRow = Union[CampaignResult, DecisionCampaignResult, CampaignStatus]
@@ -88,8 +80,8 @@ class _SuiteTask:
     search, with ``candidate_limit`` candidates per round).
 
     ``backend`` carries the evaluation backend the suite was asked for
-    (``None``: the backend rule); workers rebuilding a scenario construct
-    their index with it, and so resolve it as the parent did.
+    (``None``: the backend rule); with ``spec`` it forms the key of the
+    task's slim index (see :func:`_workload_key`).
     """
 
     spec: str
@@ -106,15 +98,8 @@ class _SuiteTask:
 
     def materialise(self, pool: Sequence) -> Tuple[FaultSet, ...]:
         """Regenerate this task's fault sets from the canonical node pool."""
-        if self.mode == "exhaustive":
-            return tuple(
-                FaultSet(combo, description=f"exhaustive size {self.fault_size}")
-                for combo in _combinations_slice(
-                    pool, self.fault_size, self.start, self.count
-                )
-            )
-        rng = _random.Random(self.seed)
         if self.mode == "random-p":
+            rng = _random.Random(self.seed)
             sets = []
             for offset in range(self.count):
                 failed = [node for node in pool if rng.random() < self.p]
@@ -124,14 +109,13 @@ class _SuiteTask:
                     )
                 )
             return tuple(sets)
-        if self.fault_size > len(pool):
-            return ()
-        return tuple(
-            FaultSet(
-                rng.sample(pool, self.fault_size),
-                description=f"random #{self.start + offset}",
-            )
-            for offset in range(self.count)
+        return _battery_slice(
+            pool,
+            self.fault_size,
+            self.start,
+            self.count,
+            self.seed,
+            exhaustive=self.mode == "exhaustive",
         )
 
 
@@ -202,82 +186,33 @@ class ScenarioRow:
 
 
 # ----------------------------------------------------------------------
-# Worker-side scenario cache
+# Workloads: the parent's slim indexes
 # ----------------------------------------------------------------------
-# Workers rebuild each scenario exactly once per process: the canonical
-# string is the cache key, the deterministic construction pipeline is the
-# loader.  Holding (index, fingerprint) per spec keeps repeated shards of
-# the same scenario cheap.  The cache is bounded (FIFO) so long-lived
-# processes running many suites do not accumulate every graph and index
-# ever built, and it is cleared in each pool worker at start-up — under the
-# ``fork`` start method workers would otherwise inherit the parent's
-# entries, which would make the cross-process fingerprint verification
-# vacuous (the worker must genuinely rebuild from the canonical string).
-_SCENARIO_CACHE: Dict[str, Tuple[RouteIndex, str]] = {}
-_SCENARIO_CACHE_LIMIT = 8
+# The parent builds each scenario once and keeps the slim form of its route
+# index (bitset rows, kill masks and node labels; no graph or routing — see
+# :meth:`RouteIndex.slim`) in one dict keyed by :func:`_workload_key`.  That
+# dict is the pool initializer's payload, and the parent installs it for
+# its own in-process tasks too, so every task reads its index the same way.
+_WORKLOADS: Dict[str, RouteIndex] = {}
 
 
-def _reset_worker_cache() -> None:
-    """Pool initializer: force workers to rebuild scenarios from scratch."""
-    _SCENARIO_CACHE.clear()
-
-
-def _init_suite_worker(payload: Optional[Dict[str, Tuple[RouteIndex, str]]]) -> None:
-    """Pool initializer: seed each worker with the parent's slim indexes.
-
-    ``payload`` maps canonical scenario strings to ``(RouteIndex.slim(),
-    fingerprint)`` pairs built once in the parent — the same broadcast
-    :class:`~repro.faults.engine.CampaignEngine` pools use — so workers
-    skip the per-process scenario rebuild entirely.  With ``payload=None``
-    (``share_index=False``) workers fall back to rebuilding every scenario
-    from its canonical string, which is what makes the parent's fingerprint
-    verification a genuine cross-process determinism check.
-    """
-    _reset_worker_cache()
-    if payload:
-        # Insert directly (no FIFO eviction): the payload is the complete,
-        # read-only working set for this suite run.
-        _SCENARIO_CACHE.update(payload)
-
-
-def _cache_workload(key: str, value: Tuple[RouteIndex, str]) -> None:
-    if key not in _SCENARIO_CACHE and len(_SCENARIO_CACHE) >= _SCENARIO_CACHE_LIMIT:
-        _SCENARIO_CACHE.pop(next(iter(_SCENARIO_CACHE)))
-    _SCENARIO_CACHE[key] = value
+def _init_suite_worker(workloads: Dict[str, RouteIndex]) -> None:
+    """Install the suite's slim indexes for :func:`_eval_suite_task`."""
+    global _WORKLOADS
+    _WORKLOADS = workloads
 
 
 def _workload_key(spec: str, backend: Optional[str]) -> str:
-    """Cache key of one (scenario, eval backend) workload.
-
-    The backend is part of the key so a parent-broadcast slim index is never
-    conflated with a worker-side rebuild on a different backend.
-    """
+    """Key of one (scenario, eval backend) workload in the suite's dict."""
     return f"{spec}\x00{backend}"
 
 
-def _scenario_workload(
-    spec: str, backend: Optional[str] = None
-) -> Tuple[RouteIndex, str]:
-    key = _workload_key(spec, backend)
-    cached = _SCENARIO_CACHE.get(key)
-    if cached is None:
-        from repro.scenarios.spec import parse_scenario
-
-        graph, result = parse_scenario(spec).build()
-        cached = (
-            RouteIndex(graph, result.routing, backend=backend),
-            result.fingerprint(),
-        )
-        _cache_workload(key, cached)
-    return cached
-
-
-def _eval_suite_task(task: _SuiteTask):
-    """Evaluate one shard; returns (campaign_key, fingerprint, outcomes)."""
+def _eval_suite_task(task: _SuiteTask) -> List[Tuple[FaultSet, float]]:
+    """Evaluate one shard task; return its ``(fault_set, value)`` outcomes."""
     chaos_point(
         "task", f"{task.spec}#{task.campaign_key[1]}:start={task.start}"
     )
-    index, fingerprint = _scenario_workload(task.spec, task.backend)
+    index = _WORKLOADS[_workload_key(task.spec, task.backend)]
     if task.mode == "greedy":
         from repro.faults.adversary import greedy_fault_set_from_index
 
@@ -291,11 +226,7 @@ def _eval_suite_task(task: _SuiteTask):
         )
     else:
         fault_sets = task.materialise(index.node_pool)
-    if task.bound is not None:
-        values = index.surviving_diameters(fault_sets, cap=task.bound)
-    else:
-        values = index.surviving_diameters(fault_sets)
-    return task.campaign_key, fingerprint, list(zip(fault_sets, values))
+    return list(zip(fault_sets, index.surviving_diameters(fault_sets, cap=task.bound)))
 
 
 # ----------------------------------------------------------------------
@@ -341,8 +272,8 @@ def _expand_tasks(
 ) -> Tuple[List[_SuiteTask], List[Tuple[Tuple[int, int], int]]]:
     """Flatten the suite into shard tasks plus per-campaign metadata.
 
-    ``backend`` is stamped onto every task, so workers build their
-    indexes with the backend the parent was asked for.
+    ``backend`` is stamped onto every task, where it keys the task's slim
+    index with the canonical scenario string.
 
     With ``greedy`` set, every ``random`` (sizes-model) campaign of
     positive fault size gains one trailing ``"greedy"`` task: a single
@@ -509,12 +440,10 @@ def run_scenario_suite(
     workers: int = 1,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     store=None,
-    share_index: bool = True,
     skip_inapplicable: Union[bool, Iterable[Union[str, int]]] = False,
     skipped: Optional[List[Tuple[Scenario, str]]] = None,
     backend: Optional[str] = None,
     policy: Optional[SupervisorPolicy] = None,
-    supervised: bool = True,
     greedy: bool = False,
     candidate_limit: int = 40,
 ) -> List[ScenarioRow]:
@@ -536,7 +465,9 @@ def run_scenario_suite(
     workers:
         Worker processes.  ``1`` evaluates in-process; larger values drain
         the flattened task list — all scenarios, all batteries — through one
-        pool, so cross-scenario parallelism comes for free.
+        pool, so cross-scenario parallelism comes for free.  Either way the
+        parent builds each scenario once, and the pool's workers receive
+        the slim route indexes through the pool initializer.
     chunk_size:
         Fault sets per shard (also the streaming granularity).
     store:
@@ -547,14 +478,6 @@ def run_scenario_suite(
         are rehydrated from the stored records, scenarios with no work left
         are not even rebuilt, and the returned row list is identical to an
         uninterrupted run's.
-    share_index:
-        Ship each built scenario's slim route index to the worker pool
-        through the initializer (one payload per worker process, as
-        :class:`~repro.faults.engine.CampaignEngine` pools do) instead of
-        letting every worker rebuild every scenario.  Set to ``False`` to
-        restore the rebuild-and-verify behaviour, which turns the parent's
-        fingerprint comparison into a genuine cross-process determinism
-        check.
     skip_inapplicable:
         Drop scenarios whose construction does not apply to their graph
         (e.g. ``circular`` on a hypercube too small for its neighbourhood
@@ -576,9 +499,8 @@ def run_scenario_suite(
     backend:
         ``"bitset"``, ``"numpy"`` or ``None`` (the default: the backend
         rule of :class:`~repro.core.route_index.RouteIndex` decides per
-        scenario).  Stamped onto every shard task, so workers resolve it as
-        the parent did; every row's ``backend`` column records the backend
-        its scenario's index resolved to.
+        scenario).  Every row's ``backend`` column records the backend its
+        scenario's index resolved to.
     skipped:
         Optional list the suite appends ``(scenario, reason)`` pairs to for
         every scenario dropped under ``skip_inapplicable`` (in suite
@@ -590,19 +512,15 @@ def run_scenario_suite(
         resumed run re-drops from the stored rows without rebuilding the
         scenario.
     policy:
-        Optional :class:`~repro.runtime.SupervisorPolicy` tuning the
-        supervised dispatch: per-task wall-clock timeouts, bounded retry
-        with backoff, dead-worker pool rebuilds and in-process degradation.
-        Tasks are pure functions of their descriptors (seeds travel inside
-        them), so retries recompute byte-identical outcomes — a recovered
-        run's store equals an undisturbed run's.  A campaign whose task
-        exhausts the retry budget is **quarantined**: recorded as a
+        Optional :class:`~repro.runtime.SupervisorPolicy` of the
+        :class:`~repro.runtime.Supervisor` every task runs under: per-task
+        wall-clock timeout, retry budget and ``strict``.  Tasks are pure
+        functions of their descriptors (seeds travel inside them), so
+        retries recompute byte-identical outcomes — a recovered run's store
+        equals an undisturbed run's.  A campaign whose task exhausts the
+        retry budget is **quarantined**: recorded as a
         ``disposition="failed"`` status row (and returned as such) instead
         of aborting the sweep.  ``policy.strict`` restores fail-fast.
-    supervised:
-        ``False`` restores the bare ``pool.imap`` dispatch with no
-        timeouts, retries or recovery — the benchmark baseline for the
-        supervisor's clean-path overhead gate.
     greedy, candidate_limit:
         With ``greedy`` set, every sizes-model campaign of positive fault
         size additionally evaluates one adversarially-grown fault set of
@@ -618,10 +536,8 @@ def run_scenario_suite(
     Raises
     ------
     RuntimeError
-        If a worker's routing fingerprint disagrees with the parent's (with
-        ``share_index=False``: the construction pipeline went
-        nondeterministic), or if a resumed store's rows were recorded
-        against a different routing than the one this run builds.
+        If a resumed store's rows were recorded against a different routing
+        than the one this run builds.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
@@ -654,13 +570,12 @@ def run_scenario_suite(
                 else:
                     completed.add((scenario_index, plan_index))
 
-    # Parent-side builds: row metadata + the reference fingerprints worker
-    # results are verified against.  Scenarios whose campaigns are all
+    # Parent-side builds: each scenario is built once, into its row
+    # metadata and its slim index.  Scenarios whose campaigns are all
     # already stored are skipped outright — resuming a finished scenario
-    # costs no construction at all.  The sequential path shares the
-    # worker-side cache, so each scenario is built exactly once in-process;
-    # only the *slim* index (when a sharing pool will need it) outlives the
-    # loop, so the suite never holds every full index at once.
+    # costs no construction at all.  Only the row metadata and the *slim*
+    # index outlive the loop: no graph, routing or full index is held for
+    # the whole run.
     if isinstance(skip_inapplicable, bool):
         may_skip = (
             set(range(len(scenario_list))) if skip_inapplicable else set()
@@ -668,11 +583,10 @@ def run_scenario_suite(
     else:
         may_skip = set(skip_inapplicable)
 
-    built: Dict[int, Tuple[Scenario, ConstructionResult, int, int, str, str]] = {}
+    # built[i] = (row metadata without a campaign, BFS strategy, backend)
+    built: Dict[int, Tuple[ScenarioRow, str, str]] = {}
+    workloads: Dict[str, RouteIndex] = {}
     dropped: Dict[int, str] = {}
-    payload: Optional[Dict[str, Tuple[RouteIndex, str]]] = (
-        {} if workers > 1 and share_index else None
-    )
 
     def _record_inapplicable(
         scenario_index: int,
@@ -760,15 +674,17 @@ def run_scenario_suite(
             )
             continue
         index = RouteIndex(graph, result.routing, backend=backend)
-        key = _workload_key(scenario.canonical(), backend)
-        _cache_workload(key, (index, result.fingerprint()))
-        if payload is not None:
-            payload[key] = (index.slim(), result.fingerprint())
+        workloads[_workload_key(scenario.canonical(), backend)] = index.slim()
         built[scenario_index] = (
-            scenario,
-            result,
-            graph.number_of_nodes(),
-            graph.number_of_edges(),
+            ScenarioRow(
+                scenario=scenario.canonical(),
+                scheme=result.scheme,
+                nodes=graph.number_of_nodes(),
+                edges=graph.number_of_edges(),
+                t=result.t,
+                fingerprint=result.fingerprint(),
+                campaign=None,
+            ),
             index.preferred_strategy(),
             index.backend,
         )
@@ -780,7 +696,7 @@ def run_scenario_suite(
             if scenario_index not in built:
                 continue
             stored = store.get(keys[scenario_index][plan_index])
-            reference = built[scenario_index][1].fingerprint()
+            reference = built[scenario_index][0].fingerprint
             if stored.get("fingerprint") != reference:
                 raise RuntimeError(
                     f"stored row {keys[scenario_index][plan_index]!r} was "
@@ -795,7 +711,7 @@ def run_scenario_suite(
     node_counts: List[Optional[int]] = []
     for scenario_index in range(len(scenario_list)):
         if scenario_index in built:
-            node_counts.append(built[scenario_index][2])
+            node_counts.append(built[scenario_index][0].nodes)
         elif (
             scenario_index not in dropped
             and store is not None
@@ -829,9 +745,7 @@ def run_scenario_suite(
     failed_reasons: Dict[Tuple[int, int], str] = {}
 
     def _finalise(campaign_key: Tuple[int, int], outcomes: List) -> None:
-        scenario, result, nodes, edges, strategy, resolved = built[
-            campaign_key[0]
-        ]
+        metadata, strategy, resolved = built[campaign_key[0]]
         # A quarantined campaign is checked first: its collected outcomes
         # (if any shards did finish) are partial and must not feed an
         # aggregate.  The row still carries the real construction metadata
@@ -857,88 +771,46 @@ def run_scenario_suite(
             campaign.eval_backend = resolved
             if (
                 greedy
-                and scenario.faults.kind == "sizes"
+                and scenario_list[campaign_key[0]].faults.kind == "sizes"
                 and fault_sizes[campaign_key] > 0
             ):
                 campaign.candidate_limit = candidate_limit
-        row = ScenarioRow(
-            scenario=scenario.canonical(),
-            scheme=result.scheme,
-            nodes=nodes,
-            edges=edges,
-            t=result.t,
-            fingerprint=result.fingerprint(),
-            campaign=campaign,
-        )
+        row = dataclasses.replace(metadata, campaign=campaign)
         computed[campaign_key] = row
         if store is not None:
             store.append(keys[campaign_key[0]][campaign_key[1]], row.record())
 
-    pool_state: Dict[str, object] = {"pool": None}
-
-    def _ensure_suite_pool():
-        if pool_state["pool"] is None:
-            import multiprocessing
-
-            pool_state["pool"] = multiprocessing.Pool(
-                workers, initializer=_init_suite_worker, initargs=(payload,)
-            )
-        return pool_state["pool"]
-
-    def _rebuild_suite_pool():
-        shutdown_pool(pool_state["pool"])
-        pool_state["pool"] = None
-        return _ensure_suite_pool()
-
+    # In-process tasks (one worker, or a pool that could not be rebuilt)
+    # read the same workload dict the pool initializer ships to workers.
+    _init_suite_worker(workloads)
     try:
-        if supervised:
-            supervisor = Supervisor(
-                _eval_suite_task,
-                ensure_pool=_ensure_suite_pool if workers > 1 else None,
-                rebuild_pool=_rebuild_suite_pool if workers > 1 else None,
-                local_fn=_eval_suite_task,
-                policy=policy if policy is not None else SupervisorPolicy(),
-                workers=workers,
-            )
-            pairs = supervisor.run(tasks)
-        elif workers == 1:
-            pairs = ((task, _eval_suite_task(task)) for task in tasks)
-        else:
-            results_iter = _ensure_suite_pool().imap(_eval_suite_task, tasks)
-            pairs = (
-                (task, result) for result, task in zip(results_iter, tasks)
-            )
-        current_key: Optional[Tuple[int, int]] = None
-        current_outcomes: List = []
-        for task, result in pairs:
-            campaign_key = task.campaign_key
-            if isinstance(result, FailedTask):
-                # One failed shard quarantines its whole campaign: the
-                # aggregate would be incomplete either way.  The first
-                # failure's reason is the one recorded.
-                failed_reasons.setdefault(campaign_key, result.reason)
-                outcomes: List = []
-            else:
-                _result_key, fingerprint, outcomes = result
-                reference = built[campaign_key[0]][1].fingerprint()
-                if fingerprint != reference:
-                    raise RuntimeError(
-                        f"worker rebuilt scenario {task.spec!r} with "
-                        f"fingerprint {fingerprint[:12]}... but the parent "
-                        f"built {reference[:12]}...; the construction "
-                        "pipeline is nondeterministic"
-                    )
-            if campaign_key != current_key:
-                if current_key is not None:
-                    _finalise(current_key, current_outcomes)
-                current_key = campaign_key
-                current_outcomes = []
-            current_outcomes.extend(outcomes)
-        if current_key is not None:
-            _finalise(current_key, current_outcomes)
+        with Supervisor(
+            _eval_suite_task,
+            initializer=_init_suite_worker,
+            initargs=(workloads,),
+            policy=policy,
+            workers=workers,
+        ) as supervisor:
+            current_key: Optional[Tuple[int, int]] = None
+            current_outcomes: List = []
+            for task, outcomes in supervisor.run(tasks):
+                campaign_key = task.campaign_key
+                if isinstance(outcomes, FailedTask):
+                    # One failed shard quarantines its whole campaign: the
+                    # aggregate would be incomplete either way.  The first
+                    # failure's reason is the one recorded.
+                    failed_reasons.setdefault(campaign_key, outcomes.reason)
+                    outcomes = []
+                if campaign_key != current_key:
+                    if current_key is not None:
+                        _finalise(current_key, current_outcomes)
+                    current_key = campaign_key
+                    current_outcomes = []
+                current_outcomes.extend(outcomes)
+            if current_key is not None:
+                _finalise(current_key, current_outcomes)
     finally:
-        shutdown_pool(pool_state["pool"])
-        pool_state["pool"] = None
+        _init_suite_worker({})
 
     # Assemble the rows in campaign order: stored rows for completed
     # campaigns, freshly computed rows for the rest.

@@ -11,6 +11,7 @@ import random as _random
 import pytest
 
 from repro.core import kernel_routing, worst_case_diameter
+from repro.exceptions import FaultModelError
 from repro.faults import (
     CampaignEngine,
     FaultSet,
@@ -20,6 +21,8 @@ from repro.faults import (
     sweep_fault_sizes,
 )
 from repro.graphs import generators
+from repro.runtime import TaskFailedError
+from repro.runtime import supervisor as supervisor_module
 
 
 @pytest.fixture(scope="module")
@@ -98,11 +101,13 @@ class TestEngineDeterminism:
         graph, routing = workload
         with CampaignEngine(graph, routing, workers=2) as engine:
             engine.run_campaign(1, samples=5, seed=0)
-            pool = engine._pool
+            supervisor = engine._runner
+            pool = supervisor._pool
             assert pool is not None
             engine.run_campaign(2, samples=5, seed=0)
-            assert engine._pool is pool
-        assert engine._pool is None
+            assert engine._runner is supervisor
+            assert supervisor._pool is pool
+        assert supervisor._pool is None
         # Engine remains usable after close (a fresh pool is started).
         result = engine.run_campaign(1, samples=5, seed=0)
         assert result.samples == 5
@@ -227,7 +232,7 @@ class TestBoundedScan:
 
 
 class TestIndexShipping:
-    def test_prebuilt_index_is_shipped_to_workers(self, workload):
+    def test_prebuilt_index_is_shipped_to_workers(self, workload, monkeypatch):
         """The pool initializer must receive the slim form of the engine's index."""
         graph, routing = workload
         from repro.core import RouteIndex
@@ -238,9 +243,6 @@ class TestIndexShipping:
         recorded = {}
 
         class _FakePool:
-            def imap(self, func, iterable):
-                return iter(())
-
             def terminate(self):
                 pass
 
@@ -254,12 +256,11 @@ class TestIndexShipping:
 
         import multiprocessing
 
-        original = multiprocessing.Pool
-        multiprocessing.Pool = fake_pool_factory
+        monkeypatch.setattr(multiprocessing, "Pool", fake_pool_factory)
         try:
-            engine._ensure_pool()
+            # An empty battery still starts the engine's supervised pool.
+            assert list(engine.evaluate([])) == []
         finally:
-            multiprocessing.Pool = original
             engine.close()
         assert len(recorded["initargs"]) == 1
         shipped = recorded["initargs"][0]
@@ -298,6 +299,18 @@ class TestEngineSemantics:
         assert worst_case_diameter(graph, routing, battery) == worst_case_diameter(
             graph, routing, battery, workers=2
         )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_shard_error_is_task_failed_at_any_worker_count(
+        self, workload, workers, monkeypatch
+    ):
+        """A fault set naming a non-node fails the same way in-process and pooled."""
+        monkeypatch.setattr(supervisor_module, "BACKOFF_BASE", 0.001)
+        graph, routing = workload
+        with CampaignEngine(graph, routing, workers=workers) as engine:
+            with pytest.raises(TaskFailedError) as info:
+                list(engine.evaluate([FaultSet([999])]))
+        assert isinstance(info.value.__cause__, FaultModelError)
 
     def test_empty_battery_rejected(self, workload):
         graph, routing = workload

@@ -3,10 +3,10 @@
 The supervision layer's whole claim is that fault recovery is *invisible in
 the results*: a sweep that loses a worker, hits a poisoned task, wedges on
 a hang or tears a store write must end with byte-identical store contents
-to an undisturbed run.  These tests drive :func:`run_scenario_suite` and
-the ``repro grid`` CLI under ``REPRO_CHAOS`` injections (see
-:mod:`repro.runtime.chaos`) and compare stores byte for byte against a
-golden run.
+to an undisturbed run.  These tests drive :func:`run_scenario_suite`, the
+campaign engine's :func:`sweep_fault_sizes` and the ``repro grid`` CLI
+under ``REPRO_CHAOS`` injections (see :mod:`repro.runtime.chaos`) and
+compare stores and rows against golden runs.
 
 The once-only ledger (``REPRO_CHAOS_LEDGER``) makes transient faults
 expressible — kill one worker, then let the retry succeed.  Injections
@@ -23,9 +23,13 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import render_scaling_report
+from repro.core import kernel_routing
+from repro.faults import sweep_fault_sizes
 from repro.faults.simulation import CampaignStatus
+from repro.graphs import generators
 from repro.results import ResultStore
 from repro.runtime import CHAOS_ENV, LEDGER_ENV, SupervisorPolicy
+from repro.runtime import supervisor as supervisor_module
 from repro.scenarios import run_scenario_suite, suite_manifest
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -39,11 +43,16 @@ SEED = 3
 CHUNK = 4
 MANIFEST = suite_manifest(SCENARIOS, SAMPLES, SEED, None, CHUNK)
 
-#: Fast-retry policy so injected failures do not spend real wall-clock.
-FAST = SupervisorPolicy(backoff_base=0.001, backoff_max=0.002)
 
 
-def _run_suite(store_path, *, workers=1, policy=FAST, skipped=None):
+@pytest.fixture(autouse=True)
+def fast_retries(monkeypatch):
+    """Retry without real sleeping, so injected failures cost no wall-clock."""
+    monkeypatch.setattr(supervisor_module, "BACKOFF_BASE", 0.001)
+    monkeypatch.setattr(supervisor_module, "BACKOFF_MAX", 0.002)
+
+
+def _run_suite(store_path, *, workers=1, policy=None, skipped=None):
     store_path = Path(store_path)
     if store_path.exists():
         store = ResultStore.open(str(store_path), MANIFEST)
@@ -123,13 +132,51 @@ class TestTransientFaults:
         self, tmp_path, monkeypatch, ledger, golden
     ):
         monkeypatch.setenv(CHAOS_ENV, "task:hang")
-        policy = SupervisorPolicy(
-            task_timeout=1.0, backoff_base=0.001, backoff_max=0.002
-        )
+        policy = SupervisorPolicy(task_timeout=1.0)
         path = tmp_path / "store.jsonl"
         rows = _run_suite(path, workers=2, policy=policy)
         assert path.read_bytes() == golden[0]
         assert [row.record() for row in rows] == golden[1]
+
+
+class TestEngineRecovery:
+    """The engine's shards recover in-process and pooled, invisibly."""
+
+    @pytest.fixture(scope="class")
+    def workload(self):
+        graph = generators.hypercube_graph(4)
+        return graph, kernel_routing(graph).routing
+
+    @pytest.fixture(scope="class")
+    def clean_records(self, workload):
+        saved = {
+            key: os.environ.pop(key)
+            for key in (CHAOS_ENV, LEDGER_ENV)
+            if key in os.environ
+        }
+        try:
+            return self._sweep(workload, workers=1)
+        finally:
+            os.environ.update(saved)
+
+    @staticmethod
+    def _sweep(workload, workers):
+        graph, routing = workload
+        rows = sweep_fault_sizes(
+            graph, routing, [1, 2, 3], samples=40, seed=7, workers=workers
+        )
+        return [row.record() for row in rows]
+
+    @pytest.mark.parametrize(
+        "workers, action", [(1, "fail"), (2, "fail"), (2, "kill")]
+    )
+    def test_sweep_survives_one_injected_fault(
+        self, workload, clean_records, monkeypatch, ledger, workers, action
+    ):
+        monkeypatch.setenv(CHAOS_ENV, f"task:{action}")
+        assert self._sweep(workload, workers) == clean_records
+        # The injection fired exactly once, and the retry recomputed it.
+        assert len(list(ledger.iterdir())) == 1
 
 
 class TestQuarantine:
@@ -145,9 +192,7 @@ class TestQuarantine:
         rows = _run_suite(
             path,
             workers=2,
-            policy=SupervisorPolicy(
-                max_retries=1, backoff_base=0.001, backoff_max=0.002
-            ),
+            policy=SupervisorPolicy(max_retries=1),
         )
         assert len(rows) == 3
         failed = [
@@ -185,12 +230,7 @@ class TestQuarantine:
             _run_suite(
                 path,
                 workers=1,
-                policy=SupervisorPolicy(
-                    max_retries=0,
-                    strict=True,
-                    backoff_base=0.001,
-                    backoff_max=0.002,
-                ),
+                policy=SupervisorPolicy(max_retries=0, strict=True),
             )
 
 
@@ -321,7 +361,6 @@ class TestInapplicableAnnotations:
                     store=store,
                     skip_inapplicable=True,
                     skipped=skipped,
-                    policy=FAST,
                 )
             finally:
                 store.close()
@@ -348,7 +387,6 @@ class TestInapplicableAnnotations:
                     store=store,
                     skip_inapplicable=True,
                     skipped=resumed_skipped,
-                    policy=FAST,
                 )
             finally:
                 store.close()

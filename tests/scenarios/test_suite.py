@@ -506,54 +506,78 @@ class TestStrategyAxisSuite:
 class TestSharedIndexPayload:
     def test_shared_payload_rows_match_rebuild_rows(self):
         shared = _rows(SMALL_SCENARIOS, samples=8, seed=3, workers=2)
-        rebuilt = _rows(
-            SMALL_SCENARIOS, samples=8, seed=3, workers=2, share_index=False
-        )
         sequential = _rows(SMALL_SCENARIOS, samples=8, seed=3)
-        assert shared == rebuilt == sequential
+        assert shared == sequential
 
-    def test_initializer_seeds_worker_cache(self):
+    def test_initializer_installs_workloads(self):
         from repro.scenarios import suite as suite_module
 
-        payload = {"spec-a": (object(), "fp-a")}
+        payload = {"spec-a": object()}
         suite_module._init_suite_worker(payload)
         try:
-            assert suite_module._SCENARIO_CACHE["spec-a"] == payload["spec-a"]
+            assert suite_module._WORKLOADS is payload
         finally:
-            suite_module._SCENARIO_CACHE.clear()
+            suite_module._init_suite_worker({})
 
-    def test_initializer_none_clears_cache(self):
+    def test_pool_receives_the_slim_indexes(self, monkeypatch):
+        """The supervisor's pool gets one slim index per scenario."""
+        import multiprocessing
+
         from repro.scenarios import suite as suite_module
 
-        suite_module._cache_workload("stale", (None, "fp"))
-        suite_module._init_suite_worker(None)
-        assert suite_module._SCENARIO_CACHE == {}
+        recorded = {}
 
+        def refusing_pool(workers, initializer=None, initargs=()):
+            recorded["initializer"] = initializer
+            recorded["initargs"] = initargs
+            raise OSError("payload recorded; degrade to in-process")
 
-class TestScenarioCache:
-    def test_cache_is_bounded(self):
-        from repro.scenarios import suite as suite_module
-
-        suite_module._SCENARIO_CACHE.clear()
-        for i in range(suite_module._SCENARIO_CACHE_LIMIT + 5):
-            suite_module._cache_workload(f"spec-{i}", (None, f"fp-{i}"))
-        assert (
-            len(suite_module._SCENARIO_CACHE)
-            == suite_module._SCENARIO_CACHE_LIMIT
+        monkeypatch.setattr(multiprocessing, "Pool", refusing_pool)
+        pooled = _rows(SMALL_SCENARIOS, samples=8, seed=3, workers=2)
+        assert pooled == _rows(SMALL_SCENARIOS, samples=8, seed=3)
+        assert recorded["initializer"] is suite_module._init_suite_worker
+        (workloads,) = recorded["initargs"]
+        assert sorted(key.split("\x00")[0] for key in workloads) == sorted(
+            parse_scenario(spec).canonical() for spec in SMALL_SCENARIOS
         )
-        # FIFO: the oldest entries were evicted, the newest survive.
-        assert f"spec-{suite_module._SCENARIO_CACHE_LIMIT + 4}" in (
-            suite_module._SCENARIO_CACHE
-        )
-        assert "spec-0" not in suite_module._SCENARIO_CACHE
-        suite_module._SCENARIO_CACHE.clear()
+        for index in workloads.values():
+            assert index.graph is None and index.routing is None
+        # The parent's in-process lookup is uninstalled after the run.
+        assert suite_module._WORKLOADS == {}
 
-    def test_worker_reset_clears_cache(self):
+
+class TestBuildsEachScenarioOnce:
+    GRID = "cycle:n=10..21/kernel/sizes:1-2"
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_scenario_is_constructed_once(
+        self, workers, tmp_path, monkeypatch
+    ):
+        from repro.scenarios import expand_grids
+        from repro.scenarios import spec as spec_module
         from repro.scenarios import suite as suite_module
 
-        suite_module._cache_workload("spec-x", (None, "fp"))
-        suite_module._reset_worker_cache()
-        assert suite_module._SCENARIO_CACHE == {}
+        log = tmp_path / "builds.log"
+
+        def counting(original):
+            def build_routing(graph, *args, **kwargs):
+                # A file, so constructions in worker processes count too.
+                with open(log, "a") as handle:
+                    handle.write(f"{graph.number_of_nodes()}\n")
+                return original(graph, *args, **kwargs)
+
+            return build_routing
+
+        for module in (suite_module, spec_module):
+            monkeypatch.setattr(
+                module, "build_routing", counting(module.build_routing)
+            )
+        scenarios = expand_grids([self.GRID])
+        assert len(scenarios) == 12
+        rows = run_scenario_suite(scenarios, samples=4, seed=0, workers=workers)
+        assert len(rows) == 24
+        built = sorted(int(line) for line in log.read_text().split())
+        assert built == list(range(10, 22))
 
 
 class TestGreedyProbe:
