@@ -846,8 +846,7 @@ def build_parser() -> argparse.ArgumentParser:
             "'numpy' (packed-uint64 batches; falls back to bitset where "
             "numpy is not installed); values are identical either way.  "
             "Unset, campaign and grid pick numpy for route graphs of at "
-            "least 64 nodes with 8 * arcs > n^2 and bitset otherwise, and "
-            "serve uses bitset"
+            "least 64 nodes and bitset below, and serve uses bitset"
         ),
     )
 

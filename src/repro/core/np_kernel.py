@@ -15,10 +15,17 @@ numpy calls:
 * fault masking is one ``&=`` against an *expected* tensor that zeroes both
   the faulty rows and the faulty target columns of every lane;
 * killed arcs — arcs whose endpoints survive but whose route(s) die — are
-  left out by the gather itself: its per-lane index points them at the
-  phantom row;
+  left out by the gather itself: its index points them all at the phantom
+  row of lane 0, so marking them takes one scalar write per killed (slot,
+  lane) entry;
 * "lane complete" and "lane stuck" are ``xor`` + ``or``-reduce checks over
-  the whole tensor.
+  the whole tensor;
+* on sparse route graphs (``BFS_DENSITY_FACTOR * arcs <= n^2``, fixed when
+  the kernel is built) each lane also runs the *guard* of the bitset
+  kernel's batched strategy: it settles at ``inf`` once its lowest alive
+  node's reach stops growing short of the lane's alive set.  Past the
+  tolerance most lanes disconnect, and they then end after a few levels
+  instead of waiting for every reach set of the battery to converge.
 
 The gather layout, ``gather_tgt``, has one slot per arc of the fault-free
 route graph, holding its target.  Rows with at most ``dmax`` targets (the
@@ -35,8 +42,9 @@ fault mask.
 Scratch tensors form **one** set, allocated on first use for
 :data:`LANES` lanes and reused by every call: a battery wider than that
 streams through it ``LANES`` lanes at a time, and a narrower one works on
-a contiguous prefix of the same buffers.  So the kernel's memory does not
-grow with the widths of the batteries it has seen.
+a contiguous prefix of the same buffers (its views are made once per
+width).  So the kernel's memory does not grow with the widths of the
+batteries it has seen.
 
 The kernel is a **performance backend only**: it returns exactly the values
 of :func:`repro.core.route_index._rows_diameter_witness` (the hypothesis
@@ -51,6 +59,7 @@ from __future__ import annotations
 import math
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
+from repro.core.route_index import BFS_DENSITY_FACTOR
 from repro.graphs.traversal import INFINITY
 
 try:  # gated dependency: the library must work without numpy installed
@@ -121,6 +130,7 @@ class NumpyKernel:
         if np is None:  # pragma: no cover - guarded by numpy_available()
             raise RuntimeError("numpy is not available")
         self._buffers = None  # the one scratch set, allocated on first use
+        self._width_views = {}  # battery width -> views of the scratch set
         self._views: Optional[_Views] = None
         self._last_level = 0
         self.index = index
@@ -133,6 +143,9 @@ class NumpyKernel:
         )
         # Arcs in (source, target) order: arc a is src_all[a] -> tgt_all[a].
         src_all, tgt_all = np.nonzero(bits[:, :n])
+        # The sparse side of the BFS strategy rule runs the guard (see
+        # `_bfs`); dense lanes end within a few levels without it.
+        self.guard = src_all.size * BFS_DENSITY_FACTOR <= n * n
         counts = [row.bit_count() for row in rows]
         degrees = sorted(count for count in counts if count)
         cut = max(4, int(_percentile90(degrees))) if degrees else 4
@@ -219,33 +232,37 @@ class NumpyKernel:
 
         Each buffer is flat and sized for :data:`LANES` lanes; a width-``B``
         view reshapes its contiguous prefix, so every width shares the same
-        allocation.  The views stay on the kernel for :meth:`_bfs` and for
-        witness extraction.
+        allocation.  The views of each width are made once; the current
+        ones stay on the kernel for :meth:`_bfs` and for witness extraction.
         """
-        if self._buffers is None:
-            self._buffers = tuple(
-                np.zeros(math.prod(shape), dtype=dtype)
-                for shape, dtype in self._shapes(LANES)
+        views = self._width_views.get(B)
+        if views is None:
+            if self._buffers is None:
+                self._buffers = tuple(
+                    np.zeros(math.prod(shape), dtype=dtype)
+                    for shape, dtype in self._shapes(LANES)
+                )
+            views = self._width_views[B] = _Views(
+                *(
+                    buf[: math.prod(shape)].reshape(shape)
+                    for buf, (shape, _dtype) in zip(self._buffers, self._shapes(B))
+                )
             )
-        self._views = _Views(
-            *(
-                buf[: math.prod(shape)].reshape(shape)
-                for buf, (shape, _dtype) in zip(self._buffers, self._shapes(B))
-            )
-        )
-        return self._views
+        self._views = views
+        return views
 
-    def _start(self, fault_lists, parts, shared) -> List[int]:
+    def _start(self, fault_lists, parts, shared) -> Tuple[List[int], List[int]]:
         """Prepare one pass over at most :data:`LANES` fault id lists.
 
         Fills ``expected`` (alive columns on alive rows), the level-0 reach
         (each alive node's self bit) and the gather index, with the killed
-        arcs pointed at the phantom row: ``parts`` lists ``(slots, lane)``
-        pairs of arcs dead in one lane, and every slot of ``shared`` is dead
-        in every lane.  Marking an arc whose source or target is faulty in
-        that lane is harmless (its row or its gathered target is zero there
-        anyway), so callers need not filter those out.  Returns each lane's
-        number of alive nodes.
+        arcs pointed at row ``n`` of lane 0, which is zero in every pass:
+        ``parts`` lists ``(slots, lane)`` pairs of arcs dead in one lane, in
+        lane order, and every slot of ``shared`` is dead in every lane.
+        Marking an arc whose source or target is faulty in that lane is
+        harmless (its row or its gathered target is zero there anyway), so
+        callers need not filter those out.  Returns each lane's number of
+        alive nodes and its lowest alive node (``n`` for an empty lane).
         """
         B = len(fault_lists)
         n = self.n
@@ -268,22 +285,27 @@ class NumpyKernel:
         np.bitwise_and(reach, expected, out=reach)
         # Row r of lane b is row r * B + b of the reach tensor seen as
         # (n + 1) * B rows of w words.
-        lanes = np.arange(B, dtype=np.intp)
         index = views.index
         np.multiply(self.gather_tgt[:, None], B, out=index)
-        index += lanes
+        index += np.arange(B, dtype=np.intp)
         if shared:
-            index[np.concatenate(shared)] = lanes + n * B
+            index[np.concatenate(shared)] = n * B
         if parts:
-            sizes = [slots.size for slots, _lane in parts]
-            owners = np.asarray([lane for _slots, lane in parts], dtype=np.intp)
-            # Entry slot * B + lane of the index gets the lane's phantom row.
-            dead = np.multiply(
-                np.concatenate([slots for slots, _lane in parts]), B, dtype=np.intp
-            )
-            dead += np.repeat(owners, sizes)
-            index.reshape(-1)[dead] = np.repeat(owners + n * B, sizes)
-        return [mask.bit_count() for mask in alive]
+            # Entry slot * B + lane of the index, one intp per killed (slot,
+            # lane) entry: the only temporary that grows with the kills.
+            dead = np.concatenate([slots for slots, _lane in parts], dtype=np.intp)
+            dead *= B
+            sizes = [0] * B
+            for slots, lane in parts:
+                sizes[lane] += slots.size
+            start = sizes[0]
+            for lane in range(1, B):
+                end = start + sizes[lane]
+                dead[start:end] += lane
+                start = end
+            index.reshape(-1)[dead] = n * B
+        lows = [(mask & -mask).bit_length() - 1 if mask else n for mask in alive]
+        return [mask.bit_count() for mask in alive], lows
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -363,7 +385,7 @@ class NumpyKernel:
                     if dead:
                         slots = [self.slot_of[pair] for pair in dead]
                         parts.append((np.asarray(slots, dtype=np.intp), b))
-            values, stuck = self._bfs(len(chunk), cap, self._start(chunk, parts, shared))
+            values, stuck = self._bfs(len(chunk), cap, *self._start(chunk, parts, shared))
             if witnesses:
                 values = [
                     self._witness_triple(value, stuck, lane, cap)
@@ -405,14 +427,30 @@ class NumpyKernel:
         want = int.from_bytes(expected[row].tobytes(), "little")
         return 1 << row, want & ~have
 
-    def _bfs(self, B, cap, n_alive):
+    def _bfs(self, B, cap, n_alive, lows):
         """Advance the prepared start state level by level from level 0.
 
-        Returns ``(values, was_stuck)``.
+        A lane settles when it is complete (its diameter is the level), and
+        at ``inf`` when it is disconnected: either no reach set of the lane
+        grew in the last advance, or — on kernels with :attr:`guard` — the
+        reach set of its lowest alive node (``lows``) did not grow yet
+        misses part of the lane's alive set.  Such a set has converged, so
+        that node and its unreached mask are the witness the bitset
+        kernel's guard returns, and the lane needs no more levels however
+        far the other sources' reach still grows.
+
+        Returns ``(values, was_stuck)``; :attr:`_last_level` is the number
+        of level advances made.
         """
         views = self._views
         reach, upd, expected = views.reach, views.upd, views.expected
         red, contrib, column = views.xor_rows, views.contrib, views.column
+        w = self.w
+        if self.guard:
+            # Flat rows (see `_start`) of each lane's lowest alive node; its
+            # full reach is the lane's alive set, its row of `expected`.
+            low = np.asarray(lows, dtype=np.intp) * B + np.arange(B, dtype=np.intp)
+            low_alive = expected.reshape(-1, w)[low]
         ns = self.small.size
         hub_index = views.index[self.dmax * ns :]
         gathered = column[: hub_index.shape[0]]
@@ -441,38 +479,44 @@ class NumpyKernel:
             if cap is not None and level >= cap:
                 break
             np.copyto(upd, reach)
-            rows = reach.reshape(-1, self.w)
+            rows = reach.reshape(-1, w)
             if columns:
                 # Column j gathers the j-th target of every small row that
                 # has one (a prefix, rows being sorted by degree).
-                np.take(rows, columns[0], axis=0, out=contrib, mode="clip")
+                rows.take(columns[0], axis=0, out=contrib, mode="clip")
                 for col in columns[1:]:
                     part = column[: col.shape[0]]
-                    np.take(rows, col, axis=0, out=part, mode="clip")
+                    rows.take(col, axis=0, out=part, mode="clip")
                     np.bitwise_or(contrib[: col.shape[0]], part, out=contrib[: col.shape[0]])
                 upd[self.small] |= contrib
             if self.hubs.size:
-                np.take(rows, hub_index, axis=0, out=gathered, mode="clip")
+                rows.take(hub_index, axis=0, out=gathered, mode="clip")
                 upd[self.hubs] |= np.bitwise_or.reduceat(
                     gathered.reshape(gathered.shape[0], -1),
                     self.hub_starts,
                     axis=0,
-                ).reshape(self.hubs.size, B, self.w)
+                ).reshape(self.hubs.size, B, w)
             np.bitwise_and(upd, expected, out=upd)
+            level += 1
             # `reach` is spent once compared: `upd` is the state from here.
             np.bitwise_xor(upd, reach, out=reach)
             np.bitwise_or.reduce(reach, axis=0, out=red)
+            stuck = ~red.any(axis=1)
+            if self.guard:
+                grown = reach.reshape(-1, w)[low].any(axis=1)
+                short = (upd.reshape(-1, w)[low] != low_alive).any(axis=1)
+                stuck |= short & ~grown
             reach, upd = upd, reach
-            stuck = ~red.any(axis=1) & ~settled
+            stuck &= ~settled
             if stuck.any():
-                # No change and not complete: disconnected, stays inf.  The
-                # state is final for witness extraction: stuck lanes did not
-                # change, settled ones were complete or stuck already.
+                # Disconnected, stays inf.  Witness extraction takes the
+                # lane's lowest incomplete row, whose reach set has
+                # converged: the lowest alive node's on a guard stop, and
+                # every row's when the whole lane stopped growing.
                 settled |= stuck
                 was_stuck |= stuck
                 if settled.all():
                     break
-            level += 1
         # After the loop `reach` covers distance <= level: a cap break leaves
         # every unreached node at distance >= level + 1 (capped witness).
         self._last_level = level

@@ -56,10 +56,10 @@ Evaluation backends
 -------------------
 Evaluations run on the bitset kernel of this module or on the packed-uint64
 numpy kernel of :mod:`repro.core.np_kernel`, with identical values.  Unless
-the caller names one, a fixed rule on the fault-free route graph picks it
-when the index is built: numpy for route graphs of at least
-:data:`NUMPY_MIN_NODES` nodes with ``BFS_DENSITY_FACTOR * arcs > n^2`` (the
-dense side of the strategy rule), bitset otherwise.
+the caller names one, a fixed rule picks it when the index is built: numpy
+for route graphs of at least :data:`NUMPY_MIN_NODES` nodes, dense or
+sparse, bitset below.  On sparse route graphs the numpy kernel runs the
+same lowest-node guard inside each lane of a battery.
 
 Evaluation cursors
 ------------------
@@ -117,7 +117,8 @@ EVAL_BACKEND_NUMPY = "numpy"
 EVAL_BACKENDS = (EVAL_BACKEND_BITSET, EVAL_BACKEND_NUMPY)
 
 #: Smallest route graph the backend rule sends to numpy: one packed 64-bit
-#: word of nodes.  Below it numpy lost on every disconnecting battery tried.
+#: word of nodes.  Below it numpy still loses on the smallest routings (see
+#: README, "Evaluation backends").
 NUMPY_MIN_NODES = 64
 
 
@@ -130,21 +131,15 @@ def _check_backend(value: Optional[str]) -> Optional[str]:
     return value
 
 
-def _rule_backend(rows: List[int]) -> str:
-    """The backend rule on the fault-free route graph's rows.
+def _rule_backend(n: int) -> str:
+    """The backend rule on the route graph's node count ``n``.
 
-    numpy when ``n >= NUMPY_MIN_NODES`` and ``BFS_DENSITY_FACTOR * arcs >
-    n^2`` (the graphs the per-source BFS strategy serves), bitset
-    otherwise.  It reads the rows alone, never whether numpy imports, so
-    every host resolves an index to the same name.
+    numpy when ``n >= NUMPY_MIN_NODES``, bitset otherwise, on dense and
+    sparse route graphs alike.  It reads the node count alone, never
+    whether numpy imports, so every host resolves an index to the same
+    name.
     """
-    n = len(rows)
-    if n < NUMPY_MIN_NODES:
-        return EVAL_BACKEND_BITSET
-    arcs = 0
-    for row in rows:
-        arcs += row.bit_count()
-    if arcs * BFS_DENSITY_FACTOR > n * n:
+    if n >= NUMPY_MIN_NODES:
         return EVAL_BACKEND_NUMPY
     return EVAL_BACKEND_BITSET
 
@@ -170,12 +165,11 @@ class RouteIndex:
         A :class:`Routing` or :class:`MultiRouting` over ``graph``.
     backend:
         ``"bitset"`` or ``"numpy"``, or ``None`` (the default) for the
-        backend rule: numpy when the fault-free route graph has at least
-        :data:`NUMPY_MIN_NODES` nodes and ``BFS_DENSITY_FACTOR * arcs >
-        n^2``, bitset otherwise.  The resolved name is :attr:`backend`; it
-        travels with the index (pickles, :meth:`slim` copies and
-        :meth:`export_state` rebuilds), so worker processes evaluate on the
-        backend the parent resolved.
+        backend rule: numpy when the route graph has at least
+        :data:`NUMPY_MIN_NODES` nodes, dense or sparse, bitset otherwise.
+        The resolved name is :attr:`backend`; it travels with the index
+        (pickles, :meth:`slim` copies and :meth:`export_state` rebuilds), so
+        worker processes evaluate on the backend the parent resolved.
 
     Notes
     -----
@@ -252,7 +246,7 @@ class RouteIndex:
                 for node in path:
                     kill = kill_rows[id_of[node]]
                     kill[sid] = kill.get(sid, 0) | target_bit
-        self._backend = backend or _rule_backend(self._base_rows)
+        self._backend = backend or _rule_backend(n)
 
     # ------------------------------------------------------------------
     # Pickling (worker shipping)
@@ -403,8 +397,8 @@ class RouteIndex:
         evaluation surface works (diameters, cursors, batches, every
         backend), while :meth:`matches` is always ``False``.  ``backend`` is
         chosen by the caller (e.g. a server's ``--eval-backend`` flag), and
-        ``None`` applies the backend rule to the state's rows, as in the
-        constructor.
+        ``None`` applies the backend rule to the state's node count, as in
+        the constructor.
         """
         backend = _check_backend(backend)
         index = object.__new__(cls)
@@ -420,7 +414,7 @@ class RouteIndex:
         index._full_mask = (1 << n) - 1
         index._base_rows = [int(row) for row in state["base_rows"]]
         index._base_preds = [int(row) for row in state["base_preds"]]
-        index._backend = backend or _rule_backend(index._base_rows)
+        index._backend = backend or _rule_backend(n)
         index._multi = bool(state["multi"])
         if index._multi:
             index._kill_rows = []

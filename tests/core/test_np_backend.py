@@ -73,14 +73,15 @@ class TestBackendResolution:
     @pytest.mark.parametrize(
         "spec, expected",
         [
-            ("cycle:n=120/kernel", EVAL_BACKEND_BITSET),
-            ("circulant:n=96,offsets=1+2/kernel", EVAL_BACKEND_BITSET),
-            # n >= 64, but 8 * arcs <= n^2: sparse.
-            ("circulant:n=200,offsets=1+2+3/kernel", EVAL_BACKEND_BITSET),
+            # Sparse route graphs (8 * arcs <= n^2) at or above the floor.
+            ("cycle:n=120/kernel", EVAL_BACKEND_NUMPY),
+            ("circulant:n=96,offsets=1+2/kernel", EVAL_BACKEND_NUMPY),
+            ("circulant:n=200,offsets=1+2+3/kernel", EVAL_BACKEND_NUMPY),
             (DENSE, EVAL_BACKEND_NUMPY),
             ("hypercube:d=6/kernel", EVAL_BACKEND_NUMPY),
-            # Dense by arcs, but n = 32 is below the node floor.
+            # Below the node floor, dense (n = 32) or sparse (n = 63).
             ("hypercube:d=5/kernel", EVAL_BACKEND_BITSET),
+            ("cycle:n=63/kernel", EVAL_BACKEND_BITSET),
         ],
     )
     def test_rule_resolves_backend(self, spec, expected):

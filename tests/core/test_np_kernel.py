@@ -8,7 +8,11 @@
   whatever battery widths it sees;
 * batteries mixing shallow, deep and disconnecting lanes must agree with
   the bitset kernel and the naive oracle, capped and uncapped, including
-  greedy candidate rounds (lanes that share their base faults).
+  greedy candidate rounds (lanes that share their base faults);
+* on sparse route graphs a lane settles as soon as its lowest alive node's
+  reach stops growing short of the alive set (the guard), with the witness
+  the bitset kernel returns, and dense route graphs run no guard;
+* a pass's temporaries stay within one intp per killed (slot, lane) entry.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -28,7 +33,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import RouteIndex, surviving_diameter
-from repro.core.np_kernel import NumpyKernel, numpy_available
+from repro.core.np_kernel import LANES, NumpyKernel, numpy_available
+from repro.core.route_index import _rows_diameter_witness
 from repro.core.routing import Routing
 from repro.faults.adversary import greedy_fault_set_from_index
 from repro.graphs import generators
@@ -267,3 +273,107 @@ class TestMixedBatteries:
             assert numpy_index.surviving_diameters(
                 battery, cap=cap
             ) == bitset_index.surviving_diameters(battery, cap=cap)
+
+
+def _one_way_routing(n, seed):
+    """A sparse unidirectional routing: about half the pairs within two hops.
+
+    Its route graph is asymmetric, so lanes also stop where the lowest
+    alive node reaches everything but another node does not.
+    """
+    rng = random.Random(seed)
+    graph = generators.random_connected_graph(n, extra_edge_probability=0.02, seed=seed)
+    routing = Routing(graph, bidirectional=False)
+    for source in graph.nodes():
+        for target in graph.nodes():
+            if source != target and rng.random() < 0.5:
+                path = shortest_path(graph, source, target)
+                if len(path) <= 3:
+                    routing.set_route(source, target, path)
+    return graph, routing
+
+
+def _random_lanes(index, size, lanes, rng):
+    """``lanes`` sorted id lists of ``size`` random faults each."""
+    return [sorted(rng.sample(range(index._n), size)) for _ in range(lanes)]
+
+
+class TestGuard:
+    """Sparse kernels settle disconnected lanes on the lowest alive node."""
+
+    def test_disconnecting_battery_settles_within_three_advances(self):
+        graph, routing = _built("cycle:n=120/kernel")
+        index = RouteIndex(graph, routing, backend="numpy")
+        pool = index.node_pool
+        for seed in range(5):
+            rng = random.Random(seed)
+            battery = [rng.sample(pool, 6) for _ in range(LANES)]
+            assert index.surviving_diameters(battery) == [INFINITY] * LANES
+            # Without the guard a lane waits for every reach set to stop
+            # growing: 50-89 advances on these batteries.
+            assert index._np_kernel._last_level <= 3
+
+    @pytest.mark.parametrize(
+        "spec, sizes",
+        [
+            ("cycle:n=120/kernel", (1, 2, 4, 6)),
+            ("circulant:n=96,offsets=1+2/kernel", (3, 5, 7, 9)),
+            ("one-way:n=80", (0, 2, 5, 9)),
+        ],
+    )
+    def test_uncapped_witnesses_equal_the_bitset_kernel(self, spec, sizes):
+        """A stop on an unconverged row would let cursors propagate a false inf."""
+        if spec == "one-way:n=80":
+            graph, routing = _one_way_routing(80, seed=3)
+        else:
+            graph, routing = _built(spec)
+        index = RouteIndex(graph, routing, backend="numpy")
+        kernel = NumpyKernel(index)
+        assert kernel.guard
+        rng = random.Random(11)
+        kinds = set()
+        for size in sizes:
+            lanes = _random_lanes(index, size, 2 * LANES, rng)
+            triples = kernel.batch_witnesses(lanes)
+            for ids, triple in zip(lanes, triples):
+                fault_mask = sum(1 << v for v in ids)
+                expected = _rows_diameter_witness(
+                    index._surviving_rows(fault_mask), index._full_mask & ~fault_mask
+                )
+                assert triple == expected, (ids, triple, expected)
+                kinds.add(triple[1] is None)
+        assert kinds == {True, False}  # connected and disconnected lanes
+
+    def test_dense_kernel_runs_no_guard(self):
+        graph, routing = _built("circulant:n=96,offsets=1+2+3/kernel")
+        index = RouteIndex(graph, routing)
+        assert index.eval_backend == "numpy"
+        kernel = NumpyKernel(index)
+        assert not kernel.guard
+        # Node 0 cut off: the lowest alive node stops at once, but the
+        # lane runs until every reach set has stopped growing.
+        cut = sorted(index._id_of[v] for v in (1, 2, 3, 93, 94, 95))
+        value, witness, capped = kernel.batch_witnesses([cut])[0]
+        assert value == INFINITY and capped is None
+        assert witness[0] == 1 << index._id_of[0]
+        assert kernel._last_level > 1
+
+
+class TestPassMemory:
+    def test_killed_arc_scatter_takes_one_intp_per_entry(self):
+        graph, routing = _built("cycle:n=120/kernel")
+        kernel = NumpyKernel(RouteIndex(graph, routing, backend="numpy"))
+        lanes = _random_lanes(kernel.index, 6, LANES, random.Random(5))
+        assert not set(lanes[0]).intersection(*lanes[1:])  # nothing shared
+        entries = sum(
+            kernel.kill_slots[v].size for ids in lanes for v in ids if v in kernel.kill_slots
+        )
+        kernel.diameters(lanes)  # allocates the scratch set
+        tracemalloc.start()
+        try:
+            kernel.diameters(lanes)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # 16 bytes per entry before killed arcs shared one zero row.
+        assert peak < 12 * entries, (peak, entries)

@@ -1,9 +1,11 @@
 """Golden result stores for degradation sweeps past the tolerance.
 
-Both grids sweep fault sizes past ``t`` on sparse kernel routings, where the
-bitset kernel runs the batched BFS strategy and most fault sets disconnect
-the surviving route graph; ``bound=4`` sends the same batteries through the
-capped decision path.  The stores were recorded with the CLI::
+Both grids sweep fault sizes past ``t`` on sparse kernel routings, where
+most fault sets disconnect the surviving route graph: the cycles (below the
+backend rule's node floor) on the bitset kernel's batched BFS strategy, the
+circulant on the numpy kernel's guarded lanes.  ``bound=4`` sends the same
+batteries through the capped decision path.  The stores were recorded with
+the CLI::
 
     repro grid 'cycle:n=60..61/kernel/sizes:2-5' \\
         'circulant:n=96,offsets=1+2/kernel/sizes:6-8' \\
