@@ -13,7 +13,10 @@ float-keyed binary heap:
 * ``len(queue)`` is a maintained **live-event counter**, not a heap scan;
 * :meth:`cancel` flips a flag and decrements the counter — cancelled
   events are skipped (and never counted) at dispatch, with no heap
-  surgery and no O(n) sweeps.
+  surgery and no O(n) sweeps;
+* :meth:`reschedule` re-arms a fired :class:`Event` instead of allocating
+  a new one, for callers that keep one pending event at a time (the
+  simulator keeps one per delivery and re-arms it for every hop).
 
 Determinism is unchanged from the old engine: events on one tick fire in
 scheduling order, and an event scheduled with zero delay from inside a
@@ -105,6 +108,34 @@ class EventQueue:
 
         Returns the scheduled event, which can be passed to :meth:`cancel`.
         """
+        event = Event(0, 0, callback, kind)
+        self._push(event, delay)
+        return event
+
+    def reschedule(
+        self, event: Event, delay: int, callback: EventCallback, kind: str = ""
+    ) -> None:
+        """Re-arm a fired ``event`` to run ``callback`` ``delay`` ticks from now.
+
+        The event takes the next sequence number, exactly as a new one from
+        :meth:`schedule` would, so dispatch order does not depend on which
+        of the two was called; only the allocation is saved.  An event may
+        be re-armed from inside its own callback (it counts as fired by
+        then).  A pending or cancelled event is refused: it still sits in
+        its slot, and re-arming it would queue it twice.
+        """
+        if not event.fired:
+            raise SimulationError(f"only a fired event can be re-armed, got {event!r}")
+        self._push(event, delay)
+        event.callback = callback
+        event.kind = kind
+        event.fired = False
+
+    def _push(self, event: Event, delay: int) -> None:
+        """Queue ``event`` ``delay`` ticks from now under the next sequence number.
+
+        The delay is checked first, so a refused one leaves the event untouched.
+        """
         if not isinstance(delay, int) or isinstance(delay, bool):
             raise SimulationError(
                 f"event delays are integer ticks, got {delay!r}"
@@ -112,7 +143,8 @@ class EventQueue:
         if delay < 0:
             raise SimulationError(f"cannot schedule an event in the past (delay={delay})")
         tick = self._now + delay
-        event = Event(tick, self._seq, callback, kind)
+        event.tick = tick
+        event.seq = self._seq
         self._seq += 1
         batch = self._batch
         if batch is not None and tick == self._batch_tick:
@@ -128,7 +160,6 @@ class EventQueue:
             else:
                 slot.append(event)
         self._live += 1
-        return event
 
     def cancel(self, event: Event) -> None:
         """Cancel a scheduled event (no-op if it already fired or was cancelled)."""
@@ -169,21 +200,9 @@ class EventQueue:
             self._batch_tick = tick
             self._batch_index = 0
 
-    def _fire(self) -> None:
-        event = self._batch[self._batch_index]  # type: ignore[index]
-        self._batch_index += 1
-        self._now = event.tick
-        event.fired = True
-        self._live -= 1
-        self._processed += 1
-        event.callback()
-
     def step(self) -> bool:
         """Fire the next pending event.  Returns ``False`` if the queue is empty."""
-        if not self._advance():
-            return False
-        self._fire()
-        return True
+        return self.run(max_events=1) == 1
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
         """Run events until the queue drains, ``until`` is passed, or the cap hits.
@@ -196,8 +215,25 @@ class EventQueue:
         while self._advance():
             if until is not None and self._batch_tick > until:
                 break
-            if max_events is not None and processed >= max_events:
-                break
-            self._fire()
-            processed += 1
+            batch = self._batch
+            # Walk the slot in one loop (events appended by zero-delay
+            # callbacks join it); the cursor lives on the queue, so a
+            # callback that calls step() leaves it where it should be.
+            while self._batch is batch:
+                index = self._batch_index
+                if index >= len(batch):
+                    break
+                event = batch[index]
+                if event.cancelled:
+                    self._batch_index = index + 1
+                    continue
+                if max_events is not None and processed >= max_events:
+                    return processed
+                self._batch_index = index + 1
+                self._now = event.tick
+                event.fired = True
+                self._live -= 1
+                self._processed += 1
+                processed += 1
+                event.callback()
         return processed

@@ -141,22 +141,27 @@ class Link:
         is monotone, so ``now`` never decreases across calls.
         """
         stats = self.stats
-        if self.capacity is None:
+        capacity = self.capacity
+        if capacity is None:
             stats.entered += 1
             return now
-        depth = self.queue_depth(now)
+        # queue_depth(now), inlined: this runs once per capacity-limited hop.
+        departures = self._departures
+        while departures and departures[0] < now:
+            departures.popleft()
+        depth = len(departures)
         if self.buffer is not None and depth >= self.buffer:
             stats.dropped += 1
             return None
         if now > self._slot_tick:
             self._slot_tick = now
             self._slot_used = 0
-        while self._slot_used >= self.capacity:
+        while self._slot_used >= capacity:
             self._slot_tick += 1
             self._slot_used = 0
         self._slot_used += 1
         depart = self._slot_tick
-        self._departures.append(depart)
+        departures.append(depart)
         stats.entered += 1
         depth += 1
         if depth > stats.max_queue_depth:

@@ -31,6 +31,16 @@ engine of :mod:`repro.network.events`:
   bounded buffers, drops) instead of passing through placeholder lambdas;
 * :meth:`send` remains the one-shot synchronous API: inject, run the
   engine until this delivery's receipt materialises, return it;
+* a delivery owns exactly one engine event: the inject event is re-armed
+  (:meth:`EventQueue.reschedule`) for every later step — endpoint send,
+  each hop, endpoint receive, a null-model segment flight — so it never
+  has two pending events, and a hop allocates nothing;
+* under a link capacity every hop is that event firing :meth:`_hop`, one
+  handler that checks the next route node's liveness, moves the message
+  onto it, and reserves the following link.  Links come from a per-path
+  list with one slot per route position, filled the first time a message
+  crosses it, so :attr:`links` still holds only links that carried
+  traffic;
 * route plans are BFS parent maps cached per origin and invalidated when
   the fault set changes, so steady-state traffic pays O(plan length) per
   message, not O(graph) — the main reason the engine beats the legacy
@@ -48,6 +58,7 @@ flag, routes used, hop counts, failure reasons, and the serial latency
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Any, Callable, Dict, Hashable, Iterable, List, Optional, Tuple, Union
 
 from repro.core.routing import MultiRouting, Routing
@@ -56,7 +67,7 @@ from repro.exceptions import DeliveryError, SimulationError
 from repro.graphs.digraph import DiGraph
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import bfs_tree
-from repro.network.events import EventQueue
+from repro.network.events import Event, EventQueue
 from repro.network.links import Link, LinkSpec
 from repro.network.messages import DeliveryReceipt, Message
 from repro.network.node import NetworkNode
@@ -97,11 +108,11 @@ class _Delivery:
         "plan",
         "index",
         "hops",
-        "start_tick",
         "payload",
-        "wire_payload",
-        "segment",
         "epoch",
+        "event",
+        "position",
+        "links",
     )
 
     def __init__(
@@ -114,11 +125,15 @@ class _Delivery:
         self.plan: Optional[List[Tuple[Node, Node]]] = None
         self.index = 0
         self.hops = 0
-        self.start_tick = 0
         self.payload: Any = None
-        self.wire_payload: Any = None
-        self.segment: Optional[Tuple[Node, Node]] = None
         self.epoch = 0
+        #: The delivery's one engine event, re-armed for every step and
+        #: cleared when the delivery finishes.
+        self.event: Optional[Event] = None
+        #: Route position the pending hop event brings the message to.
+        self.position = 0
+        #: Per-position links of the attached route (see ``_path_links``).
+        self.links: Optional[List[Optional[Link]]] = None
 
 
 class NetworkSimulator:
@@ -193,6 +208,9 @@ class NetworkSimulator:
         #: Stats objects per path (NetworkNode instances are never replaced,
         #: so these rows stay valid across fail/repair).
         self._path_stats: Dict[Tuple[Node, ...], Tuple[List, Any]] = {}
+        #: Link per position of each route path, filled as hops first cross
+        #: it (``links`` holds only links that carried traffic).
+        self._path_links: Dict[Tuple[Node, ...], List[Optional[Link]]] = {}
 
     def _to_ticks(self, latency: float) -> int:
         """Quantise a latency in time units to engine ticks."""
@@ -371,14 +389,16 @@ class NetworkSimulator:
         message = Message(origin=origin, final_destination=destination, payload=payload)
         message.trace.append(origin)
         delivery = _Delivery(message, on_complete)
-        self.events.schedule(delay, lambda: self._start(delivery), kind="inject")
+        delivery.event = self.events.schedule(
+            delay, lambda: self._start(delivery), kind="inject"
+        )
         return message
 
     # Each delivery is a small state machine walked by engine callbacks:
     # _start -> [per segment: endpoint-send -> hop* -> endpoint-recv] -> _finish.
+    # The inject event is the delivery's only one: every later step re-arms it.
     def _start(self, delivery: _Delivery) -> None:
         message = delivery.message
-        delivery.start_tick = self.events.now
         message.injected_tick = self.events.now
         try:
             delivery.plan = self.plan_route_sequence(
@@ -408,8 +428,6 @@ class NetworkSimulator:
         wire_payload = self.service.on_send(
             delivery.payload, segment_source, segment_target
         )
-        delivery.segment = (segment_source, segment_target)
-        delivery.wire_payload = wire_payload
         delivery.epoch = self._fault_epoch
         message = delivery.message
         message.payload = wire_payload
@@ -424,48 +442,85 @@ class NetworkSimulator:
                 hop = self.hop_ticks
             hops = len(path) - 1
             start = self.events.now + self.service_ticks
-            self.events.schedule(
+            self.events.reschedule(
+                delivery.event,
                 2 * self.service_ticks + hops * hop,
                 lambda: self._land(delivery, start, hop),
-                kind="segment",
+                "segment",
             )
             return
-        self.events.schedule(
-            self.service_ticks, lambda: self._forward(delivery), kind="endpoint-send"
+        links = self._path_links.get(path)
+        if links is None:
+            links = self._path_links[path] = [None] * (len(path) - 1)
+        delivery.links = links
+        delivery.position = 0
+        # A partial rather than a lambda: every hop of the segment calls it,
+        # and it saves a Python frame per call.
+        self.events.reschedule(
+            delivery.event,
+            self.service_ticks,
+            functools.partial(self._hop, delivery),
+            "endpoint-send",
         )
 
-    def _forward(self, delivery: _Delivery) -> None:
+    def _hop(self, delivery: _Delivery) -> None:
+        """Take the message to ``delivery.position`` of its route and on.
+
+        Position 0 is the endpoint-send step at the segment source (a failed
+        source drops the message); any later position is an arrival over a
+        link (a failed node there kills the message before it moves in).
+        From a live node the message either ends the segment, or enters the
+        next link's transmission queue and re-arms the delivery's event for
+        its arrival at the following position.
+        """
         message = delivery.message
-        node = self.nodes[message.current_node]
-        try:
-            next_node = node.forward(message)
-        except SimulationError as exc:
-            self._finish(delivery, delivered=False, reason=str(exc))
+        route = message.route
+        index = delivery.position
+        node_id = route[index]
+        node = self.nodes[node_id]
+        if not node.alive:
+            if index:
+                reason = f"message {message.message_id} reached failed node {node_id!r}"
+            else:
+                node.stats.dropped += 1
+                reason = f"node {node_id!r} is failed and dropped the message"
+            self._finish(delivery, delivered=False, reason=reason)
             return
-        if next_node is None:
+        if index:
+            message.hop_index = index
+            message.trace.append(node_id)
+            delivery.hops += 1
+        events = self.events
+        event = delivery.event
+        if index == len(route) - 1:
             # End of the segment: endpoint receive, then the next segment.
-            self.events.schedule(
+            node.stats.received += 1
+            events.reschedule(
+                event,
                 self.service_ticks,
                 lambda: self._finish_segment(delivery),
-                kind="endpoint-recv",
+                "endpoint-recv",
             )
             return
-        link = self.link_between(message.current_node, next_node)
-        depart = link.reserve(self.events.now)
+        node.stats.forwarded += 1
+        next_id = route[index + 1]
+        link = delivery.links[index]
+        if link is None:
+            link = delivery.links[index] = self.link_between(node_id, next_id)
+        now = event.tick  # the event that called this fired just now
+        depart = link.reserve(now)
         if depart is None:
             self._finish(
                 delivery,
                 delivered=False,
                 reason=(
-                    f"link {message.current_node!r}->{next_node!r} dropped "
+                    f"link {node_id!r}->{next_id!r} dropped "
                     f"message {message.message_id} (buffer full)"
                 ),
             )
             return
-        delay = depart - self.events.now + link.latency
-        self.events.schedule(
-            delay, lambda: self._arrive(delivery, next_node), kind="hop"
-        )
+        delivery.position = index + 1
+        events.reschedule(event, depart - now + link.latency, event.callback, "hop")
 
     def _land(self, delivery: _Delivery, start: int, hop: int) -> None:
         """Finish one null-model segment scheduled as a single event.
@@ -536,24 +591,12 @@ class NetworkSimulator:
                 return alive
         return True
 
-    def _arrive(self, delivery: _Delivery, node_id: Node) -> None:
-        message = delivery.message
-        if not self.nodes[node_id].alive:
-            self._finish(
-                delivery,
-                delivered=False,
-                reason=f"message {message.message_id} reached failed node {node_id!r}",
-            )
-            return
-        message.advance()
-        delivery.hops += 1
-        self._forward(delivery)
-
     def _finish_segment(self, delivery: _Delivery) -> None:
-        segment = delivery.segment
-        assert segment is not None
+        # The message still carries the segment's wire payload.
+        assert delivery.plan is not None
+        source, target = delivery.plan[delivery.index]
         delivery.payload = self.service.on_receive(
-            delivery.wire_payload, segment[0], segment[1]
+            delivery.message.payload, source, target
         )
         delivery.index += 1
         self._next_segment(delivery)
@@ -576,9 +619,12 @@ class NetworkSimulator:
         at_tick: Optional[int] = None,
     ) -> None:
         message = delivery.message
+        # The event's callback holds the delivery: drop the back reference so
+        # reference counting frees both (no cycle left for the collector).
+        delivery.event = None
         now = self.events.now if at_tick is None else at_tick
         message.finished_tick = now
-        ticks = now - delivery.start_tick
+        ticks = now - message.injected_tick
         if delivered:
             self.stats.messages_delivered += 1
             self.stats.total_hops += delivery.hops

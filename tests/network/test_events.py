@@ -226,3 +226,106 @@ class TestCancellation:
         queue.schedule(1, lambda: fired.append("survivor"))
         queue.run()
         assert fired == ["killer", "survivor"]
+
+    def test_step_from_a_callback_keeps_run_in_order(self):
+        # run() walks a tick's slot in one loop; a callback that steps the
+        # queue itself consumes the next event, which run() must not repeat.
+        queue = EventQueue()
+        fired = []
+
+        def stepper():
+            fired.append("stepper")
+            assert queue.step()
+
+        queue.schedule(1, stepper)
+        queue.schedule(1, lambda: fired.append("stepped"))
+        queue.schedule(1, lambda: fired.append("third"))
+        queue.schedule(2, lambda: fired.append("later"))
+        assert queue.run() == 3
+        assert fired == ["stepper", "stepped", "third", "later"]
+        assert queue.processed == 4
+
+
+class TestReschedule:
+    def test_rearmed_event_orders_like_a_new_one(self):
+        # Both queues see the same calls, except that one re-arms the fired
+        # event where the other schedules a fresh one: every firing must
+        # land on the same tick with the same sequence number.
+        logs = []
+        for rearm in (False, True):
+            queue = EventQueue()
+            log = []
+            holder = {}
+
+            def first(queue=queue, log=log, holder=holder, rearm=rearm):
+                log.append(("first", queue.now, holder["event"].seq))
+                queue.schedule(1, lambda: log.append(("sibling", queue.now, None)))
+                if rearm:
+                    queue.reschedule(holder["event"], 1, second, "again")
+                else:
+                    holder["event"] = queue.schedule(1, second, "again")
+
+            def second(queue=queue, log=log, holder=holder):
+                log.append(("second", queue.now, holder["event"].seq))
+
+            holder["event"] = queue.schedule(3, first, "start")
+            queue.schedule(4, lambda log=log: log.append(("queued", 4, None)))
+            queue.run()
+            logs.append((log, queue.processed, len(queue)))
+        assert logs[0] == logs[1]
+        assert logs[1][0] == [
+            ("first", 3, 0),
+            ("queued", 4, None),
+            ("sibling", 4, None),
+            ("second", 4, 3),
+        ]
+
+    def test_rearm_updates_callback_and_kind(self):
+        queue = EventQueue()
+        fired = []
+        event = queue.schedule(1, lambda: fired.append("a"), "one")
+        queue.run()
+        queue.reschedule(event, 2, lambda: fired.append("b"), "two")
+        assert len(queue) == 1
+        assert (event.tick, event.kind, event.fired) == (3, "two", False)
+        queue.run()
+        assert fired == ["a", "b"]
+        assert queue.now == 3
+
+    def test_zero_delay_rearm_joins_the_current_tick(self):
+        queue = EventQueue()
+        fired = []
+        holder = {}
+
+        def bounce():
+            fired.append(("bounce", queue.now))
+            if fired.count(("bounce", 1)) < 3:
+                queue.reschedule(holder["event"], 0, bounce)
+
+        holder["event"] = queue.schedule(1, bounce)
+        queue.schedule(1, lambda: fired.append(("sibling", queue.now)))
+        queue.run()
+        assert fired == [("bounce", 1), ("sibling", 1), ("bounce", 1), ("bounce", 1)]
+
+    def test_pending_or_cancelled_events_are_refused(self):
+        queue = EventQueue()
+        pending = queue.schedule(1, lambda: None)
+        with pytest.raises(SimulationError, match="only a fired event"):
+            queue.reschedule(pending, 1, lambda: None)
+        queue.cancel(pending)
+        with pytest.raises(SimulationError, match="only a fired event"):
+            queue.reschedule(pending, 1, lambda: None)
+        assert len(queue) == 0
+        assert queue.run() == 0
+
+    def test_rearm_validates_the_delay(self):
+        queue = EventQueue()
+        event = queue.schedule(0, lambda: None)
+        queue.run()
+        for delay in (-1, 0.5, True):
+            with pytest.raises(SimulationError, match="delay|integer ticks"):
+                queue.reschedule(event, delay, lambda: None)
+        # A refused delay leaves the event fired, so it can still be re-armed.
+        assert len(queue) == 0
+        queue.reschedule(event, 1, lambda: None)
+        assert queue.run() == 1
