@@ -37,7 +37,10 @@ EventCallback = Callable[[], None]
 
 @dataclasses.dataclass(slots=True)
 class Event:
-    """One scheduled callback: fires at ``tick``, ties broken by ``seq``."""
+    """One scheduled callback: fires at ``tick``, ties broken by ``seq``.
+
+    Once fired, the record may be re-armed with :meth:`EventQueue.reschedule`.
+    """
 
     tick: int
     seq: int

@@ -34,7 +34,8 @@ engine of :mod:`repro.network.events`:
 * a delivery owns exactly one engine event: the inject event is re-armed
   (:meth:`EventQueue.reschedule`) for every later step — endpoint send,
   each hop, endpoint receive, a null-model segment flight — so it never
-  has two pending events, and a hop allocates nothing;
+  has two pending events, and a hop allocates no event, closure or link
+  key;
 * under a link capacity every hop is that event firing :meth:`_hop`, one
   handler that checks the next route node's liveness, moves the message
   onto it, and reserves the following link.  Links come from a per-path

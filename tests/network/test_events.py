@@ -159,6 +159,24 @@ class TestRun:
         queue.run()
         assert ticks == sorted(ticks)
 
+    def test_step_from_a_callback_keeps_run_in_order(self):
+        # run() walks a tick's slot in one loop; a callback that steps the
+        # queue itself consumes the next event, which run() must not repeat.
+        queue = EventQueue()
+        fired = []
+
+        def stepper():
+            fired.append("stepper")
+            assert queue.step()
+
+        queue.schedule(1, stepper)
+        queue.schedule(1, lambda: fired.append("stepped"))
+        queue.schedule(1, lambda: fired.append("third"))
+        queue.schedule(2, lambda: fired.append("later"))
+        assert queue.run() == 3
+        assert fired == ["stepper", "stepped", "third", "later"]
+        assert queue.processed == 4
+
 
 class TestCancellation:
     def test_cancelled_event_does_not_fire(self):
@@ -226,24 +244,6 @@ class TestCancellation:
         queue.schedule(1, lambda: fired.append("survivor"))
         queue.run()
         assert fired == ["killer", "survivor"]
-
-    def test_step_from_a_callback_keeps_run_in_order(self):
-        # run() walks a tick's slot in one loop; a callback that steps the
-        # queue itself consumes the next event, which run() must not repeat.
-        queue = EventQueue()
-        fired = []
-
-        def stepper():
-            fired.append("stepper")
-            assert queue.step()
-
-        queue.schedule(1, stepper)
-        queue.schedule(1, lambda: fired.append("stepped"))
-        queue.schedule(1, lambda: fired.append("third"))
-        queue.schedule(2, lambda: fired.append("later"))
-        assert queue.run() == 3
-        assert fired == ["stepper", "stepped", "third", "later"]
-        assert queue.processed == 4
 
 
 class TestReschedule:

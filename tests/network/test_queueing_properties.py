@@ -12,6 +12,8 @@ hold on every run:
    cost ``hops * hop_ticks + 2 * routes_used * service_ticks``.
 """
 
+import functools
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -35,15 +37,11 @@ SETTINGS = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-_ROUTINGS = {}
 
-
+@functools.lru_cache(maxsize=None)
 def _routing(n, offsets):
-    key = (n, offsets)
-    if key not in _ROUTINGS:
-        graph = generators.circulant_graph(n, list(offsets))
-        _ROUTINGS[key] = graph, build_routing(graph, strategy="kernel").routing
-    return _ROUTINGS[key]
+    graph = generators.circulant_graph(n, list(offsets))
+    return graph, build_routing(graph, strategy="kernel").routing
 
 
 @st.composite

@@ -28,12 +28,15 @@ with ``--store FILE``); the CI ``traffic-smoke`` job re-runs it under two
 ``PYTHONHASHSEED`` values and byte-compares both stores with that file.
 """
 
+import functools
 import gc
 import hashlib
 import json
 import re
 from pathlib import Path
 from unittest import mock
+
+import pytest
 
 from repro.cli import main
 from repro.network import (
@@ -111,13 +114,10 @@ FAMILIES = {
     "destination failed at delivery": r"^node .* is failed; cannot deliver$",
 }
 
-_ROUTINGS = {}
 
-
+@functools.lru_cache(maxsize=None)
 def _network():
-    if SPEC not in _ROUTINGS:
-        _ROUTINGS[SPEC] = parse_scenario(SPEC).build()
-    return _ROUTINGS[SPEC]
+    return parse_scenario(SPEC).build()
 
 
 def run_config(name):
@@ -227,17 +227,21 @@ def digest_lines(name, result, simulator):
     ]
 
 
-def test_capacity_limited_outcomes_match_golden():
+@pytest.fixture(scope="module")
+def runs():
+    return {name: run_config(name) for name in CONFIGS}
+
+
+def test_capacity_limited_outcomes_match_golden(runs):
     lines = []
-    for name in CONFIGS:
-        lines += digest_lines(name, *run_config(name))
+    for name, (result, simulator) in runs.items():
+        lines += digest_lines(name, result, simulator)
     assert lines == GOLDEN.read_text().splitlines()
 
 
-def test_configs_hit_every_failure_family():
+def test_configs_hit_every_failure_family(runs):
     seen = set()
-    for name in CONFIGS:
-        result, _simulator = run_config(name)
+    for result, _simulator in runs.values():
         for receipt, reason in zip(result.receipts, _relative_reasons(result.receipts)):
             if not receipt.delivered:
                 seen.add(_family(reason))
