@@ -246,34 +246,39 @@ class TestCancellation:
         assert fired == ["killer", "survivor"]
 
 
+def _firings(rearm):
+    """Log the firings of a start event that re-arms itself or schedules anew.
+
+    The start event's callback schedules a sibling one tick on, then either
+    re-arms the start event or schedules a fresh one, also one tick on.
+    """
+    queue = EventQueue()
+    log = []
+    handle = {}
+
+    def second():
+        log.append(("second", queue.now, handle["event"].seq))
+
+    def first():
+        log.append(("first", queue.now, handle["event"].seq))
+        queue.schedule(1, lambda: log.append(("sibling", queue.now, None)))
+        if rearm:
+            queue.reschedule(handle["event"], 1, second, "again")
+        else:
+            handle["event"] = queue.schedule(1, second, "again")
+
+    handle["event"] = queue.schedule(3, first, "start")
+    queue.schedule(4, lambda: log.append(("queued", queue.now, None)))
+    queue.run()
+    return log, queue.processed, len(queue)
+
+
 class TestReschedule:
     def test_rearmed_event_orders_like_a_new_one(self):
-        # Both queues see the same calls, except that one re-arms the fired
-        # event where the other schedules a fresh one: every firing must
-        # land on the same tick with the same sequence number.
-        logs = []
-        for rearm in (False, True):
-            queue = EventQueue()
-            log = []
-            holder = {}
-
-            def first(queue=queue, log=log, holder=holder, rearm=rearm):
-                log.append(("first", queue.now, holder["event"].seq))
-                queue.schedule(1, lambda: log.append(("sibling", queue.now, None)))
-                if rearm:
-                    queue.reschedule(holder["event"], 1, second, "again")
-                else:
-                    holder["event"] = queue.schedule(1, second, "again")
-
-            def second(queue=queue, log=log, holder=holder):
-                log.append(("second", queue.now, holder["event"].seq))
-
-            holder["event"] = queue.schedule(3, first, "start")
-            queue.schedule(4, lambda log=log: log.append(("queued", 4, None)))
-            queue.run()
-            logs.append((log, queue.processed, len(queue)))
-        assert logs[0] == logs[1]
-        assert logs[1][0] == [
+        # Re-arming instead of allocating must not move any firing's tick,
+        # sequence number or place in its tick.
+        assert _firings(rearm=True) == _firings(rearm=False)
+        assert _firings(rearm=True)[0] == [
             ("first", 3, 0),
             ("queued", 4, None),
             ("sibling", 4, None),
