@@ -16,8 +16,8 @@ numpy calls:
   the faulty rows and the faulty target columns of every lane;
 * killed arcs — arcs whose endpoints survive but whose route(s) die — are
   left out by the gather itself: its index points them all at the phantom
-  row of lane 0, so marking them takes one scalar write per killed (slot,
-  lane) entry;
+  row, so marking them takes one scalar write per killed (slot, lane)
+  entry;
 * "lane complete" and "lane stuck" are ``xor`` + ``or``-reduce checks over
   the whole tensor;
 * on sparse route graphs (``BFS_DENSITY_FACTOR * arcs <= n^2``, fixed when
@@ -39,12 +39,19 @@ with one vectorised pass per node); multiroutings resolve killed arcs per
 fault set, since an arc survives while any of its pair's routes avoids the
 fault mask.
 
+A battery is **one pass** over at most :data:`LANES` lanes.  A lane that
+settles — complete, stuck, stopped by the guard or past its own cap —
+hands back its value (and witness) at once and is reloaded with the next
+pending fault list, so a long battery keeps every lane busy instead of
+waiting, chunk after chunk, for each chunk's deepest lane.  Each lane
+counts its levels from the advance it was loaded at; all loads at one
+level are one in-place step over the freed lanes.
+
 Scratch tensors form **one** set, allocated on first use for
-:data:`LANES` lanes and reused by every call: a battery wider than that
-streams through it ``LANES`` lanes at a time, and a narrower one works on
-a contiguous prefix of the same buffers (its views are made once per
-width).  So the kernel's memory does not grow with the widths of the
-batteries it has seen.
+:data:`LANES` lanes and reused by every call; a battery narrower than
+that works on a contiguous prefix of the same buffers (its views are made
+once per width).  So the kernel's memory does not grow with the widths or
+lengths of the batteries it has seen.
 
 The kernel is a **performance backend only**: it returns exactly the values
 of :func:`repro.core.route_index._rows_diameter_witness` (the hypothesis
@@ -67,8 +74,9 @@ try:  # gated dependency: the library must work without numpy installed
 except ImportError:  # pragma: no cover - exercised by numpy-less installs
     np = None
 
-#: Lanes per kernel pass: the width of the one scratch set.
-LANES = 16
+#: Lanes of the kernel's one pass: the width of the one scratch set.  A
+#: battery with more fault lists refills settled lanes with pending ones.
+LANES = 32
 
 Triple = Tuple[float, Optional[Tuple[int, int]], Optional[Tuple[int, int, int]]]
 
@@ -115,6 +123,8 @@ class _Views(NamedTuple):
     # gathered hub arcs (a level advance is done with the columns first)
     column: "np.ndarray"
     index: "np.ndarray"  # (gather slots, B): each slot's row in every lane
+    low: "np.ndarray"  # (B,): flat reach row of each lane's lowest alive node
+    low_alive: "np.ndarray"  # (B, w): that node's full reach, its alive set
 
 
 class NumpyKernel:
@@ -131,7 +141,6 @@ class NumpyKernel:
             raise RuntimeError("numpy is not available")
         self._buffers = None  # the one scratch set, allocated on first use
         self._width_views = {}  # battery width -> views of the scratch set
-        self._views: Optional[_Views] = None
         self._last_level = 0
         self.index = index
         n = index._n
@@ -224,16 +233,15 @@ class NumpyKernel:
         return _Views(
             ((rows, B, w), u64), ((rows, B, w), u64), ((rows, B, w), u64),
             ((B, w), u64), ((ns, B, w), u64), ((max(ns, nha), B, w), u64),
-            ((self.gather_tgt.size, B), np.intp),
+            ((self.gather_tgt.size, B), np.intp), ((B,), np.intp), ((B, w), u64),
         )
 
     def _scratch(self, B: int) -> _Views:
         """Width-``B`` views (``B <= LANES``) of the one scratch set.
 
-        Each buffer is flat and sized for :data:`LANES` lanes; a width-``B``
-        view reshapes its contiguous prefix, so every width shares the same
-        allocation.  The views of each width are made once; the current
-        ones stay on the kernel for :meth:`_bfs` and for witness extraction.
+        Each buffer is flat and sized for :data:`LANES` lanes, 32 of them; a
+        width-``B`` view reshapes its contiguous prefix, so every width
+        shares the same allocation.  The views of each width are made once.
         """
         views = self._width_views.get(B)
         if views is None:
@@ -248,64 +256,91 @@ class NumpyKernel:
                     for buf, (shape, _dtype) in zip(self._buffers, self._shapes(B))
                 )
             )
-        self._views = views
         return views
 
-    def _start(self, fault_lists, parts, shared) -> Tuple[List[int], List[int]]:
-        """Prepare one pass over at most :data:`LANES` fault id lists.
+    def _load(self, views, reach, lanes, lists, masks, common, reset) -> None:
+        """Load fault id lists into ``lanes`` of the scratch set, in place.
 
-        Fills ``expected`` (alive columns on alive rows), the level-0 reach
-        (each alive node's self bit) and the gather index, with the killed
-        arcs pointed at row ``n`` of lane 0, which is zero in every pass:
-        ``parts`` lists ``(slots, lane)`` pairs of arcs dead in one lane, in
-        lane order, and every slot of ``shared`` is dead in every lane.
-        Marking an arc whose source or target is faulty in that lane is
-        harmless (its row or its gathered target is zero there anyway), so
-        callers need not filter those out.  Returns each lane's number of
-        alive nodes and its lowest alive node (``n`` for an empty lane).
+        ``reach`` is the scratch tensor that holds the current level (the
+        pass swaps it with ``upd`` at every advance), ``lists`` are the
+        lanes' fault id lists and ``masks`` their alive masks.  Writes each
+        lane's ``expected`` column (alive columns on alive rows), its
+        level-0 reach (each alive node's self bit) and its guard row, and
+        resets its gather-index column from ``reset``: every slot's target
+        row, with the slots of the faults in ``common`` (shared by every
+        list of the battery) already pointed at row ``n``, which is zero in
+        every lane.  Then the lane's own killed arcs are pointed there too,
+        so nothing of the list the lane held before is left.  Marking an
+        arc whose source or target is faulty in that lane is harmless (its
+        row or its gathered target is zero there anyway), so kills need no
+        filtering.
+
+        ``lanes`` is an ascending intp array.  When it holds every lane of
+        the width — a battery's first load — the writes cover whole tensors
+        and row ``n`` is zeroed; otherwise they touch the loaded lanes'
+        columns only, in place.
         """
-        B = len(fault_lists)
+        B = views.reach.shape[1]
         n = self.n
-        views = self._scratch(B)
-        alive = []
-        for ids in fault_lists:
-            mask = self.index._full_mask
-            for v in ids:
-                mask &= ~(1 << v)
-            alive.append(mask)
-        expected, reach = views.expected, views.reach
-        np.copyto(expected[:n], _pack_ints(alive, self.w)[None, :, :])
-        expected[n] = 0
-        expected[
-            [v for ids in fault_lists for v in ids],
-            [b for b, ids in enumerate(fault_lists) for _v in ids],
-        ] = 0
-        np.copyto(reach[:n], self.self_rows[:, None, :])
-        reach[n] = 0
-        np.bitwise_and(reach, expected, out=reach)
+        index = views.index
+        packed = _pack_ints(masks, self.w)
+        full = lanes.size == B
+        cols = slice(None) if full else lanes
+        expected = views.expected
+        expected[:n, cols] = packed
+        reach[:n, cols] = self.self_rows[:, None, :]
+        if full:
+            expected[n] = 0
+            reach[n] = 0
+        lane_list = lanes.tolist()
+        faulty = [v for ids in lists for v in ids]
+        lane_of = [lane for lane, ids in zip(lane_list, lists) for _v in ids]
+        expected[faulty, lane_of] = 0
+        reach[faulty, lane_of] = 0
+        lows = [(mask & -mask).bit_length() - 1 for mask in masks]
+        views.low[cols] = np.asarray(lows, dtype=np.intp) * B + lanes
+        views.low_alive[cols] = packed
         # Row r of lane b is row r * B + b of the reach tensor seen as
         # (n + 1) * B rows of w words.
-        index = views.index
-        np.multiply(self.gather_tgt[:, None], B, out=index)
-        index += np.arange(B, dtype=np.intp)
-        if shared:
-            index[np.concatenate(shared)] = n * B
+        if full:
+            np.add(reset[:, None], lanes, out=index)
+        else:
+            for lane in lane_list:
+                np.add(reset, lane, out=index[:, lane])
+        route_index = self.index
+        if route_index._multi:
+            parts = []
+            for position, mask in enumerate(masks):
+                fault_mask = route_index._full_mask & ~mask
+                dead = route_index._dead_pairs(
+                    fault_mask, route_index._affected_pairs(fault_mask)
+                )
+                if dead:
+                    slots = [self.slot_of[pair] for pair in dead]
+                    parts.append((np.asarray(slots, dtype=np.intp), position))
+        else:
+            kill = self.kill_slots
+            parts = [
+                (kill[v], position)
+                for position, ids in enumerate(lists)
+                for v in ids
+                if v in kill and v not in common
+            ]
         if parts:
             # Entry slot * B + lane of the index, one intp per killed (slot,
             # lane) entry: the only temporary that grows with the kills.
             dead = np.concatenate([slots for slots, _lane in parts], dtype=np.intp)
             dead *= B
-            sizes = [0] * B
-            for slots, lane in parts:
-                sizes[lane] += slots.size
-            start = sizes[0]
-            for lane in range(1, B):
-                end = start + sizes[lane]
-                dead[start:end] += lane
+            sizes = [0] * len(lane_list)
+            for slots, position in parts:
+                sizes[position] += slots.size
+            start = 0
+            for lane, size in zip(lane_list, sizes):
+                end = start + size
+                if lane:
+                    dead[start:end] += lane
                 start = end
             index.reshape(-1)[dead] = n * B
-        lows = [(mask & -mask).bit_length() - 1 if mask else n for mask in alive]
-        return [mask.bit_count() for mask in alive], lows
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -352,132 +387,134 @@ class NumpyKernel:
         return self._battery(fault_lists, cap, True)
 
     def _battery(self, fault_lists, cap, witnesses):
-        """Evaluate ``fault_lists`` :data:`LANES` at a time, in order.
+        """Evaluate ``fault_lists`` in one pass, results in battery order.
 
-        Each pass's results (witnesses included) are taken before the next
-        pass reuses the scratch tensors.
+        A list with at most one alive node settles at once (``0``, or
+        ``inf`` for an empty graph), and so does every list when ``cap`` is
+        at most 0, at its level-0 capped witness; neither takes a lane.
+        The others go through :meth:`_bfs`.  With ``witnesses`` each result
+        is a ``(value, witness, capped)`` triple.
         """
-        index = self.index
-        out = []
-        for start in range(0, len(fault_lists), LANES):
-            chunk = fault_lists[start : start + LANES]
-            if not index._multi:
-                # Faults every lane shares (a greedy round's base set) are
-                # marked once for all lanes.
-                common = set(chunk[0]).intersection(*chunk[1:])
-                kill = self.kill_slots
-                shared = [kill[v] for v in common if v in kill]
-                parts = [
-                    (kill[v], b)
-                    for b, ids in enumerate(chunk)
-                    for v in ids
-                    if v in kill and v not in common
-                ]
+        full = self.index._full_mask
+        out = [None] * len(fault_lists)
+        masks, todo = [], []
+        for position, ids in enumerate(fault_lists):
+            mask = full
+            for v in ids:
+                mask &= ~(1 << v)
+            masks.append(mask)
+            alive = mask.bit_count()
+            if alive <= 1:
+                value = 0 if alive else INFINITY
+                out[position] = (value, None, None) if witnesses else value
+            elif cap is not None and cap <= 0:
+                # Level 0 already meets the cap: every other alive node is
+                # at distance >= 1 from the lowest one.
+                bit = mask & -mask
+                out[position] = (
+                    (INFINITY, None, (bit, mask ^ bit, 1)) if witnesses else INFINITY
+                )
             else:
-                shared, parts = [], []
-                for b, ids in enumerate(chunk):
-                    fault_mask = 0
-                    for v in ids:
-                        fault_mask |= 1 << v
-                    dead = index._dead_pairs(
-                        fault_mask, index._affected_pairs(fault_mask)
-                    )
-                    if dead:
-                        slots = [self.slot_of[pair] for pair in dead]
-                        parts.append((np.asarray(slots, dtype=np.intp), b))
-            values, stuck = self._bfs(len(chunk), cap, *self._start(chunk, parts, shared))
-            if witnesses:
-                values = [
-                    self._witness_triple(value, stuck, lane, cap)
-                    for lane, value in enumerate(values)
-                ]
-            out.extend(values)
+                todo.append(position)
+        self._last_level = 0
+        if todo:
+            self._bfs(fault_lists, masks, todo, cap, witnesses, out)
         return out
 
-    def _witness_triple(
-        self, value: float, stuck, entry: int, cap: Optional[float]
-    ) -> Triple:
-        """Classify one evaluated lane into ``(value, witness, capped)``."""
-        if value != INFINITY:
-            return value, None, None
-        extracted = self._extract_unreached(entry)
-        if extracted is None:  # pragma: no cover - inf implies a witness
-            return value, None, None
-        source_bit, unreached = extracted
-        if stuck[entry]:
-            return value, (source_bit, unreached), None
-        if cap is None:  # pragma: no cover - no cap means stuck or finite
-            return value, None, None
-        # Cap break: the reach tensor holds "within `_last_level` levels",
-        # so every unreached node sits at distance >= _last_level + 1.
-        return value, None, (source_bit, unreached, self._last_level + 1)
+    def _unreached(self, reach, expected, lane: int) -> Tuple[int, int]:
+        """Lowest alive source of ``lane`` that misses part of the alive set.
 
-    def _extract_unreached(self, entry: int = 0) -> Optional[Tuple[int, int]]:
-        """First alive source of lane ``entry`` that has not reached everything."""
+        Returns its bit and the mask of alive nodes its reach set lacks.
+        """
         n = self.n
-        reach = self._views.reach[:n, entry]
-        expected = self._views.expected[:n, entry]
+        reach, expected = reach[:n, lane], expected[:n, lane]
         # Faulty rows are zero in both tensors; alive rows hold their self bit.
         missing = (reach ^ expected).any(axis=1) & reach.any(axis=1)
-        rows = np.nonzero(missing)[0]
-        if not rows.size:
-            return None
-        row = int(rows[0])
+        row = int(np.nonzero(missing)[0][0])
         have = int.from_bytes(reach[row].tobytes(), "little")
         want = int.from_bytes(expected[row].tobytes(), "little")
         return 1 << row, want & ~have
 
-    def _bfs(self, B, cap, n_alive, lows):
-        """Advance the prepared start state level by level from level 0.
+    def _bfs(self, fault_lists, masks, todo, cap, witnesses, out) -> None:
+        """Run the battery's pass, refilling lanes as they settle.
 
-        A lane settles when it is complete (its diameter is the level), and
-        at ``inf`` when it is disconnected: either no reach set of the lane
-        grew in the last advance, or — on kernels with :attr:`guard` — the
-        reach set of its lowest alive node (``lows``) did not grow yet
-        misses part of the lane's alive set.  Such a set has converged, so
-        that node and its unreached mask are the witness the bitset
-        kernel's guard returns, and the lane needs no more levels however
-        far the other sources' reach still grows.
+        ``todo`` lists the battery positions still to evaluate, in order.
+        The pass has ``B`` lanes: at most :data:`LANES`, and no more than
+        it takes to load every list in ``ceil(len(todo) / LANES)`` rounds,
+        so when lanes settle together the last round does not drag a few
+        lists through a full-width tensor.  The first ``B`` lists load at
+        level 0.
 
-        Returns ``(values, was_stuck)``; :attr:`_last_level` is the number
-        of level advances made.
+        After every level advance a lane settles when it is complete (its
+        diameter is the number of advances since it was loaded), and at
+        ``inf`` when it is disconnected: either none of its reach sets grew
+        in the advance, or — on kernels with :attr:`guard` — the reach set
+        of its lowest alive node did not grow yet misses part of the lane's
+        alive set.  Such a set has converged, so that node and its
+        unreached mask are the witness the bitset kernel's guard returns,
+        however far the lane's other sources' reach would still grow.  With
+        ``cap``, an incomplete lane whose advances reach the cap settles at
+        ``inf`` too, with every unreached node of its witness source at
+        distance at least one more.
+
+        A settled lane writes its result (and witness, read from the
+        tensors there and then) into ``out``, and every lane freed at one
+        level is reloaded with the next pending lists in one :meth:`_load`.
+        :attr:`_last_level` counts the pass's level advances.
         """
-        views = self._views
+        rounds = -(-len(todo) // LANES)
+        B = -(-len(todo) // rounds)
+        views = self._scratch(B)
+        n, w = self.n, self.w
+        common = set()
+        reset = self.gather_tgt * B
+        if not self.index._multi:
+            # Faults every list shares (a greedy round's base set) are
+            # marked once, in every lane's reset column.
+            first = fault_lists[todo[0]]
+            common = set(first).intersection(*(fault_lists[p] for p in todo[1:]))
+            kill = self.kill_slots
+            shared = [kill[v] for v in common if v in kill]
+            if shared:
+                reset[np.concatenate(shared)] = n * B
         reach, upd, expected = views.reach, views.upd, views.expected
         red, contrib, column = views.xor_rows, views.contrib, views.column
-        w = self.w
-        if self.guard:
-            # Flat rows (see `_start`) of each lane's lowest alive node; its
-            # full reach is the lane's alive set, its row of `expected`.
-            low = np.asarray(lows, dtype=np.intp) * B + np.arange(B, dtype=np.intp)
-            low_alive = expected.reshape(-1, w)[low]
+        low, low_alive = views.low, views.low_alive
         ns = self.small.size
         hub_index = views.index[self.dmax * ns :]
         gathered = column[: hub_index.shape[0]]
         columns = [
             views.index[j * ns : j * ns + m] for j, m in enumerate(self.prefix) if m
         ]
-        # Plain Python values only: int for finite diameters, the float inf
-        # constant otherwise, exactly like the bitset kernel (serialisation
-        # byte-compares depend on it).  Lanes with one alive node have
-        # diameter 0, empty lanes inf; both are settled from the start.
-        out = [0 if k == 1 else INFINITY for k in n_alive]
-        settled = np.array([k <= 1 for k in n_alive])
-        was_stuck = np.zeros(B, dtype=bool)
+        held = [0] * B  # battery position of each lane's list
+        born = np.zeros(B, dtype=np.intp)  # level each lane was loaded at
+        active = np.zeros(B, dtype=bool)
+        loaded = 0  # lists of `todo` loaded so far
         level = 0
+        freed = True  # some lane settled since the last load
         while True:
-            # `upd` is free until the advance below overwrites it.
-            np.bitwise_xor(reach, expected, out=upd)
-            np.bitwise_or.reduce(upd, axis=0, out=red)
-            done = ~red.any(axis=1) & ~settled
-            if done.any():
-                for lane in np.nonzero(done)[0].tolist():
-                    out[lane] = level
-                settled |= done
-            if settled.all():
-                break
-            if cap is not None and level >= cap:
-                break
+            if freed:
+                freed = False
+                if loaded < len(todo):
+                    free = np.nonzero(~active)[0]
+                    picked = todo[loaded : loaded + free.size]
+                    lanes = free[: len(picked)]
+                    loaded += len(picked)
+                    self._load(
+                        views,
+                        reach,
+                        lanes,
+                        [fault_lists[p] for p in picked],
+                        [masks[p] for p in picked],
+                        common,
+                        reset,
+                    )
+                    for lane, position in zip(lanes.tolist(), picked):
+                        held[lane] = position
+                    born[lanes] = level
+                    active[lanes] = True
+                elif not active.any():
+                    break
             np.copyto(upd, reach)
             rows = reach.reshape(-1, w)
             if columns:
@@ -507,18 +544,50 @@ class NumpyKernel:
                 short = (upd.reshape(-1, w)[low] != low_alive).any(axis=1)
                 stuck |= short & ~grown
             reach, upd = upd, reach
-            stuck &= ~settled
+            stuck &= active
             if stuck.any():
-                # Disconnected, stays inf.  Witness extraction takes the
-                # lane's lowest incomplete row, whose reach set has
-                # converged: the lowest alive node's on a guard stop, and
-                # every row's when the whole lane stopped growing.
-                settled |= stuck
-                was_stuck |= stuck
-                if settled.all():
-                    break
-        # After the loop `reach` covers distance <= level: a cap break leaves
-        # every unreached node at distance >= level + 1 (capped witness).
+                # Disconnected, stays inf.  The witness is the lane's lowest
+                # incomplete row, whose reach set has converged: the lowest
+                # alive node's on a guard stop, and every row's when the
+                # whole lane stopped growing.
+                active &= ~stuck
+                for lane in np.nonzero(stuck)[0].tolist():
+                    out[held[lane]] = (
+                        (INFINITY, self._unreached(reach, expected, lane), None)
+                        if witnesses
+                        else INFINITY
+                    )
+                freed = True
+            # `upd` is free until the next advance overwrites it.
+            np.bitwise_xor(reach, expected, out=upd)
+            np.bitwise_or.reduce(upd, axis=0, out=red)
+            done = ~red.any(axis=1) & active
+            if done.any():
+                # Plain Python values only: int for finite diameters, the
+                # float inf constant otherwise, exactly like the bitset
+                # kernel (serialisation byte-compares depend on it).
+                active &= ~done
+                for lane in np.nonzero(done)[0].tolist():
+                    depth = level - int(born[lane])
+                    out[held[lane]] = (depth, None, None) if witnesses else depth
+                freed = True
+            if cap is not None:
+                # Lanes whose advances since loading reached the cap.
+                capped = active & (born <= level - cap)
+                if capped.any():
+                    # Reach covers distance <= depth: every unreached node
+                    # sits at distance >= depth + 1 (capped witness).
+                    active &= ~capped
+                    for lane in np.nonzero(capped)[0].tolist():
+                        depth = level - int(born[lane])
+                        out[held[lane]] = (
+                            (
+                                INFINITY,
+                                None,
+                                self._unreached(reach, expected, lane) + (depth + 1,),
+                            )
+                            if witnesses
+                            else INFINITY
+                        )
+                    freed = True
         self._last_level = level
-        self._views = views._replace(reach=reach, upd=upd)
-        return out, was_stuck

@@ -960,9 +960,10 @@ class EvalCursor:
         means disconnected *or* proven to exceed the cap.  This is the
         batched candidate-evaluation layer of the greedy adversary.
 
-        On the numpy backend the candidates advance through packed uint64
-        reach tensors, 16 lanes per vectorised BFS (with ``cap`` aborting
-        hopeless lanes early); the bitset
+        On the numpy backend the candidates advance through one pass of
+        packed uint64 reach tensors, up to 32 lanes per vectorised BFS
+        level, a settled lane taking the next candidate (with ``cap``
+        aborting hopeless lanes early); the bitset
         backend runs the equivalent loop over :meth:`with_added` children —
         both share this cursor's masked rows, so per-candidate setup is the
         usual delta update either way and the returned values are

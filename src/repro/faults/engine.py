@@ -14,6 +14,14 @@ that loop re-walked every route of the routing for every fault set.
   outcomes back in battery order so aggregation is incremental (bounded
   memory) and byte-for-byte independent of the worker count.
 
+Shards are the *seeding blocks* of a battery: ``chunk_size`` sets per
+block, each drawn from its own seed.  Tasks — what one
+``surviving_diameters`` call evaluates — group them: a pooled task is one
+shard, so the pool balances its load shard by shard, while an in-process
+task carries up to :data:`LOCAL_TASK_SHARDS` consecutive shards, so a
+whole sweep battery reaches the numpy kernel at once and its lanes refill
+as they settle.  Grouping changes no fault set and no value.
+
 Determinism is a hard requirement: the same integer seed must produce the
 same campaign rows whether the battery runs in-process or across N workers.
 Two design rules enforce it:
@@ -67,6 +75,11 @@ CampaignRow = Union[CampaignResult, DecisionCampaignResult]
 #: value and the battery, never on the worker count, so results are
 #: reproducible across pool sizes.
 DEFAULT_CHUNK_SIZE = 32
+
+#: Consecutive shards per in-process task (256 sets at the default chunk
+#: size): one ``surviving_diameters`` call covers a 200-set battery.
+#: Pooled tasks stay one shard each.
+LOCAL_TASK_SHARDS = 8
 
 
 def shard_seed(seed: int, tag: str, shard: int) -> int:
@@ -217,28 +230,41 @@ def _init_worker(index: RouteIndex) -> None:
     _WORKER_INDEX = index
 
 
-def _evaluate_shard(
-    task: Tuple[_Shard, Optional[float]], index: Optional[RouteIndex] = None
-) -> Tuple[Tuple[FaultSet, ...], List[float]]:
-    """Evaluate one ``(shard, cap)`` task on ``index`` (the worker's by default).
+def _evaluate_shards(
+    task: Tuple[Tuple[_Shard, ...], Optional[float]],
+    index: Optional[RouteIndex] = None,
+) -> Tuple[List[FaultSet], List[float]]:
+    """Evaluate one ``(shards, cap)`` task on ``index`` (the worker's by default).
 
-    Returns the shard's fault sets and their values.  ``cap=None`` yields
-    exact surviving diameters.  With a cap, a value is the exact diameter
-    when it is at most the cap and ``inf`` otherwise, which is all either
-    capped consumer needs: the early-exit scan treats any value strictly
-    above the cap as a violation witness, and the streaming decision
-    campaign folds it into a failed row.
+    Returns the fault sets of the task's shards, in order, and their
+    values.  ``cap=None`` yields exact surviving diameters.  With a cap, a
+    value is the exact diameter when it is at most the cap and ``inf``
+    otherwise, which is all either capped consumer needs: the early-exit
+    scan treats any value strictly above the cap as a violation witness,
+    and the streaming decision campaign folds it into a failed row.
     """
-    shard, cap = task
+    shards, cap = task
     if index is None:
         index = _WORKER_INDEX
         assert index is not None, "worker pool was not initialised"
-    chaos_point("task", f"shard:start={shard.start},size={shard.fault_size}")
-    fault_sets = shard.materialise(index.node_pool)
-    # One batched call per shard: the numpy backend evaluates the whole
-    # battery slice in a handful of vectorised level advances, and the
+    fault_sets: List[FaultSet] = []
+    for shard in shards:
+        chaos_point("task", f"shard:start={shard.start},size={shard.fault_size}")
+        fault_sets.extend(shard.materialise(index.node_pool))
+    # One batched call per task: the numpy backend evaluates the whole
+    # battery slice in one pass of vectorised level advances, and the
     # bitset backend degrades to the same per-set loop as before.
     return fault_sets, index.surviving_diameters(fault_sets, cap=cap)
+
+
+def _blocks(items: Iterable, size: int) -> Iterator[tuple]:
+    """Cut a stream into consecutive tuples of at most ``size``, lazily."""
+    iterator = iter(items)
+    while True:
+        block = tuple(itertools.islice(iterator, size))
+        if not block:
+            return
+        yield block
 
 
 #: Shard dispatch is fail-fast: aggregates cannot tolerate holes (see
@@ -319,11 +345,7 @@ class CampaignEngine:
     # Shard construction and evaluation
     # ------------------------------------------------------------------
     def _explicit_shards(self, fault_sets: Iterable[FaultSet]) -> Iterator[_Shard]:
-        iterator = iter(fault_sets)
-        while True:
-            block = tuple(itertools.islice(iterator, self.chunk_size))
-            if not block:
-                return
+        for block in _blocks(fault_sets, self.chunk_size):
             yield _Shard(fault_sets=block)
 
     def _random_shards(
@@ -367,6 +389,11 @@ class CampaignEngine:
     ) -> Iterator[Outcome]:
         """Yield ``(fault_set, diameter)`` in battery order, capped at ``cap``.
 
+        Consecutive shards are grouped into tasks: up to
+        :data:`LOCAL_TASK_SHARDS` per task in-process, one per task on a
+        pool.  The shards stay the seeding blocks, so the fault sets and
+        their values do not depend on the grouping.
+
         The engine's supervisor is built on first use and kept: with
         ``workers > 1`` its pool — and with it the slim form of the index
         (bitset rows, kill masks and node labels; the graph and routing
@@ -377,15 +404,16 @@ class CampaignEngine:
         if self._runner is None:
             index = self.index
             self._runner = Supervisor(
-                _evaluate_shard,
+                _evaluate_shards,
                 initializer=_init_worker,
                 initargs=(index.slim(),),
-                local_fn=functools.partial(_evaluate_shard, index=index),
+                local_fn=functools.partial(_evaluate_shards, index=index),
                 policy=_STRICT,
                 workers=self.workers,
             )
+        per_task = LOCAL_TASK_SHARDS if self.workers == 1 else 1
         for _task, (fault_sets, values) in self._runner.run(
-            (shard, cap) for shard in shards
+            (group, cap) for group in _blocks(shards, per_task)
         ):
             yield from zip(fault_sets, values)
 
@@ -447,8 +475,9 @@ class CampaignEngine:
         Shards stream through the supervisor's sliding window (a few shards
         per worker), so an early exit leaves at most one window of
         in-flight shards behind instead of the whole remaining enumeration;
-        in-process, a violating shard costs at most one chunk of extra
-        evaluations, which whole-shard batching more than pays back.
+        in-process, a violating scan evaluates at most one task (up to
+        :data:`LOCAL_TASK_SHARDS` shards) past its witness, which batching
+        the task into one kernel pass more than pays back.
         """
         worst = -1.0
         worst_set: Optional[FaultSet] = None

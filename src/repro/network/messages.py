@@ -19,9 +19,12 @@ Node = Hashable
 _message_ids = itertools.count(1)
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class Message:
     """A message travelling along a fixed, precomputed route.
+
+    Slotted: a message holds exactly its fields, with no per-instance
+    ``__dict__``.
 
     Attributes
     ----------

@@ -9,6 +9,9 @@
 * batteries mixing shallow, deep and disconnecting lanes must agree with
   the bitset kernel and the naive oracle, capped and uncapped, including
   greedy candidate rounds (lanes that share their base faults);
+* batteries wider than ``LANES`` reload settled lanes with pending fault
+  lists, and every lane's witness triple must still equal the bitset
+  kernel's on that lane's rows;
 * on sparse route graphs a lane settles as soon as its lowest alive node's
   reach stops growing short of the alive set (the guard), with the witness
   the bitset kernel returns, and dense route graphs run no guard;
@@ -273,6 +276,134 @@ class TestMixedBatteries:
             assert numpy_index.surviving_diameters(
                 battery, cap=cap
             ) == bitset_index.surviving_diameters(battery, cap=cap)
+
+
+#: Deep sparse lanes (levels 2 to 47 at sizes 5-10) and the mixed routings.
+REFILL = ("circulant:n=96,offsets=1+2/kernel",) + MIXED
+
+_INDEXES = {}
+
+
+def _numpy_index(spec):
+    """A numpy-backed index of a scenario spec, built once per module."""
+    if spec not in _INDEXES:
+        _INDEXES[spec] = RouteIndex(*_built(spec), backend="numpy")
+    return _INDEXES[spec]
+
+
+def _bitset_triples(index, lanes, cap):
+    """``_rows_diameter_witness`` of every lane's surviving bitset rows."""
+    triples = []
+    for ids in lanes:
+        fault_mask = sum(1 << v for v in set(ids))
+        rows = index._surviving_rows(fault_mask)
+        triples.append(_rows_diameter_witness(rows, index._full_mask & ~fault_mask, cap))
+    return triples
+
+
+def _reach(rows, source_bit, levels=None):
+    """Nodes within ``levels`` hops of a source over bitset rows (all by default)."""
+    seen = frontier = source_bit
+    while frontier and levels != 0:
+        step = 0
+        while frontier:
+            bit = frontier & -frontier
+            step |= rows[bit.bit_length() - 1]
+            frontier ^= bit
+        frontier = step & ~seen
+        seen |= frontier
+        if levels is not None:
+            levels -= 1
+    return seen
+
+
+def _assert_refilled(kernel, lanes, cap):
+    """Every lane's triple, from a battery wider than ``LANES``, is right.
+
+    Uncapped, each triple equals ``_rows_diameter_witness`` on the lane's
+    bitset rows.  Capped, the values do, and each triple equals the lane's
+    own one-lane evaluation; the kernel may then report a capped witness
+    where the bitset kernel proves a disconnection one level later, so
+    every witness is also checked on the rows: its source reaches exactly
+    the alive nodes outside its mask, within ``lb - 1`` levels for a
+    capped one.
+    """
+    index = kernel.index
+    triples = kernel.batch_witnesses(lanes, cap)
+    reference = _bitset_triples(index, lanes, cap)
+    assert kernel.diameters(lanes, cap) == [value for value, _w, _c in triples]
+    if cap is None:
+        assert triples == reference
+        return
+    assert [value for value, _w, _c in triples] == [value for value, _w, _c in reference]
+    assert triples == [kernel.diameter_witness(ids, cap) for ids in lanes]
+    for ids, (value, witness, capped) in zip(lanes, triples):
+        fault_mask = sum(1 << v for v in set(ids))
+        alive = index._full_mask & ~fault_mask
+        if witness is None and capped is None:
+            assert value != INFINITY or not alive
+            continue
+        source_bit, unreached, *lb = witness or capped
+        levels = lb[0] - 1 if lb else None
+        assert unreached and source_bit & alive
+        reached = _reach(index._surviving_rows(fault_mask), source_bit, levels)
+        assert reached == alive & ~unreached
+
+
+class TestRefill:
+    """Batteries wider than ``LANES``: settled lanes take the next list."""
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        st.sampled_from(REFILL),
+        st.integers(min_value=0, max_value=10**6),
+        st.integers(min_value=LANES + 1, max_value=300),
+        st.sampled_from([None, 1, 2, 3, 6, 12]),
+    )
+    def test_refilled_lanes_match_the_bitset_rows(self, spec, seed, width, cap):
+        index = _numpy_index(spec)
+        rng = random.Random(seed)
+        n = index._n
+        deep = spec == REFILL[0]
+        lanes = [
+            sorted(rng.sample(range(n), rng.randint(5, 10) if deep else rng.randint(0, n)))
+            for _ in range(width)
+        ]
+        _assert_refilled(index._active_np_kernel(), lanes, cap)
+
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        # The routings with more nodes than lanes.
+        st.sampled_from(REFILL[:1] + MIXED[1:2]),
+        st.integers(min_value=0, max_value=10**6),
+        st.sampled_from([None, 1, 2, 3, 6, 12]),
+    )
+    def test_wide_candidate_rounds_match_the_bitset_rows(self, spec, seed, cap):
+        """Lanes sharing a base set, more candidates than lanes."""
+        index = _numpy_index(spec)
+        rng = random.Random(seed)
+        n = index._n
+        base = rng.sample(range(n), rng.randint(0, min(6, n - LANES - 1)))
+        others = [v for v in range(n) if v not in base]
+        candidates = rng.sample(others, rng.randint(LANES + 1, len(others)))
+        lanes = [sorted(base + [v]) for v in candidates]
+        _assert_refilled(index._active_np_kernel(), lanes, cap)
+
+    def test_deep_battery_refills_lanes(self):
+        """Deep and shallow lanes share a pass shorter than chunks would take."""
+        index = _numpy_index(REFILL[0])
+        kernel = index._active_np_kernel()
+        rng = random.Random(3)
+        lanes = [sorted(rng.sample(range(index._n), 5)) for _ in range(200)]
+        values = kernel.diameters(lanes)
+        finite = [value for value in values if value != INFINITY]
+        assert max(finite) >= 20 and min(values) <= 3
+        # Chunks of LANES lists would advance each chunk to its deepest lane.
+        depths = [value if value != INFINITY else 1 for value in values]
+        chunked = sum(
+            max(depths[start : start + LANES]) for start in range(0, len(depths), LANES)
+        )
+        assert kernel._last_level < chunked
 
 
 def _one_way_routing(n, seed):

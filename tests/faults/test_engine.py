@@ -231,6 +231,78 @@ class TestBoundedScan:
                 assert seq[2:] == par[2:]
 
 
+def _reference_scan(index, battery, bound):
+    """``_bounded_scan``'s contract, one ``surviving_diameter`` call per set."""
+    worst, worst_set = -1.0, None
+    for evaluated, fault_set in enumerate(battery, 1):
+        value = index.surviving_diameter(fault_set.nodes())
+        if value > bound:
+            return value, fault_set, evaluated, False
+        if value > worst:
+            worst, worst_set = value, fault_set
+    return worst, worst_set, len(battery), True
+
+
+class TestInProcessTasks:
+    """In-process tasks group consecutive shards into one batched call."""
+
+    def test_sweep_battery_is_one_call_per_size(self, workload, monkeypatch):
+        from repro.core import RouteIndex
+
+        graph, routing = workload
+        calls = []
+        batched = RouteIndex.surviving_diameters
+
+        def spy(self, fault_sets, cap=None):
+            fault_sets = list(fault_sets)
+            calls.append(len(fault_sets))
+            return batched(self, fault_sets, cap=cap)
+
+        monkeypatch.setattr(RouteIndex, "surviving_diameters", spy)
+        sizes = [1, 2, 3]
+        engine = CampaignEngine(graph, routing)
+        rows = _rows(engine.sweep_fault_sizes(sizes, samples=200, seed=4))
+        assert calls == [200] * len(sizes)
+        with CampaignEngine(graph, routing, workers=2) as parallel:
+            assert rows == _rows(parallel.sweep_fault_sizes(sizes, samples=200, seed=4))
+
+    @pytest.mark.parametrize("backend", ["bitset", "numpy"])
+    def test_violation_inside_a_task_matches_set_by_set_scan(self, workload, backend):
+        from repro.core import RouteIndex
+        from repro.core.np_kernel import numpy_available
+
+        if backend == "numpy" and not numpy_available():
+            pytest.skip("numpy backend not available")
+        graph, routing = workload
+        index = RouteIndex(graph, routing, backend=backend)
+        rng = _random.Random(6)
+        pool = sorted(graph.nodes())
+        sets = [FaultSet(rng.sample(pool, 3)) for _ in range(400)]
+        values = [index.surviving_diameter(fault_set.nodes()) for fault_set in sets]
+        bound = sorted(values)[len(values) // 2]
+        holding = [fs for fs, value in zip(sets, values) if value <= bound]
+        violating = [fs for fs, value in zip(sets, values) if value > bound]
+        # The first violation is set 40, inside the first 256-set task.
+        battery = holding[:39] + violating[:1] + sets[:150]
+        engine = CampaignEngine(graph, routing, index=index)
+        worst, witness, evaluated, holds = engine.bounded_worst_case(battery, bound)
+        expected = _reference_scan(index, battery, bound)
+        assert (worst, witness.nodes(), evaluated, holds) == (
+            expected[0],
+            expected[1].nodes(),
+            *expected[2:],
+        )
+        assert evaluated == 40 and not holds
+        # Without the violation the scan evaluates and ranks every set.
+        result = engine.bounded_worst_case(holding, bound)
+        expected = _reference_scan(index, holding, bound)
+        assert (result[0], result[1].nodes(), *result[2:]) == (
+            expected[0],
+            expected[1].nodes(),
+            *expected[2:],
+        )
+
+
 class TestIndexShipping:
     def test_prebuilt_index_is_shipped_to_workers(self, workload, monkeypatch):
         """The pool initializer must receive the slim form of the engine's index."""

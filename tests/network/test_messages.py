@@ -57,6 +57,12 @@ class TestMessage:
         message = Message(origin="a", final_destination="b", payload=None)
         assert "a" in repr(message)
 
+    def test_holds_only_its_fields(self):
+        message = Message(origin="a", final_destination="b", payload=None)
+        assert not hasattr(message, "__dict__")
+        with pytest.raises(AttributeError):
+            message.hops = 3
+
 
 class TestDeliveryReceipt:
     def test_delivered_repr(self):
