@@ -12,8 +12,8 @@ Four claims are measured and enforced:
 2. **Supervised dispatch is free on the clean path.**  The same suite runs
    through the :class:`~repro.runtime.Supervisor` (timeouts, retry budgets,
    dead-worker detection armed) and through a bare
-   ``multiprocessing.Pool(...).imap`` over the suite's own worker function,
-   pool initializer, payload and task list (:class:`_BarePool`).  Rows must
+   ``multiprocessing.Pool(...).imap`` over the shared battery worker
+   function, pool initializer, payload and task list (:class:`_BarePool`).  Rows must
    be identical and the supervised best time must stay within 5% of the
    baseline (or a small absolute delta on quick runs, where timer noise
    exceeds 5%).
@@ -131,12 +131,13 @@ def _overhead_workload(quick: bool):
 
 
 class _BarePool:
-    """The overhead gate's baseline in place of the suite's Supervisor.
+    """The overhead gate's baseline in place of the battery runner's Supervisor.
 
-    It receives what the supervisor would — the suite's worker function,
-    pool initializer, payload and task list — and drains the tasks through
-    one bare ``multiprocessing.Pool(...).imap``: no window, deadlines,
-    liveness polling, retries or crash recovery.
+    It receives what the supervisor would — the shared battery worker
+    function (:func:`repro.faults.engine._evaluate_task`), pool
+    initializer, payload and task list — and drains the tasks through one
+    bare ``multiprocessing.Pool(...).imap``: no window, deadlines, liveness
+    polling, retries or crash recovery.
     """
 
     def __init__(self, worker_fn, initializer=None, initargs=(), workers=1, **_):
@@ -168,10 +169,10 @@ def _bench_supervisor_overhead(quick: bool) -> dict:
     within a small absolute delta, since quick-mode runs are short enough
     for timer noise to exceed 5%.  Both runs go through
     :func:`run_scenario_suite`; the baseline swaps :class:`_BarePool` in for
-    the suite's supervisor, so scenario builds and row folding are timed
-    alike.
+    the supervisor the battery runner builds, so scenario builds and row
+    folding are timed alike.
     """
-    from repro.scenarios import suite as suite_module
+    from repro.faults import engine as engine_module
 
     grid_spec, samples, workers, repeats = _overhead_workload(quick)
     scenarios = expand_grids([grid_spec])
@@ -179,8 +180,8 @@ def _bench_supervisor_overhead(quick: bool) -> dict:
     def timed(runner):
         best = float("inf")
         rows = None
-        supervisor = suite_module.Supervisor
-        suite_module.Supervisor = runner
+        supervisor = engine_module.Supervisor
+        engine_module.Supervisor = runner
         try:
             for _ in range(repeats):
                 start = time.perf_counter()
@@ -189,10 +190,10 @@ def _bench_supervisor_overhead(quick: bool) -> dict:
                 )
                 best = min(best, time.perf_counter() - start)
         finally:
-            suite_module.Supervisor = supervisor
+            engine_module.Supervisor = supervisor
         return best, rows
 
-    supervised_s, supervised_rows = timed(suite_module.Supervisor)
+    supervised_s, supervised_rows = timed(engine_module.Supervisor)
     plain_s, plain_rows = timed(_BarePool)
     identical = [row.as_row() for row in supervised_rows] == [
         row.as_row() for row in plain_rows
@@ -230,16 +231,16 @@ def _bench_resume(quick: bool) -> dict:
     scenarios = expand_grids([grid_spec])
     run = suite_manifest(scenarios, samples, 7, None)
 
-    from repro.scenarios import suite as suite_module
+    from repro.faults import engine as engine_module
 
     evaluated = []
-    original_eval = suite_module._eval_suite_task
+    original_eval = engine_module._evaluate_task
 
-    def counting_eval(task):
-        evaluated.append(task.campaign_key)
-        return original_eval(task)
+    def counting_eval(task, indexes=None):
+        evaluated.append(task[0])
+        return original_eval(task, indexes)
 
-    suite_module._eval_suite_task = counting_eval
+    engine_module._evaluate_task = counting_eval
     try:
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "rows.jsonl")
@@ -276,7 +277,7 @@ def _bench_resume(quick: bool) -> dict:
                 result_frame(row.record() for row in resumed_rows), run
             )
     finally:
-        suite_module._eval_suite_task = original_eval
+        engine_module._evaluate_task = original_eval
 
     store_identical = resumed_text == full_text
     report_identical = resumed_report == full_report

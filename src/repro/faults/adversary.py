@@ -232,6 +232,12 @@ def _batched_round(cursor, candidates, incumbent):
     return _select_round(candidates, trials, incumbent)
 
 
+def _check_candidate_limit(candidate_limit: int) -> None:
+    """Refuse a round budget that would sample no candidate at all."""
+    if candidate_limit < 1:
+        raise ValueError("candidate_limit must be at least 1")
+
+
 def _greedy_rounds(
     index,
     node_order: Sequence[Node],
@@ -304,6 +310,7 @@ def greedy_adversarial_fault_set(
     uncapped evaluation per candidate), which the hypothesis equivalence
     suite enforces across backends, caps and seeds.
     """
+    _check_candidate_limit(candidate_limit)
     rng = _rng(seed)
     if index is None:
         from repro.core.route_index import RouteIndex
@@ -331,6 +338,7 @@ def greedy_fault_set_from_index(
     the pool and the shard seeds are deterministic, every worker grows the
     same fault set for the same ``(size, candidate_limit, seed)``.
     """
+    _check_candidate_limit(candidate_limit)
     rng = _rng(seed)
     faults = _greedy_rounds(
         index, list(index.node_pool), size, candidate_limit, rng, batched

@@ -14,13 +14,24 @@ that loop re-walked every route of the routing for every fault set.
   outcomes back in battery order so aggregation is incremental (bounded
   memory) and byte-for-byte independent of the worker count.
 
+This module is the one battery runner.  :class:`CampaignEngine` and the
+scenario suite (:func:`repro.scenarios.suite.run_scenario_suite`) describe
+their batteries with the same shards (:class:`_Shard`), cut them into
+tasks with the same helper (:func:`_battery_tasks`), evaluate the tasks
+through the same worker function (:func:`_evaluate_task`) against a dict
+of indexes that one initializer installs in every worker, and fold each
+campaign into its row with the same function (:func:`_fold_campaign`).
+The engine's dict holds its one index; the suite's holds one slim index
+per scenario.
+
 Shards are the *seeding blocks* of a battery: ``chunk_size`` sets per
 block, each drawn from its own seed.  Tasks — what one
-``surviving_diameters`` call evaluates — group them: a pooled task is one
-shard, so the pool balances its load shard by shard, while an in-process
-task carries up to :data:`LOCAL_TASK_SHARDS` consecutive shards, so a
-whole sweep battery reaches the numpy kernel at once and its lanes refill
-as they settle.  Grouping changes no fault set and no value.
+``surviving_diameters`` call evaluates — group the shards of one campaign:
+a pooled task is one shard, so the pool balances its load shard by shard,
+while an in-process task carries up to :data:`LOCAL_TASK_SHARDS`
+consecutive shards, so a whole sweep battery reaches the numpy kernel at
+once and its lanes refill as they settle.  Grouping changes no fault set
+and no value.
 
 Determinism is a hard requirement: the same integer seed must produce the
 same campaign rows whether the battery runs in-process or across N workers.
@@ -41,20 +52,17 @@ import dataclasses
 import functools
 import hashlib
 import itertools
+import math
 import random as _random
-from typing import (
-    Hashable,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.route_index import RouteIndex
 from repro.core.routing import MultiRouting, Routing
+from repro.faults.adversary import (
+    _check_candidate_limit,
+    greedy_fault_set_from_index,
+    random_fault_sets,
+)
 from repro.faults.models import FaultSet
 from repro.faults.simulation import (
     CampaignResult,
@@ -65,11 +73,12 @@ from repro.faults.simulation import (
 from repro.graphs.graph import Graph
 from repro.runtime import Supervisor, SupervisorPolicy, chaos_point
 
-Node = Hashable
 AnyRouting = Union[Routing, MultiRouting]
 RandomLike = Union[int, _random.Random, None]
 Outcome = Tuple[FaultSet, float]
 CampaignRow = Union[CampaignResult, DecisionCampaignResult]
+#: ``(index key, shards, cap)``: what one worker call evaluates.
+Task = Tuple[str, Tuple["_Shard", ...], Optional[float]]
 
 #: Default number of fault sets per shard.  Sharding depends only on this
 #: value and the battery, never on the worker count, so results are
@@ -95,76 +104,106 @@ def shard_seed(seed: int, tag: str, shard: int) -> int:
 
 @dataclasses.dataclass(frozen=True)
 class _Shard:
-    """One unit of worker work: explicit fault sets or a generative spec.
+    """One seeding block of a battery: explicit fault sets or a generator.
 
-    ``fault_sets`` carries an explicit battery slice.  When it is ``None``
-    the shard is *generative* and regenerated locally by whichever worker
-    receives it:
+    ``kind`` selects what :meth:`materialise` returns:
 
-    * with ``exhaustive_size`` set, the shard covers the combinations of
-      that size with (deterministic) :func:`itertools.combinations` offsets
-      ``start .. start + count`` over the ``repr``-sorted node pool;
-    * otherwise it describes ``count`` random fault sets of size
-      ``fault_size`` drawn from ``random.Random(seed)``, with global sample
-      indices starting at ``start`` (used only for the descriptions).
+    * ``"explicit"``: ``fault_sets``, as given;
+    * ``"random"``: ``count`` uniform sets of ``fault_size`` drawn from
+      ``random.Random(seed)``, described ``"random #i"`` by their global
+      sample index ``i = start, start + 1, ...`` (none when ``fault_size``
+      exceeds the node pool);
+    * ``"random-p"``: ``count`` sets that fail each node independently with
+      probability ``p``, drawn from ``random.Random(seed)``;
+    * ``"exhaustive"``: the combinations ``start .. start + count`` of
+      ``fault_size`` nodes, in :func:`itertools.combinations` order;
+    * ``"greedy"``: one set of ``fault_size`` grown by
+      :func:`~repro.faults.adversary.greedy_fault_set_from_index` with
+      ``candidate_limit`` candidates per round, seeded by ``seed``.
+
+    Generative shards are tiny descriptors: whichever process evaluates one
+    regenerates its sets from its own copy of the index, so no fault set
+    crosses the process boundary on the way in.
     """
 
-    fault_sets: Optional[Tuple[FaultSet, ...]] = None
+    kind: str = "explicit"
+    fault_sets: Tuple[FaultSet, ...] = ()
     fault_size: int = 0
     count: int = 0
     start: int = 0
-    seed: int = 0
-    exhaustive_size: Optional[int] = None
+    seed: RandomLike = 0
+    p: float = 0.0
+    candidate_limit: int = 0
 
-    def materialise(self, pool: Union[Graph, Sequence[Node]]) -> Tuple[FaultSet, ...]:
-        """Return the shard's fault sets, generating them when needed.
+    def materialise(self, index: RouteIndex) -> Tuple[FaultSet, ...]:
+        """Return the shard's fault sets, generated over ``index``.
 
-        ``pool`` is the canonical repr-sorted node pool (see
-        :attr:`RouteIndex.node_pool`); passing the pool rather than the graph
-        lets workers regenerate shards from the slim, graph-free index.  A
-        :class:`Graph` is also accepted and sorted on the fly.
+        Random and exhaustive shards draw from the index's canonical
+        repr-sorted node pool (:attr:`RouteIndex.node_pool`), which the
+        slim, graph-free index carries too.
         """
-        if self.fault_sets is not None:
+        if self.kind == "explicit":
             return self.fault_sets
-        if isinstance(pool, Graph):
-            pool = sorted(pool.nodes(), key=repr)
-        if self.exhaustive_size is not None:
-            return _battery_slice(
-                pool, self.exhaustive_size, self.start, self.count, exhaustive=True
+        if self.kind == "greedy":
+            return (
+                greedy_fault_set_from_index(
+                    index,
+                    self.fault_size,
+                    candidate_limit=self.candidate_limit,
+                    seed=self.seed,
+                ),
             )
-        return _battery_slice(pool, self.fault_size, self.start, self.count, self.seed)
-
-
-def _battery_slice(
-    pool: Sequence[Node],
-    fault_size: int,
-    start: int,
-    count: int,
-    seed: int = 0,
-    exhaustive: bool = False,
-) -> Tuple[FaultSet, ...]:
-    """Regenerate fault sets ``start .. start + count`` of a generative battery.
-
-    The one generator behind engine shards and suite tasks, so a battery
-    slice is the same wherever it is regenerated.  With ``exhaustive`` the
-    slice is that range of :func:`itertools.combinations` of ``fault_size``
-    over ``pool`` (described ``"exhaustive size k"``); otherwise it is
-    ``count`` uniform random sets of ``fault_size`` drawn from
-    ``random.Random(seed)``, described ``"random #i"`` by their global
-    sample index ``i`` (none when ``fault_size`` exceeds the pool).
-    """
-    if exhaustive:
+        pool = index.node_pool
+        if self.kind == "exhaustive":
+            return tuple(
+                FaultSet(combo, description=f"exhaustive size {self.fault_size}")
+                for combo in _combinations_slice(
+                    pool, self.fault_size, self.start, self.count
+                )
+            )
+        rng = _random.Random(self.seed)
+        if self.kind == "random-p":
+            return tuple(
+                FaultSet(
+                    [node for node in pool if rng.random() < self.p],
+                    description=f"random p={self.p} #{self.start + offset}",
+                )
+                for offset in range(self.count)
+            )
+        if self.fault_size > len(pool):
+            return ()
         return tuple(
-            FaultSet(combo, description=f"exhaustive size {fault_size}")
-            for combo in _combinations_slice(pool, fault_size, start, count)
+            FaultSet(
+                rng.sample(pool, self.fault_size),
+                description=f"random #{self.start + offset}",
+            )
+            for offset in range(self.count)
         )
-    if fault_size > len(pool):
-        return ()
-    rng = _random.Random(seed)
-    return tuple(
-        FaultSet(rng.sample(pool, fault_size), description=f"random #{start + offset}")
-        for offset in range(count)
-    )
+
+
+def _battery_shards(
+    kind: str,
+    fault_size: int,
+    total: int,
+    chunk_size: int,
+    seed: int = 0,
+    tag: str = "",
+    p: float = 0.0,
+) -> Iterator[_Shard]:
+    """Cut a generated battery of ``total`` sets into its seeding blocks.
+
+    Shard ``i`` covers sets ``i * chunk_size`` onwards, at most
+    ``chunk_size`` of them, and draws from ``shard_seed(seed, tag, i)``.
+    """
+    for shard_index, start in enumerate(range(0, total, chunk_size)):
+        yield _Shard(
+            kind=kind,
+            fault_size=fault_size,
+            count=min(chunk_size, total - start),
+            start=start,
+            seed=shard_seed(seed, tag, shard_index),
+            p=p,
+        )
 
 
 def _combinations_slice(pool, size: int, start: int, count: int):
@@ -175,8 +214,6 @@ def _combinations_slice(pool, size: int, start: int, count: int):
     so a shard deep into a large enumeration does not re-generate and skip
     every earlier combination the way ``islice`` would.
     """
-    import math
-
     n = len(pool)
     if size < 0 or size > n or count <= 0:
         return
@@ -214,28 +251,32 @@ def _combinations_slice(pool, size: int, start: int, count: int):
 
 
 # ----------------------------------------------------------------------
-# Worker-process plumbing
+# The battery runner: tasks, the worker and the campaign fold
 # ----------------------------------------------------------------------
-# The engine builds its RouteIndex once in the parent and ships the *slim*
-# form of the pre-built index (bitset rows + kill masks + node labels, no
-# graph or routing objects — see :meth:`RouteIndex.slim`) to each worker
-# through the pool initializer.  Only shard descriptors and outcome rows
-# cross the process boundary afterwards; shards regenerate their fault sets
-# from the index's canonical node pool.
-_WORKER_INDEX: Optional[RouteIndex] = None
+# A runner owns a dict of route indexes keyed by name: the engine's holds
+# its one index, the suite's one slim index per scenario (bitset rows, kill
+# masks and node labels; no graph or routing, see :meth:`RouteIndex.slim`).
+# Pool workers receive the slim forms once, through the initializer; the
+# parent's in-process tasks read the runner's own dict.  Only task
+# descriptors and outcome rows cross the process boundary.
+_INDEXES: Dict[str, RouteIndex] = {}
+
+#: The engine's one entry in its runner's dict (and its chaos-label prefix).
+_ENGINE_KEY = "engine"
 
 
-def _init_worker(index: RouteIndex) -> None:
-    global _WORKER_INDEX
-    _WORKER_INDEX = index
+def _install_indexes(indexes: Dict[str, RouteIndex]) -> None:
+    """Pool initializer: install the indexes :func:`_evaluate_task` reads."""
+    global _INDEXES
+    _INDEXES = indexes
 
 
-def _evaluate_shards(
-    task: Tuple[Tuple[_Shard, ...], Optional[float]],
-    index: Optional[RouteIndex] = None,
+def _evaluate_task(
+    task: Task, indexes: Optional[Dict[str, RouteIndex]] = None
 ) -> Tuple[List[FaultSet], List[float]]:
-    """Evaluate one ``(shards, cap)`` task on ``index`` (the worker's by default).
+    """Evaluate one ``(key, shards, cap)`` task against ``indexes[key]``.
 
+    ``indexes`` defaults to the dict the pool initializer installed.
     Returns the fault sets of the task's shards, in order, and their
     values.  ``cap=None`` yields exact surviving diameters.  With a cap, a
     value is the exact diameter when it is at most the cap and ``inf``
@@ -243,18 +284,79 @@ def _evaluate_shards(
     scan treats any value strictly above the cap as a violation witness,
     and the streaming decision campaign folds it into a failed row.
     """
-    shards, cap = task
-    if index is None:
-        index = _WORKER_INDEX
-        assert index is not None, "worker pool was not initialised"
+    key, shards, cap = task
+    index = (_INDEXES if indexes is None else indexes)[key]
     fault_sets: List[FaultSet] = []
     for shard in shards:
-        chaos_point("task", f"shard:start={shard.start},size={shard.fault_size}")
-        fault_sets.extend(shard.materialise(index.node_pool))
+        chaos_point("task", f"{key}:start={shard.start},size={shard.fault_size}")
+        fault_sets.extend(shard.materialise(index))
     # One batched call per task: the numpy backend evaluates the whole
     # battery slice in one pass of vectorised level advances, and the
     # bitset backend degrades to the same per-set loop as before.
     return fault_sets, index.surviving_diameters(fault_sets, cap=cap)
+
+
+def _battery_runner(
+    indexes: Dict[str, RouteIndex],
+    workers: int,
+    policy: Optional[SupervisorPolicy] = None,
+) -> Supervisor:
+    """Return the supervisor that evaluates battery tasks against ``indexes``.
+
+    Pool workers get the slim form of every index through the initializer;
+    in-process tasks (one worker, or a pool that could not be rebuilt)
+    read ``indexes`` itself, so nothing is installed in the parent.
+    """
+    return Supervisor(
+        _evaluate_task,
+        initializer=_install_indexes,
+        initargs=({key: index.slim() for key, index in indexes.items()},),
+        local_fn=functools.partial(_evaluate_task, indexes=indexes),
+        policy=policy,
+        workers=workers,
+    )
+
+
+def _battery_tasks(
+    key: str, shards: Iterable[_Shard], cap: Optional[float], workers: int
+) -> Iterator[Task]:
+    """Cut one campaign's shards into ``(key, shards, cap)`` tasks, lazily.
+
+    In-process, a task carries up to :data:`LOCAL_TASK_SHARDS` consecutive
+    shards, so a sweep battery is one ``surviving_diameters`` call; pooled,
+    a task is one shard, so the pool balances its load shard by shard.
+    Call it once per campaign: a task never spans two campaigns, whose
+    rows fold separately.
+    """
+    per_task = LOCAL_TASK_SHARDS if workers == 1 else 1
+    for group in _blocks(shards, per_task):
+        yield key, group, cap
+
+
+def _fold_campaign(
+    fault_size: int,
+    outcomes: Iterable[Outcome],
+    index: RouteIndex,
+    bound: Optional[float] = None,
+    candidate_limit: Optional[int] = None,
+) -> CampaignRow:
+    """Fold one campaign's outcomes into its row and stamp its provenance.
+
+    With ``bound`` the row is a :class:`~repro.faults.simulation
+    .DecisionCampaignResult` of capped outcomes, otherwise a
+    :class:`~repro.faults.simulation.CampaignResult`.  The row records the
+    BFS strategy and the evaluation backend of ``index``, and
+    ``candidate_limit``: the greedy budget when the battery carried a
+    greedy probe, else ``None``.
+    """
+    if bound is not None:
+        row: CampaignRow = aggregate_decisions(fault_size, bound, outcomes)
+    else:
+        row = aggregate_outcomes(fault_size, outcomes)
+    row.bfs_strategy = index.preferred_strategy()
+    row.eval_backend = index.backend
+    row.candidate_limit = candidate_limit
+    return row
 
 
 def _blocks(items: Iterable, size: int) -> Iterator[tuple]:
@@ -348,18 +450,6 @@ class CampaignEngine:
         for block in _blocks(fault_sets, self.chunk_size):
             yield _Shard(fault_sets=block)
 
-    def _random_shards(
-        self, fault_size: int, samples: int, seed: int, tag: str
-    ) -> Iterator[_Shard]:
-        for shard_index, start in enumerate(range(0, samples, self.chunk_size)):
-            count = min(self.chunk_size, samples - start)
-            yield _Shard(
-                fault_size=fault_size,
-                count=count,
-                start=start,
-                seed=shard_seed(seed, tag, shard_index),
-            )
-
     def _exhaustive_shards(
         self, max_faults: int, include_smaller: bool = True
     ) -> Iterator[_Shard]:
@@ -371,28 +461,21 @@ class CampaignEngine:
         their slice locally and the enumeration order matches
         :func:`repro.faults.adversary.all_fault_sets` exactly.
         """
-        import math
-
         n = self.graph.number_of_nodes()
         sizes = range(0, max_faults + 1) if include_smaller else [max_faults]
         for size in sizes:
-            total = math.comb(n, size)
-            for start in range(0, total, self.chunk_size):
-                yield _Shard(
-                    exhaustive_size=size,
-                    start=start,
-                    count=min(self.chunk_size, total - start),
-                )
+            yield from _battery_shards(
+                "exhaustive", size, math.comb(n, size), self.chunk_size
+            )
 
     def _outcomes(
         self, shards: Iterable[_Shard], cap: Optional[float] = None
     ) -> Iterator[Outcome]:
         """Yield ``(fault_set, diameter)`` in battery order, capped at ``cap``.
 
-        Consecutive shards are grouped into tasks: up to
-        :data:`LOCAL_TASK_SHARDS` per task in-process, one per task on a
-        pool.  The shards stay the seeding blocks, so the fault sets and
-        their values do not depend on the grouping.
+        The shards are cut into tasks by :func:`_battery_tasks`; they stay
+        the seeding blocks, so the fault sets and their values do not
+        depend on the grouping.
 
         The engine's supervisor is built on first use and kept: with
         ``workers > 1`` its pool — and with it the slim form of the index
@@ -402,19 +485,11 @@ class CampaignEngine:
         sweep, so the sweep pays pool start-up and index shipping once.
         """
         if self._runner is None:
-            index = self.index
-            self._runner = Supervisor(
-                _evaluate_shards,
-                initializer=_init_worker,
-                initargs=(index.slim(),),
-                local_fn=functools.partial(_evaluate_shards, index=index),
-                policy=_STRICT,
-                workers=self.workers,
+            self._runner = _battery_runner(
+                {_ENGINE_KEY: self.index}, self.workers, _STRICT
             )
-        per_task = LOCAL_TASK_SHARDS if self.workers == 1 else 1
-        for _task, (fault_sets, values) in self._runner.run(
-            (group, cap) for group in _blocks(shards, per_task)
-        ):
+        tasks = _battery_tasks(_ENGINE_KEY, shards, cap, self.workers)
+        for _task, (fault_sets, values) in self._runner.run(tasks):
             yield from zip(fault_sets, values)
 
     def close(self) -> None:
@@ -540,8 +615,6 @@ class CampaignEngine:
         backend).  Returns ``(surviving_diameter, fault_set)`` — a heuristic
         lower bound on the true worst case at this size.
         """
-        from repro.faults.adversary import greedy_fault_set_from_index
-
         fault_set = greedy_fault_set_from_index(
             self.index,
             fault_size,
@@ -590,42 +663,40 @@ class CampaignEngine:
         over the unified record schema; the campaign's record is appended to
         it (the returned view and the frame row are interconvertible).
         """
+        if greedy:
+            _check_candidate_limit(candidate_limit)
         greedy_seed: RandomLike = seed
         if fault_sets is not None:
             shards = self._explicit_shards(fault_sets)
         elif isinstance(seed, _random.Random):
-            from repro.faults.adversary import random_fault_sets
-
             shards = self._explicit_shards(
                 random_fault_sets(self.graph.nodes(), fault_size, samples, seed=seed)
             )
         else:
             base = seed if seed is not None else _random.SystemRandom().getrandbits(64)
-            shards = self._random_shards(
-                fault_size, samples, base, tag=f"size={fault_size}"
+            shards = _battery_shards(
+                "random", fault_size, samples, self.chunk_size, base, f"size={fault_size}"
             )
             greedy_seed = shard_seed(base, f"greedy:size={fault_size}", 0)
         run_greedy = greedy and fault_size > 0
         if run_greedy:
-            from repro.faults.adversary import greedy_fault_set_from_index
-
-            greedy_set = greedy_fault_set_from_index(
-                self.index,
-                fault_size,
-                candidate_limit=candidate_limit,
+            probe = _Shard(
+                kind="greedy",
+                fault_size=fault_size,
                 seed=greedy_seed,
+                candidate_limit=candidate_limit,
             )
-            shards = itertools.chain(shards, self._explicit_shards([greedy_set]))
-        strategy = self.index.preferred_strategy()
-        if bound is not None:
-            result: CampaignRow = aggregate_decisions(
-                fault_size, bound, self._outcomes(shards, cap=bound)
-            )
-        else:
-            result = aggregate_outcomes(fault_size, self._outcomes(shards))
-        result.bfs_strategy = strategy
-        result.eval_backend = self.index.backend
-        result.candidate_limit = candidate_limit if run_greedy else None
+            if isinstance(greedy_seed, _random.Random):
+                # A shared stream draws the probe here, before the battery.
+                probe = _Shard(fault_sets=probe.materialise(self.index))
+            shards = itertools.chain(shards, [probe])
+        result = _fold_campaign(
+            fault_size,
+            self._outcomes(shards, cap=bound),
+            self.index,
+            bound,
+            candidate_limit if run_greedy else None,
+        )
         if frame is not None:
             frame.append(result.record())
         return result

@@ -11,8 +11,10 @@ return — no measurable cost on the clean path.
 
     REPRO_CHAOS="<site>:<action>[:<match>]"
 
-* ``site`` — where to fire.  ``task`` fires inside worker task evaluation
-  (engine shards and suite tasks); ``append`` fires inside
+* ``site`` — where to fire.  ``task`` fires inside worker task evaluation,
+  once per shard, labelled ``<index key>:start=<i>,size=<k>`` (the key is
+  the canonical scenario string in a suite, ``engine`` in a
+  :class:`~repro.faults.engine.CampaignEngine`); ``append`` fires inside
   :meth:`repro.results.store.ResultStore.append`.
 * ``action`` — what to do:
 

@@ -1,8 +1,9 @@
 """Supervised task dispatch over an owned :mod:`multiprocessing` pool.
 
-The campaign engine and the scenario-suite runner both reduce to the same
-shape: a deterministic list of pure tasks drained through a process pool,
-results folded in task order.  Before this module a single worker segfault,
+Every battery — a campaign of the engine or of a scenario suite — runs
+through the one battery runner of :mod:`repro.faults.engine`: a
+deterministic list of pure tasks drained through a process pool, results
+folded in task order.  Before this module a single worker segfault,
 OOM-kill or wedged scenario aborted (or hung) the entire sweep.
 :class:`Supervisor` is the one code path that runs those tasks, and it wraps
 the dispatch with the crash/recovery discipline the distributed-systems

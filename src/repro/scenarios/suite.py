@@ -2,19 +2,25 @@
 
 :func:`run_scenario_suite` turns a list of scenarios (canonical strings or
 :class:`~repro.scenarios.spec.Scenario` values) into campaign rows — one row
-per scenario and fault-set size — evaluating every battery through the
-bitset kernel of :class:`~repro.core.route_index.RouteIndex`.
+per scenario and fault-set size.  Every battery runs through the battery
+runner of :mod:`repro.faults.engine` — its shards, tasks, worker function
+and campaign fold — and each scenario's
+:class:`~repro.core.route_index.RouteIndex` evaluates on the backend its
+rule picks (numpy for route graphs of 64 or more nodes, bitset below)
+unless ``backend`` names one.  This module keeps what belongs to suites:
+scenario builds, identity-hashed seeds, store resume, and
+``inapplicable``/``failed`` status rows.
 
 Sharding happens **across scenarios as well as within batteries**: the suite
-is flattened into a deterministic list of shard tasks (scenario spec +
-battery slice descriptor) and a single process pool drains all of them, so a
-suite of many small scenarios parallelises exactly as well as one giant
-battery.  Three design rules keep the rows byte-identical for any worker
-count and any ``PYTHONHASHSEED``:
+is flattened into a deterministic list of campaigns, each cut into shard
+tasks keyed by its canonical scenario string, and a single process pool
+drains all of them, so a suite of many small scenarios parallelises exactly
+as well as one giant battery.  Three design rules keep the rows
+byte-identical for any worker count and any ``PYTHONHASHSEED``:
 
-1. tasks are a pure function of the scenario list, ``samples``, ``seed`` and
-   ``chunk_size`` — never of the worker count — and results are folded in
-   task order; battery seeds hash each campaign's *identity* (canonical
+1. shards are a pure function of the scenario list, ``samples``, ``seed``
+   and ``chunk_size`` — never of the worker count — and results are folded
+   in task order; battery seeds hash each campaign's *identity* (canonical
    scenario string, occurrence, plan index), not its suite position, so the
    same scenario yields byte-identical rows in every suite that contains it
    (split runs merge losslessly via ``repro report store_a store_b``);
@@ -26,7 +32,9 @@ count and any ``PYTHONHASHSEED``:
 3. every task, in-process or pooled, runs through one
    :class:`~repro.runtime.Supervisor`, whose retries recompute
    byte-identical outcomes, so recovery from a failed task or a dead
-   worker never changes a row.
+   worker never changes a row.  In-process, a task carries up to
+   :data:`~repro.faults.engine.LOCAL_TASK_SHARDS` shards of one campaign,
+   so the numpy kernel refills its lanes across a whole battery.
 
 With ``bound`` given the suite runs *bounded-decision* campaigns: fault sets
 are evaluated with an eccentricity cap (``surviving_diameter_at_most``
@@ -43,80 +51,32 @@ campaigns.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
-import random as _random
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.builder import build_routing
 from repro.core.route_index import RouteIndex
 from repro.exceptions import ReproError
-from repro.faults.engine import DEFAULT_CHUNK_SIZE, _battery_slice, shard_seed
-from repro.faults.models import FaultSet
+from repro.faults.adversary import _check_candidate_limit
+from repro.faults.engine import (
+    DEFAULT_CHUNK_SIZE,
+    _battery_runner,
+    _battery_shards,
+    _battery_tasks,
+    _fold_campaign,
+    _Shard,
+    shard_seed,
+)
 from repro.faults.simulation import (
     CampaignResult,
     CampaignStatus,
     DecisionCampaignResult,
-    aggregate_decisions,
-    aggregate_outcomes,
 )
-from repro.runtime import FailedTask, Supervisor, SupervisorPolicy, chaos_point
+from repro.runtime import FailedTask, SupervisorPolicy
 from repro.scenarios.spec import Scenario, as_scenarios
 
 CampaignRow = Union[CampaignResult, DecisionCampaignResult, CampaignStatus]
-
-
-@dataclasses.dataclass(frozen=True)
-class _SuiteTask:
-    """One worker-sized unit: a battery slice of one scenario campaign.
-
-    ``campaign_key`` identifies the row the outcomes fold into (scenario
-    position, campaign position); shards of one campaign are numbered by
-    ``shard_index`` and generated locally by whichever process runs them.
-    ``mode`` selects the generator: ``"random"`` (uniform sets of
-    ``fault_size``), ``"random-p"`` (binomial per-node failures with
-    probability ``p``), ``"exhaustive"`` (combinations offsets
-    ``start .. start + count`` at ``fault_size``) or ``"greedy"`` (one
-    adversarially-grown set of ``fault_size`` via the batched greedy
-    search, with ``candidate_limit`` candidates per round).
-
-    ``backend`` carries the evaluation backend the suite was asked for
-    (``None``: the backend rule); with ``spec`` it forms the key of the
-    task's slim index (see :func:`_workload_key`).
-    """
-
-    spec: str
-    campaign_key: Tuple[int, int]
-    mode: str
-    fault_size: int = 0
-    p: float = 0.0
-    count: int = 0
-    start: int = 0
-    seed: int = 0
-    bound: Optional[float] = None
-    backend: Optional[str] = None
-    candidate_limit: int = 0
-
-    def materialise(self, pool: Sequence) -> Tuple[FaultSet, ...]:
-        """Regenerate this task's fault sets from the canonical node pool."""
-        if self.mode == "random-p":
-            rng = _random.Random(self.seed)
-            sets = []
-            for offset in range(self.count):
-                failed = [node for node in pool if rng.random() < self.p]
-                sets.append(
-                    FaultSet(
-                        failed, description=f"random p={self.p} #{self.start + offset}"
-                    )
-                )
-            return tuple(sets)
-        return _battery_slice(
-            pool,
-            self.fault_size,
-            self.start,
-            self.count,
-            self.seed,
-            exhaustive=self.mode == "exhaustive",
-        )
 
 
 @dataclasses.dataclass
@@ -186,56 +146,12 @@ class ScenarioRow:
 
 
 # ----------------------------------------------------------------------
-# Workloads: the parent's slim indexes
-# ----------------------------------------------------------------------
-# The parent builds each scenario once and keeps the slim form of its route
-# index (bitset rows, kill masks and node labels; no graph or routing — see
-# :meth:`RouteIndex.slim`) in one dict keyed by :func:`_workload_key`.  That
-# dict is the pool initializer's payload, and the parent installs it for
-# its own in-process tasks too, so every task reads its index the same way.
-_WORKLOADS: Dict[str, RouteIndex] = {}
-
-
-def _init_suite_worker(workloads: Dict[str, RouteIndex]) -> None:
-    """Install the suite's slim indexes for :func:`_eval_suite_task`."""
-    global _WORKLOADS
-    _WORKLOADS = workloads
-
-
-def _workload_key(spec: str, backend: Optional[str]) -> str:
-    """Key of one (scenario, eval backend) workload in the suite's dict."""
-    return f"{spec}\x00{backend}"
-
-
-def _eval_suite_task(task: _SuiteTask) -> List[Tuple[FaultSet, float]]:
-    """Evaluate one shard task; return its ``(fault_set, value)`` outcomes."""
-    chaos_point(
-        "task", f"{task.spec}#{task.campaign_key[1]}:start={task.start}"
-    )
-    index = _WORKLOADS[_workload_key(task.spec, task.backend)]
-    if task.mode == "greedy":
-        from repro.faults.adversary import greedy_fault_set_from_index
-
-        fault_sets: Tuple[FaultSet, ...] = (
-            greedy_fault_set_from_index(
-                index,
-                task.fault_size,
-                candidate_limit=task.candidate_limit,
-                seed=task.seed,
-            ),
-        )
-    else:
-        fault_sets = task.materialise(index.node_pool)
-    return list(zip(fault_sets, index.surviving_diameters(fault_sets, cap=task.bound)))
-
-
-# ----------------------------------------------------------------------
-# Task expansion
+# Campaign expansion
 # ----------------------------------------------------------------------
 def _campaign_plans(
     scenario: Scenario, samples: int, node_count: Optional[int] = None
 ) -> List[Tuple[str, int, float, int]]:
-    """Return ``(mode, fault_size, p, total)`` per campaign of a scenario.
+    """Return ``(shard kind, fault_size, p, total)`` per campaign of a scenario.
 
     ``node_count`` (needed only by exhaustive models, to size the
     enumeration) is taken from the caller when already known; otherwise the
@@ -257,56 +173,48 @@ def _campaign_plans(
     ]
 
 
-def _expand_tasks(
+def _expand_campaigns(
     scenarios: Sequence[Scenario],
     samples: int,
     seed: int,
     chunk_size: int,
-    bound: Optional[float],
     node_counts: Optional[Sequence[Optional[int]]] = None,
     skip: Iterable[Tuple[int, int]] = (),
     drop: Iterable[int] = (),
-    backend: Optional[str] = None,
     greedy: bool = False,
     candidate_limit: int = 40,
-) -> Tuple[List[_SuiteTask], List[Tuple[Tuple[int, int], int]]]:
-    """Flatten the suite into shard tasks plus per-campaign metadata.
+) -> List[Tuple[Tuple[int, int], int, List[_Shard]]]:
+    """Flatten the suite into its campaigns to evaluate, with their shards.
 
-    ``backend`` is stamped onto every task, where it keys the task's slim
-    index with the canonical scenario string.
+    Returns ``(campaign_key, fault_size, shards)`` per campaign in row
+    order, where ``campaign_key = (scenario position, plan index)``.
+    Shard seeds hash the campaign's *identity* — the canonical scenario
+    string, its occurrence number (repeats of one spec in a suite) and the
+    plan index — never the scenario's position in the suite.  Repeated
+    scenarios and repeated fault sizes still draw independent batteries
+    under one suite seed, while the same scenario produces byte-identical
+    rows in *any* suite that contains it: a grid split across several
+    runs/stores and merged back together yields exactly the rows of the
+    combined run (the substrate of the strategy-comparison tables
+    assembled with ``repro report a b``).
 
     With ``greedy`` set, every ``random`` (sizes-model) campaign of
-    positive fault size gains one trailing ``"greedy"`` task: a single
+    positive fault size ends with one ``"greedy"`` shard: a single
     adversarially-grown fault set of the same size, folded into the same
-    campaign row as an extra battery member.  The greedy task rides the
-    campaign's identity tag (its seed never depends on suite position), so
-    greedy-augmented rows stay byte-identical across splits and resumes.
-
-    Returns ``(tasks, campaigns)`` where ``campaigns[j] = (campaign_key,
-    fault_size)`` in row order.  Task seeds hash the campaign's *identity*
-    — the canonical scenario string, its occurrence number (repeats of one
-    spec in a suite) and the plan index — never the scenario's position in
-    the suite.  Repeated scenarios and repeated fault sizes still draw
-    independent batteries under one suite seed, while the same scenario
-    produces byte-identical rows in *any* suite that contains it: a grid
-    split across several runs/stores and merged back together yields
-    exactly the rows of the combined run (the substrate of the
-    strategy-comparison tables assembled with ``repro report a b``).
+    row as an extra battery member.  Its seed rides the campaign's identity
+    tag too, so greedy-augmented rows stay byte-identical across splits and
+    resumes.
 
     Campaign keys in ``skip`` (already recorded in a resumed result store)
-    stay in ``campaigns`` — the row order is that of an uninterrupted run —
-    but contribute no shard tasks: their rows are rehydrated from the store
-    instead of recomputed.  Scenario indices in ``drop`` (constructions
-    that do not apply under ``skip_inapplicable``) contribute neither tasks
-    nor campaign rows.  Because task seeds depend only on identities, the
-    surviving tasks are exactly the ones the uninterrupted run would have
-    evaluated.
+    and scenario positions in ``drop`` (constructions that do not apply
+    under ``skip_inapplicable``) yield no campaign.  Because seeds depend
+    only on identities, the remaining shards are exactly the ones the
+    uninterrupted run would have evaluated.
     """
     skipped = set(skip)
     dropped = set(drop)
     occurrences: Dict[str, int] = {}
-    tasks: List[_SuiteTask] = []
-    campaigns: List[Tuple[Tuple[int, int], int]] = []
+    campaigns: List[Tuple[Tuple[int, int], int, List[_Shard]]] = []
     for scenario_index, scenario in enumerate(scenarios):
         spec = scenario.canonical()
         occurrence = occurrences.get(spec, 0)
@@ -314,52 +222,30 @@ def _expand_tasks(
         if scenario_index in dropped:
             continue
         node_count = node_counts[scenario_index] if node_counts else None
-        for plan_index, (mode, fault_size, p, total) in enumerate(
+        for plan_index, (kind, fault_size, p, total) in enumerate(
             _campaign_plans(scenario, samples, node_count)
         ):
             campaign_key = (scenario_index, plan_index)
-            campaigns.append((campaign_key, fault_size))
             if campaign_key in skipped:
                 continue
-            tag = (
-                f"{spec}@{occurrence}#{plan_index}|{mode}|size={fault_size}"
+            tag = f"{spec}@{occurrence}#{plan_index}|{kind}|size={fault_size}"
+            shards = list(
+                _battery_shards(kind, fault_size, total, chunk_size, seed, tag, p)
             )
-            for shard_index, start in enumerate(range(0, total, chunk_size)):
-                count = min(chunk_size, total - start)
-                tasks.append(
-                    _SuiteTask(
-                        spec=spec,
-                        campaign_key=campaign_key,
-                        mode=mode,
+            if greedy and kind == "random" and fault_size > 0:
+                # ``start=total`` keeps the probe's chaos label distinct
+                # from every random shard of the campaign.
+                shards.append(
+                    _Shard(
+                        kind="greedy",
                         fault_size=fault_size,
-                        p=p,
-                        count=count,
-                        start=start,
-                        seed=shard_seed(seed, tag, shard_index),
-                        bound=bound,
-                        backend=backend,
-                    )
-                )
-            if greedy and mode == "random" and fault_size > 0:
-                # The greedy probe folds into the same campaign row, so it
-                # must stay contiguous with the campaign's random shards.
-                # ``start=total`` keeps its chaos/task tag distinct from
-                # every random shard of the campaign.
-                tasks.append(
-                    _SuiteTask(
-                        spec=spec,
-                        campaign_key=campaign_key,
-                        mode="greedy",
-                        fault_size=fault_size,
-                        count=1,
                         start=total,
                         seed=shard_seed(seed, tag + "|greedy", 0),
-                        bound=bound,
-                        backend=backend,
                         candidate_limit=candidate_limit,
                     )
                 )
-    return tasks, campaigns
+            campaigns.append((campaign_key, fault_size, shards))
+    return campaigns
 
 
 # ----------------------------------------------------------------------
@@ -543,6 +429,10 @@ def run_scenario_suite(
         raise ValueError("workers must be at least 1")
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be at least 1")
+    if greedy:
+        _check_candidate_limit(candidate_limit)
     scenario_list = as_scenarios(scenarios)
     if not scenario_list:
         return []
@@ -583,9 +473,10 @@ def run_scenario_suite(
     else:
         may_skip = set(skip_inapplicable)
 
-    # built[i] = (row metadata without a campaign, BFS strategy, backend)
-    built: Dict[int, Tuple[ScenarioRow, str, str]] = {}
-    workloads: Dict[str, RouteIndex] = {}
+    # built[i]: row metadata without a campaign; indexes: the slim index
+    # of each built scenario, keyed by its canonical string.
+    built: Dict[int, ScenarioRow] = {}
+    indexes: Dict[str, RouteIndex] = {}
     dropped: Dict[int, str] = {}
 
     def _record_inapplicable(
@@ -604,7 +495,7 @@ def run_scenario_suite(
         """
         if store is None:
             return
-        for plan_index, (_mode, fault_size, _p, _total) in enumerate(
+        for plan_index, (_kind, fault_size, _p, _total) in enumerate(
             _campaign_plans(scenario, samples, nodes)
         ):
             key = keys[scenario_index][plan_index]
@@ -673,20 +564,16 @@ def run_scenario_suite(
                 graph.number_of_edges(),
             )
             continue
-        index = RouteIndex(graph, result.routing, backend=backend)
-        workloads[_workload_key(scenario.canonical(), backend)] = index.slim()
-        built[scenario_index] = (
-            ScenarioRow(
-                scenario=scenario.canonical(),
-                scheme=result.scheme,
-                nodes=graph.number_of_nodes(),
-                edges=graph.number_of_edges(),
-                t=result.t,
-                fingerprint=result.fingerprint(),
-                campaign=None,
-            ),
-            index.preferred_strategy(),
-            index.backend,
+        spec = scenario.canonical()
+        indexes[spec] = RouteIndex(graph, result.routing, backend=backend).slim()
+        built[scenario_index] = ScenarioRow(
+            scenario=spec,
+            scheme=result.scheme,
+            nodes=graph.number_of_nodes(),
+            edges=graph.number_of_edges(),
+            t=result.t,
+            fingerprint=result.fingerprint(),
+            campaign=None,
         )
 
     # A partially-complete scenario is rebuilt for its remaining campaigns;
@@ -696,7 +583,7 @@ def run_scenario_suite(
             if scenario_index not in built:
                 continue
             stored = store.get(keys[scenario_index][plan_index])
-            reference = built[scenario_index][0].fingerprint
+            reference = built[scenario_index].fingerprint
             if stored.get("fingerprint") != reference:
                 raise RuntimeError(
                     f"stored row {keys[scenario_index][plan_index]!r} was "
@@ -711,7 +598,7 @@ def run_scenario_suite(
     node_counts: List[Optional[int]] = []
     for scenario_index in range(len(scenario_list)):
         if scenario_index in built:
-            node_counts.append(built[scenario_index][0].nodes)
+            node_counts.append(built[scenario_index].nodes)
         elif (
             scenario_index not in dropped
             and store is not None
@@ -721,107 +608,70 @@ def run_scenario_suite(
         else:
             node_counts.append(None)
 
-    tasks, campaigns = _expand_tasks(
+    campaigns = _expand_campaigns(
         scenario_list,
         samples,
         seed,
         chunk_size,
-        bound,
         node_counts=node_counts,
         skip=completed,
         drop=dropped,
-        backend=backend,
         greedy=greedy,
         candidate_limit=candidate_limit,
     )
-    fault_sizes = dict(campaigns)
-
-    # Fold the streamed outcomes per campaign in deterministic task order.
-    # Tasks of one campaign are contiguous, so a campaign is finished the
-    # moment the first task of the next one arrives — at which point its
-    # row is aggregated and (when a store is attached) persisted, keeping
-    # the store valid for resumption at every instant of the run.
+    # One task stream for the whole suite, so the pool drains every
+    # campaign through one window.  A campaign's tasks are contiguous: its
+    # row is folded, and persisted when a store is attached, as soon as its
+    # last task is in, keeping the store valid for resumption at every
+    # instant of the run.
+    campaign_tasks = [
+        list(_battery_tasks(built[key[0]].scenario, shards, bound, workers))
+        for key, _fault_size, shards in campaigns
+    ]
     computed: Dict[Tuple[int, int], ScenarioRow] = {}
-    failed_reasons: Dict[Tuple[int, int], str] = {}
-
-    def _finalise(campaign_key: Tuple[int, int], outcomes: List) -> None:
-        metadata, strategy, resolved = built[campaign_key[0]]
-        # A quarantined campaign is checked first: its collected outcomes
-        # (if any shards did finish) are partial and must not feed an
-        # aggregate.  The row still carries the real construction metadata
-        # — the scenario built fine; only its evaluation failed.
-        if campaign_key in failed_reasons:
-            campaign: CampaignRow = CampaignStatus(
-                disposition="failed",
-                reason=failed_reasons[campaign_key],
-                fault_size=fault_sizes[campaign_key],
-            )
-        elif bound is not None:
-            campaign = aggregate_decisions(
-                fault_sizes[campaign_key], bound, outcomes
-            )
-            campaign.bfs_strategy = strategy
-        else:
-            campaign = aggregate_outcomes(fault_sizes[campaign_key], outcomes)
-            campaign.bfs_strategy = strategy
-        if campaign_key not in failed_reasons:
-            # Provenance columns: the resolved eval backend, and the
-            # greedy candidate budget when this row's battery carried an
-            # adversarial probe.
-            campaign.eval_backend = resolved
-            if (
-                greedy
-                and scenario_list[campaign_key[0]].faults.kind == "sizes"
-                and fault_sizes[campaign_key] > 0
-            ):
-                campaign.candidate_limit = candidate_limit
-        row = dataclasses.replace(metadata, campaign=campaign)
-        computed[campaign_key] = row
-        if store is not None:
-            store.append(keys[campaign_key[0]][campaign_key[1]], row.record())
-
-    # In-process tasks (one worker, or a pool that could not be rebuilt)
-    # read the same workload dict the pool initializer ships to workers.
-    _init_suite_worker(workloads)
-    try:
-        with Supervisor(
-            _eval_suite_task,
-            initializer=_init_suite_worker,
-            initargs=(workloads,),
-            policy=policy,
-            workers=workers,
-        ) as supervisor:
-            current_key: Optional[Tuple[int, int]] = None
-            current_outcomes: List = []
-            for task, outcomes in supervisor.run(tasks):
-                campaign_key = task.campaign_key
-                if isinstance(outcomes, FailedTask):
-                    # One failed shard quarantines its whole campaign: the
-                    # aggregate would be incomplete either way.  The first
-                    # failure's reason is the one recorded.
-                    failed_reasons.setdefault(campaign_key, outcomes.reason)
-                    outcomes = []
-                if campaign_key != current_key:
-                    if current_key is not None:
-                        _finalise(current_key, current_outcomes)
-                    current_key = campaign_key
-                    current_outcomes = []
-                current_outcomes.extend(outcomes)
-            if current_key is not None:
-                _finalise(current_key, current_outcomes)
-    finally:
-        _init_suite_worker({})
+    with _battery_runner(indexes, workers, policy) as runner:
+        results = runner.run([task for tasks in campaign_tasks for task in tasks])
+        for (campaign_key, fault_size, shards), tasks in zip(campaigns, campaign_tasks):
+            metadata = built[campaign_key[0]]
+            outcomes: List = []
+            failures: List[str] = []
+            for _task, result in itertools.islice(results, len(tasks)):
+                if isinstance(result, FailedTask):
+                    failures.append(result.reason)
+                else:
+                    fault_sets, values = result
+                    outcomes.extend(zip(fault_sets, values))
+            if failures:
+                # One failed task quarantines its whole campaign: the
+                # aggregate would be incomplete either way.  The first
+                # failure's reason is the one recorded, and the row keeps
+                # the real construction metadata — the scenario built
+                # fine; only its evaluation failed.
+                campaign: CampaignRow = CampaignStatus(
+                    disposition="failed", reason=failures[0], fault_size=fault_size
+                )
+            else:
+                campaign = _fold_campaign(
+                    fault_size,
+                    outcomes,
+                    indexes[metadata.scenario],
+                    bound,
+                    candidate_limit if shards[-1].kind == "greedy" else None,
+                )
+            row = dataclasses.replace(metadata, campaign=campaign)
+            computed[campaign_key] = row
+            if store is not None:
+                store.append(keys[campaign_key[0]][campaign_key[1]], row.record())
 
     # Assemble the rows in campaign order: stored rows for completed
     # campaigns, freshly computed rows for the rest.
     rows: List[ScenarioRow] = []
-    for campaign_key, _fault_size in campaigns:
-        if campaign_key in completed:
-            rows.append(
-                ScenarioRow.from_record(
-                    store.get(keys[campaign_key[0]][campaign_key[1]])
-                )
-            )
-        else:
-            rows.append(computed[campaign_key])
+    for scenario_index, scenario_keys in enumerate(keys):
+        if scenario_index in dropped:
+            continue
+        for plan_index, key in enumerate(scenario_keys):
+            if (scenario_index, plan_index) in completed:
+                rows.append(ScenarioRow.from_record(store.get(key)))
+            else:
+                rows.append(computed[(scenario_index, plan_index)])
     return rows

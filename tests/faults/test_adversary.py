@@ -114,6 +114,21 @@ class TestGreedyAdversary:
         graph, result = cycle_routing
         assert len(greedy_adversarial_fault_set(graph, result.routing, 0, seed=0)) == 0
 
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_candidate_limit_below_one_rejected(self, cycle_routing, limit):
+        """A round must sample at least one candidate (0 used to stop at once)."""
+        from repro.core import RouteIndex
+        from repro.faults.adversary import greedy_fault_set_from_index
+
+        graph, result = cycle_routing
+        with pytest.raises(ValueError, match="candidate_limit must be at least 1"):
+            greedy_adversarial_fault_set(
+                graph, result.routing, 2, candidate_limit=limit, seed=0
+            )
+        index = RouteIndex(graph, result.routing)
+        with pytest.raises(ValueError, match="candidate_limit must be at least 1"):
+            greedy_fault_set_from_index(index, 2, candidate_limit=limit, seed=0)
+
     def test_prefers_disconnection_when_no_finite_candidate_improves(self):
         """Above the connectivity, ``inf`` is the true worst case.
 

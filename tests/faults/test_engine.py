@@ -16,6 +16,7 @@ from repro.faults import (
     CampaignEngine,
     FaultSet,
     combined_fault_sets,
+    random_fault_sets,
     run_campaign,
     shard_seed,
     sweep_fault_sizes,
@@ -130,7 +131,7 @@ class TestExhaustiveShards:
         sharded = [
             fault_set.nodes()
             for shard in engine._exhaustive_shards(2)
-            for fault_set in shard.materialise(graph)
+            for fault_set in shard.materialise(engine.index)
         ]
         reference = [fs.nodes() for fs in all_fault_sets(graph.nodes(), 2)]
         assert sharded == reference
@@ -152,15 +153,15 @@ class TestExhaustiveShards:
         graph, routing = workload
         engine = CampaignEngine(graph, routing, chunk_size=5)
         first = [
-            (shard.exhaustive_size, shard.start, shard.count)
+            (shard.kind, shard.fault_size, shard.start, shard.count)
             for shard in engine._exhaustive_shards(2)
         ]
         second = [
-            (shard.exhaustive_size, shard.start, shard.count)
+            (shard.kind, shard.fault_size, shard.start, shard.count)
             for shard in engine._exhaustive_shards(2)
         ]
         assert first == second
-        assert all(size is not None for size, _, _ in first)
+        assert all(kind == "exhaustive" for kind, _, _, _ in first)
 
     def test_exhaustive_worst_case_matches_explicit_battery(self, workload):
         from repro.faults import all_fault_sets
@@ -334,8 +335,8 @@ class TestIndexShipping:
             assert list(engine.evaluate([])) == []
         finally:
             engine.close()
-        assert len(recorded["initargs"]) == 1
-        shipped = recorded["initargs"][0]
+        (shipped_indexes,) = recorded["initargs"]
+        (shipped,) = shipped_indexes.values()
         # The slim payload shares the engine index's bitset structures but
         # drops the graph and routing objects (they never cross the boundary).
         assert shipped is not index
@@ -343,8 +344,8 @@ class TestIndexShipping:
         assert shipped._base_rows is index._base_rows
         assert shipped._kill_rows is index._kill_rows
         assert shipped.node_pool == index.node_pool
-        assert engine_module._WORKER_INDEX is shipped
-        engine_module._WORKER_INDEX = None
+        assert engine_module._INDEXES is shipped_indexes
+        engine_module._install_indexes({})
 
     def test_parallel_results_with_prebuilt_index(self, workload):
         graph, routing = workload
@@ -488,6 +489,38 @@ class TestGreedyAugmentation:
         assert campaigns[0].candidate_limit is None
         assert campaigns[1].samples == 6
         assert campaigns[1].candidate_limit == 5
+
+    def test_shared_stream_draws_the_probe_before_the_battery(self, workload):
+        from repro.faults.adversary import greedy_fault_set_from_index
+        from repro.faults.engine import _fold_campaign
+
+        graph, routing = workload
+        engine = CampaignEngine(graph, routing)
+        row = engine.run_campaign(
+            2, samples=8, seed=_random.Random(4), greedy=True, candidate_limit=5
+        )
+        rng = _random.Random(4)
+        probe = greedy_fault_set_from_index(engine.index, 2, candidate_limit=5, seed=rng)
+        battery = list(random_fault_sets(graph.nodes(), 2, 8, seed=rng)) + [probe]
+        expected = _fold_campaign(
+            2, engine.evaluate(battery), engine.index, candidate_limit=5
+        )
+        assert row == expected
+        assert row.worst_fault_set.nodes() == expected.worst_fault_set.nodes()
+
+    @pytest.mark.parametrize("limit", [0, -1])
+    def test_candidate_limit_below_one_rejected_up_front(self, workload, limit):
+        graph, routing = workload
+        engine = CampaignEngine(graph, routing)
+        with pytest.raises(ValueError, match="candidate_limit must be at least 1"):
+            engine.run_campaign(2, samples=4, seed=0, greedy=True, candidate_limit=limit)
+        with pytest.raises(ValueError, match="candidate_limit must be at least 1"):
+            engine.sweep_fault_sizes(
+                [0, 2], samples=4, seed=0, greedy=True, candidate_limit=limit
+            )
+        assert engine._index is None  # refused before the index was built
+        # Without the probe the budget is never used.
+        assert engine.run_campaign(2, samples=4, seed=0, candidate_limit=limit).samples == 4
 
     def test_greedy_round_trips_through_record(self, workload):
         graph, routing = workload

@@ -182,16 +182,19 @@ class TestEngineRecovery:
 class TestQuarantine:
     """Permanent injections: the campaign fails as a row, not the sweep."""
 
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_always_failing_campaign_quarantines_and_resumes(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, golden, workers
     ):
         # No ledger: every hypercube shard is poisoned on every attempt.
+        # In-process, a task groups the campaign's shards; pooled, a task
+        # is one shard.  Either way only that campaign fails.
         monkeypatch.setenv(CHAOS_ENV, "task:fail:hypercube")
         monkeypatch.delenv(LEDGER_ENV, raising=False)
         path = tmp_path / "store.jsonl"
         rows = _run_suite(
             path,
-            workers=2,
+            workers=workers,
             policy=SupervisorPolicy(max_retries=1),
         )
         assert len(rows) == 3
@@ -206,6 +209,16 @@ class TestQuarantine:
         assert failed[0].fingerprint is not None
         first_bytes = path.read_bytes()
         first_records = [row.record() for row in rows]
+        # Every other row is the clean run's.
+        assert [
+            record
+            for record in first_records
+            if not record["scenario"].startswith("hypercube")
+        ] == [
+            record
+            for record in golden[1]
+            if not record["scenario"].startswith("hypercube")
+        ]
 
         # The stored report distinguishes "failed" from "not swept".
         loaded = ResultStore.load(str(path))
@@ -219,6 +232,19 @@ class TestQuarantine:
         resumed = _run_suite(path, workers=1)
         assert [row.record() for row in resumed] == first_records
         assert path.read_bytes() == first_bytes
+
+    def test_suite_task_labels_carry_the_canonical_spec(self, monkeypatch):
+        """``task:<action>:<spec>`` injections can single out one scenario."""
+        from repro.faults import engine as engine_module
+        from repro.scenarios import parse_scenario
+
+        labels = []
+        monkeypatch.setattr(
+            engine_module, "chaos_point", lambda site, label: labels.append(label)
+        )
+        run_scenario_suite(SCENARIOS, samples=SAMPLES, seed=SEED, chunk_size=CHUNK)
+        specs = {parse_scenario(spec).canonical() for spec in SCENARIOS}
+        assert {label.split(":start=")[0] for label in labels} == specs
 
     def test_strict_restores_fail_fast(self, tmp_path, monkeypatch):
         from repro.runtime import TaskFailedError

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import types
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,17 @@ SMALL_SCENARIOS = [
 
 def _rows(scenarios, **kwargs):
     return [row.as_row() for row in run_scenario_suite(scenarios, **kwargs)]
+
+
+def _batteries(campaigns, pool):
+    """Each expanded campaign's fault sets (as node lists), drawn over ``pool``."""
+    index = types.SimpleNamespace(node_pool=tuple(pool))
+    return {
+        campaign_key: [
+            fault_set.nodes() for shard in shards for fault_set in shard.materialise(index)
+        ]
+        for campaign_key, _fault_size, shards in campaigns
+    }
 
 
 class TestSuiteBasics:
@@ -46,15 +59,13 @@ class TestSuiteBasics:
         assert first == second
 
     def test_different_seed_changes_sampled_batteries(self):
-        from repro.scenarios.suite import _expand_tasks
+        from repro.scenarios.suite import _expand_campaigns
         from repro.scenarios import as_scenarios
 
         scenarios = as_scenarios(["circulant:n=16,offsets=1+2/kernel/sizes:3"])
         pool = list(range(16))
-        tasks_a, _ = _expand_tasks(scenarios, 20, 1, 32, None)
-        tasks_b, _ = _expand_tasks(scenarios, 20, 2, 32, None)
-        battery_a = [fs.nodes() for task in tasks_a for fs in task.materialise(pool)]
-        battery_b = [fs.nodes() for task in tasks_b for fs in task.materialise(pool)]
+        (battery_a,) = _batteries(_expand_campaigns(scenarios, 20, 1, 32), pool).values()
+        (battery_b,) = _batteries(_expand_campaigns(scenarios, 20, 2, 32), pool).values()
         assert len(battery_a) == len(battery_b) == 20
         assert battery_a != battery_b
 
@@ -75,6 +86,28 @@ class TestSuiteBasics:
             run_scenario_suite(SMALL_SCENARIOS, samples=0)
         with pytest.raises(ValueError):
             run_scenario_suite(SMALL_SCENARIOS, workers=0)
+
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"chunk_size": 0}, "chunk_size must be at least 1"),
+            ({"chunk_size": -1}, "chunk_size must be at least 1"),
+            ({"greedy": True, "candidate_limit": 0}, "candidate_limit must be at least 1"),
+            ({"greedy": True, "candidate_limit": -1}, "candidate_limit must be at least 1"),
+        ],
+    )
+    def test_battery_arguments_refused_before_any_build(
+        self, kwargs, message, monkeypatch
+    ):
+        from repro.scenarios import suite as suite_module
+
+        builds = []
+        monkeypatch.setattr(
+            suite_module.Scenario, "build_graph", lambda self: builds.append(self)
+        )
+        with pytest.raises(ValueError, match=message):
+            run_scenario_suite(SMALL_SCENARIOS, samples=4, **kwargs)
+        assert builds == []
 
 
 class TestBoundedSuite:
@@ -143,34 +176,23 @@ class TestSuiteSeedIndependence:
         """sizes:2,2 must not evaluate the same battery twice (seed tags
         include the campaign position, mirroring sweep_fault_sizes)."""
         from repro.scenarios import as_scenarios
-        from repro.scenarios.suite import _expand_tasks
+        from repro.scenarios.suite import _expand_campaigns
 
         scenarios = as_scenarios(["circulant:n=16,offsets=1+2/kernel/sizes:2,2"])
-        tasks, campaigns = _expand_tasks(scenarios, 20, 0, 32, None)
+        campaigns = _expand_campaigns(scenarios, 20, 0, 32)
         assert len(campaigns) == 2
-        pool = list(range(16))
-        batteries = {}
-        for task in tasks:
-            batteries.setdefault(task.campaign_key, []).extend(
-                fs.nodes() for fs in task.materialise(pool)
-            )
+        batteries = _batteries(campaigns, range(16))
         first, second = batteries[(0, 0)], batteries[(0, 1)]
         assert len(first) == len(second) == 20
         assert first != second
 
     def test_repeated_scenarios_draw_independent_batteries(self):
         from repro.scenarios import as_scenarios
-        from repro.scenarios.suite import _expand_tasks
+        from repro.scenarios.suite import _expand_campaigns
 
         spec = "circulant:n=16,offsets=1+2/kernel/sizes:2"
         scenarios = as_scenarios([spec, spec])
-        tasks, _ = _expand_tasks(scenarios, 20, 0, 32, None)
-        pool = list(range(16))
-        batteries = {}
-        for task in tasks:
-            batteries.setdefault(task.campaign_key, []).extend(
-                fs.nodes() for fs in task.materialise(pool)
-            )
+        batteries = _batteries(_expand_campaigns(scenarios, 20, 0, 32), range(16))
         assert batteries[(0, 0)] != batteries[(1, 0)]
 
 
@@ -248,12 +270,13 @@ class TestSuiteStoreResume:
             expected = run_scenario_suite(SMALL_SCENARIOS, samples=6, seed=0, store=store)
         # Re-running against the complete store must not evaluate any task
         # nor build any scenario.
+        from repro.faults import engine as engine_module
         from repro.scenarios import suite as suite_module
 
-        def fail_eval(task):  # pragma: no cover - must not run
+        def fail_eval(task, indexes=None):  # pragma: no cover - must not run
             raise AssertionError("task evaluated during a fully-resumed run")
 
-        monkeypatch.setattr(suite_module, "_eval_suite_task", fail_eval)
+        monkeypatch.setattr(engine_module, "_evaluate_task", fail_eval)
         build_calls = []
         original_build = suite_module.Scenario.build
         monkeypatch.setattr(
@@ -281,21 +304,21 @@ class TestSuiteStoreResume:
         lines = full_text.splitlines(keepends=True)
         path.write_text("".join(lines[:3]))
 
-        from repro.scenarios import suite as suite_module
+        from repro.faults import engine as engine_module
 
         evaluated = []
-        original_eval = suite_module._eval_suite_task
+        original_eval = engine_module._evaluate_task
 
-        def counting_eval(task):
-            evaluated.append(task.campaign_key)
-            return original_eval(task)
+        def counting_eval(task, indexes=None):
+            evaluated.append(task[0])
+            return original_eval(task, indexes)
 
-        monkeypatch.setattr(suite_module, "_eval_suite_task", counting_eval)
+        monkeypatch.setattr(engine_module, "_evaluate_task", counting_eval)
         with ResultStore.open(str(path), run) as store:
             resumed = run_scenario_suite(SMALL_SCENARIOS, samples=6, seed=0, store=store)
-        # The two stored campaigns were skipped...
-        assert (0, 0) not in evaluated
-        assert (0, 1) not in evaluated
+        # The two stored campaigns (both of the first scenario's) were
+        # skipped...
+        assert parse_scenario(SMALL_SCENARIOS[0]).canonical() not in evaluated
         assert evaluated  # ...and the remaining ones genuinely ran.
         # Rows and the store file match the uninterrupted run exactly.
         assert [row.as_row() for row in resumed] == [row.as_row() for row in rows]
@@ -393,15 +416,15 @@ class TestStrategyAxisSuite:
         path.write_text("".join(lines[:3]) + lines[3][: len(lines[3]) // 2])
 
         evaluated = []
-        from repro.scenarios import suite as suite_module
+        from repro.faults import engine as engine_module
 
-        original_eval = suite_module._eval_suite_task
+        original_eval = engine_module._evaluate_task
 
-        def counting_eval(task):
-            evaluated.append(task.campaign_key)
-            return original_eval(task)
+        def counting_eval(task, indexes=None):
+            evaluated.append(task[0])
+            return original_eval(task, indexes)
 
-        monkeypatch.setattr(suite_module, "_eval_suite_task", counting_eval)
+        monkeypatch.setattr(engine_module, "_evaluate_task", counting_eval)
         with ResultStore.open(str(path), run) as store:
             resumed_rows = run_scenario_suite(
                 scenarios, samples=6, seed=9, store=store
@@ -409,7 +432,9 @@ class TestStrategyAxisSuite:
         resumed_report = render_scaling_report(
             result_frame(row.record() for row in resumed_rows), run
         )
-        assert (0, 0) not in evaluated and (1, 0) not in evaluated
+        # The first two scenarios' single campaigns were stored.
+        assert scenarios[0].canonical() not in evaluated
+        assert scenarios[1].canonical() not in evaluated
         assert evaluated  # the truncated tail genuinely re-ran
         assert path.read_text() == full_text
         assert resumed_report == full_report
@@ -509,21 +534,21 @@ class TestSharedIndexPayload:
         sequential = _rows(SMALL_SCENARIOS, samples=8, seed=3)
         assert shared == sequential
 
-    def test_initializer_installs_workloads(self):
-        from repro.scenarios import suite as suite_module
+    def test_initializer_installs_indexes(self):
+        from repro.faults import engine as engine_module
 
         payload = {"spec-a": object()}
-        suite_module._init_suite_worker(payload)
+        engine_module._install_indexes(payload)
         try:
-            assert suite_module._WORKLOADS is payload
+            assert engine_module._INDEXES is payload
         finally:
-            suite_module._init_suite_worker({})
+            engine_module._install_indexes({})
 
     def test_pool_receives_the_slim_indexes(self, monkeypatch):
         """The supervisor's pool gets one slim index per scenario."""
         import multiprocessing
 
-        from repro.scenarios import suite as suite_module
+        from repro.faults import engine as engine_module
 
         recorded = {}
 
@@ -535,15 +560,52 @@ class TestSharedIndexPayload:
         monkeypatch.setattr(multiprocessing, "Pool", refusing_pool)
         pooled = _rows(SMALL_SCENARIOS, samples=8, seed=3, workers=2)
         assert pooled == _rows(SMALL_SCENARIOS, samples=8, seed=3)
-        assert recorded["initializer"] is suite_module._init_suite_worker
-        (workloads,) = recorded["initargs"]
-        assert sorted(key.split("\x00")[0] for key in workloads) == sorted(
+        assert recorded["initializer"] is engine_module._install_indexes
+        (indexes,) = recorded["initargs"]
+        assert sorted(indexes) == sorted(
             parse_scenario(spec).canonical() for spec in SMALL_SCENARIOS
         )
-        for index in workloads.values():
+        for index in indexes.values():
             assert index.graph is None and index.routing is None
-        # The parent's in-process lookup is uninstalled after the run.
-        assert suite_module._WORKLOADS == {}
+        # In-process tasks read the suite's own dict: nothing is installed.
+        assert engine_module._INDEXES == {}
+
+
+class TestSharedTaskPath:
+    """Suite campaigns run through the engine's shards, tasks and worker."""
+
+    SPEC = "circulant:n=96,offsets=1+2/kernel/sizes:5,6,7,8,9,10"
+
+    def test_inprocess_campaign_is_one_refilled_kernel_call(self, monkeypatch):
+        from repro.core import RouteIndex
+        from repro.core.np_kernel import numpy_available
+
+        if not numpy_available():
+            pytest.skip("numpy backend not available")
+        calls = []
+        batched = RouteIndex.surviving_diameters
+
+        def spy(self, fault_sets, cap=None):
+            fault_sets = list(fault_sets)
+            values = batched(self, fault_sets, cap=cap)
+            calls.append((self, fault_sets, self._np_kernel._last_level))
+            return values
+
+        monkeypatch.setattr(RouteIndex, "surviving_diameters", spy)
+        rows = _rows([self.SPEC], samples=200, seed=7)
+        assert [len(fault_sets) for _index, fault_sets, _levels in calls] == [200] * 6
+        # 32-set calls over the same sets advance more levels: their lanes
+        # wait for each chunk's deepest set instead of refilling.
+        index = calls[0][0]
+        assert index.backend == "numpy"
+        grouped = sum(levels for _index, _sets, levels in calls)
+        chunked = 0
+        for _index, fault_sets, _levels in calls:
+            for start in range(0, len(fault_sets), 32):
+                batched(index, fault_sets[start : start + 32])
+                chunked += index._np_kernel._last_level
+        assert grouped < chunked
+        assert rows == _rows([self.SPEC], samples=200, seed=7, workers=2)
 
 
 class TestBuildsEachScenarioOnce:

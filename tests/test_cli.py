@@ -179,6 +179,32 @@ class TestCommands:
         assert code == 2
 
 
+class TestBatteryArguments:
+    """Bad shard and greedy budgets exit 2 before any evaluation."""
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_chunk_size_below_one(self, capsys, value):
+        spec = "cycle:n=10/kernel/sizes:1"
+        for argv in (
+            ["grid", spec],
+            ["campaign", "--scenario", spec],
+            ["campaign", "--graph", "cycle:10", "--sizes", "1"],
+        ):
+            assert main(argv + ["--samples", "4", "--chunk-size", value]) == 2
+            assert "chunk_size must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_greedy_candidate_limit_below_one(self, capsys, value):
+        for argv in (
+            ["campaign", "--graph", "cycle:10", "--sizes", "2"],
+            ["campaign", "--scenario", "cycle:n=10/kernel/sizes:2"],
+            ["grid", "cycle:n=10/kernel/sizes:2"],
+        ):
+            argv = argv + ["--samples", "4", "--greedy", "--candidate-limit", value]
+            assert main(argv) == 2
+            assert "candidate_limit must be at least 1" in capsys.readouterr().err
+
+
 class TestScenarioCampaignFlags:
     def test_scenario_rejects_graph_mode_flags(self, capsys):
         for flags in (
