@@ -193,7 +193,8 @@ def _battery_shards(
     """Cut a generated battery of ``total`` sets into its seeding blocks.
 
     Shard ``i`` covers sets ``i * chunk_size`` onwards, at most
-    ``chunk_size`` of them, and draws from ``shard_seed(seed, tag, i)``.
+    ``chunk_size`` of them, and draws from ``shard_seed(seed, tag, i)``;
+    exhaustive shards enumerate and need no seed.
     """
     for shard_index, start in enumerate(range(0, total, chunk_size)):
         yield _Shard(
@@ -201,7 +202,7 @@ def _battery_shards(
             fault_size=fault_size,
             count=min(chunk_size, total - start),
             start=start,
-            seed=shard_seed(seed, tag, shard_index),
+            seed=0 if kind == "exhaustive" else shard_seed(seed, tag, shard_index),
             p=p,
         )
 

@@ -656,7 +656,9 @@ def run_scenario_suite(
                     outcomes,
                     indexes[metadata.scenario],
                     bound,
-                    candidate_limit if shards[-1].kind == "greedy" else None,
+                    candidate_limit
+                    if any(shard.kind == "greedy" for shard in shards)
+                    else None,
                 )
             row = dataclasses.replace(metadata, campaign=campaign)
             computed[campaign_key] = row

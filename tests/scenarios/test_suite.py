@@ -73,6 +73,11 @@ class TestSuiteBasics:
         rows = run_scenario_suite(["petersen/kernel/exhaustive:f=1"], samples=3, seed=0)
         assert [row.campaign.samples for row in rows] == [1, 10]
 
+    def test_exhaustive_model_past_the_node_count_is_a_clean_error(self):
+        # The Petersen graph has 10 nodes: no fault set of size 11 exists.
+        with pytest.raises(ValueError, match="no fault sets to evaluate"):
+            run_scenario_suite(["petersen/kernel/exhaustive:f=11"], samples=3, seed=0)
+
     def test_scenario_values_and_strings_mix(self):
         scenario = parse_scenario("hypercube:d=3/kernel/sizes:1")
         rows = run_scenario_suite([scenario, "petersen/kernel/sizes:1"], samples=4, seed=0)
