@@ -73,7 +73,10 @@ sharing callers — the greedy adversary evaluates ``F | {v}`` for hundreds of
 instead of ``O(n^2)``.  Cursors also memoise their diameter and the witness
 of a disconnection: once a cursor is known to be disconnected by a missing
 target other than ``v``, ``with_added(v)`` propagates the infinite diameter
-without running a single BFS.
+without running a single BFS.  Their bitset evaluations read each alive
+row's successor list from the index's memo, keyed by the row's value and
+bounded by :data:`SUCCESSOR_MEMO_FACTOR`; related fault sets share most
+rows.  One-shot :meth:`RouteIndex.surviving_diameter` calls skip the memo.
 
 The index is read-only with respect to the graph and routing: mutating either
 after building the index invalidates it (build a fresh one instead).  It is
@@ -85,7 +88,18 @@ being rebuilt per worker.
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Set, Tuple, Union
+from typing import (
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Union,
+)
 
 from repro.core.routing import MultiRouting, Routing
 from repro.exceptions import FaultModelError
@@ -121,6 +135,10 @@ EVAL_BACKENDS = (EVAL_BACKEND_BITSET, EVAL_BACKEND_NUMPY)
 #: README, "Evaluation backends").
 NUMPY_MIN_NODES = 64
 
+#: Bound of an index's successor-list memo, in entries per node: the memo
+#: holds at most ``SUCCESSOR_MEMO_FACTOR * n`` rows and is cleared when full.
+SUCCESSOR_MEMO_FACTOR = 32
+
 
 def _check_backend(value: Optional[str]) -> Optional[str]:
     """Validate a requested backend; ``None`` asks for the backend rule."""
@@ -152,6 +170,26 @@ def _mask_ids(mask: int) -> List[int]:
         ids.append(bit.bit_length() - 1)
         mask ^= bit
     return ids
+
+
+class _SuccessorMemo(dict):
+    """Masked row value -> its successor ids, ascending, as a tuple.
+
+    The batched BFS strategy turns every alive row into a successor list
+    before it propagates.  Cursor evaluations pass their index's memo, so a
+    row value seen before costs one dict lookup.  Rows recur under churn:
+    a fault removes at most one of a source's disjoint kernel routes, so a
+    source's row takes few distinct values.  The memo holds at most
+    ``limit`` entries and is cleared when full; ``misses`` counts the rows
+    it had to convert.
+    """
+
+    __slots__ = ("limit", "misses")
+
+    def __init__(self, limit: int) -> None:
+        super().__init__()
+        self.limit = limit
+        self.misses = 0
 
 
 class RouteIndex:
@@ -247,6 +285,7 @@ class RouteIndex:
                     kill = kill_rows[id_of[node]]
                     kill[sid] = kill.get(sid, 0) | target_bit
         self._backend = backend or _rule_backend(n)
+        self._successor_memo = _SuccessorMemo(SUCCESSOR_MEMO_FACTOR * n)
 
     # ------------------------------------------------------------------
     # Pickling (worker shipping)
@@ -256,6 +295,8 @@ class RouteIndex:
         # The numpy kernel holds process-local scratch tensors and is cheap
         # to rebuild from the bitset rows; receivers rebuild it lazily.
         state["_np_kernel"] = None
+        # Receivers start with an empty successor memo.
+        state["_successor_memo"] = _SuccessorMemo(self._successor_memo.limit)
         return state
 
     # ------------------------------------------------------------------
@@ -415,6 +456,7 @@ class RouteIndex:
         index._base_rows = [int(row) for row in state["base_rows"]]
         index._base_preds = [int(row) for row in state["base_preds"]]
         index._backend = backend or _rule_backend(n)
+        index._successor_memo = _SuccessorMemo(SUCCESSOR_MEMO_FACTOR * n)
         index._multi = bool(state["multi"])
         if index._multi:
             index._kill_rows = []
@@ -455,6 +497,7 @@ class RouteIndex:
         clone.graph = None
         clone.routing = None
         clone._np_kernel = None  # rebuilt lazily in the receiving process
+        clone._successor_memo = _SuccessorMemo(self._successor_memo.limit)
         clone._node_pool = self.node_pool  # materialise before shipping
         return clone
 
@@ -851,11 +894,18 @@ class EvalCursor:
     def _evaluate(
         self, cap: Optional[float]
     ) -> Tuple[float, Optional[Tuple[int, int]], Optional[Tuple[int, int, int]]]:
-        """One diameter evaluation through the index's resolved backend."""
-        kernel = self._index._active_np_kernel()
+        """One diameter evaluation through the index's resolved backend.
+
+        Bitset evaluations read successor lists through the index's memo:
+        cursors evaluate related fault sets, whose rows recur.
+        """
+        index = self._index
+        kernel = index._active_np_kernel()
         if kernel is not None:
             return kernel.diameter_witness(self._fault_id_list(), cap)
-        return _rows_diameter_witness(self._materialise_rows(), self._alive, cap)
+        return _rows_diameter_witness(
+            self._materialise_rows(), self._alive, cap, index._successor_memo
+        )
 
     def with_added(self, node: Node) -> "EvalCursor":
         """Return the cursor for ``F | {node}`` via a delta update.
@@ -1042,7 +1092,10 @@ class EvalCursor:
 
 
 def _rows_diameter_witness(
-    rows: List[int], alive: int, cap: Optional[float] = None
+    rows: List[int],
+    alive: int,
+    cap: Optional[float] = None,
+    successor_memo: Optional[_SuccessorMemo] = None,
 ) -> Tuple[float, Optional[Tuple[int, int]], Optional[Tuple[int, int, int]]]:
     """Diameter of the digraph given by bitset rows.
 
@@ -1076,6 +1129,9 @@ def _rows_diameter_witness(
     reach set stops growing short of ``alive``, which is then the guard's
     node, with the same unreached mask (the nodes its BFS never reached).
     Otherwise the propagation runs as usual.
+
+    ``successor_memo`` goes to the batched strategy (see
+    :func:`_batched_diameter`); the per-source strategy never reads it.
     """
     if not alive:
         return INFINITY, None, None
@@ -1086,36 +1142,54 @@ def _rows_diameter_witness(
     for row in rows:
         arcs += row.bit_count()
     if arcs * BFS_DENSITY_FACTOR <= total * total:
-        return _batched_diameter(rows, alive, total, cap)
+        return _batched_diameter(rows, alive, total, cap, successor_memo)
     return _per_source_diameter(rows, alive, cap)
 
 
 def _batched_diameter(
-    rows: List[int], alive: int, total: int, cap: Optional[float]
+    rows: List[int],
+    alive: int,
+    total: int,
+    cap: Optional[float],
+    successor_memo: Optional[_SuccessorMemo] = None,
 ) -> Tuple[float, Optional[Tuple[int, int]], Optional[Tuple[int, int, int]]]:
     """All-sources reachability propagation (one ``|=`` per arc per level).
 
     Guarded by the lowest alive node's own frontier BFS: when it misses a
     node or passes ``cap``, its triple is the answer (see
     :func:`_rows_diameter_witness`) and the propagation never runs.
+
+    With ``successor_memo`` given, each alive row's successor list comes
+    from the memo, keyed by the row's value, and only rows it lacks are
+    converted.  The result is the same either way.
     """
     guard = _per_source_diameter(rows, alive, cap, alive & -alive)
     if guard[0] == INFINITY:
         return guard
-    ids: List[int] = []
-    remaining = alive
-    while remaining:
-        bit = remaining & -remaining
-        ids.append(bit.bit_length() - 1)
-        remaining ^= bit
-    succ: List[List[int]] = [[] for _ in rows]
-    for node in ids:
-        row = rows[node]
-        targets = succ[node]
-        while row:
-            bit = row & -row
-            targets.append(bit.bit_length() - 1)
-            row ^= bit
+    ids = _mask_ids(alive)
+    succ: List[Sequence[int]]
+    if successor_memo is None:
+        succ = [[] for _ in rows]
+        for node in ids:
+            row = rows[node]
+            targets = succ[node]
+            while row:
+                bit = row & -row
+                targets.append(bit.bit_length() - 1)
+                row ^= bit
+    else:
+        succ = [()] * len(rows)
+        lookup = successor_memo.get
+        for node in ids:
+            row = rows[node]
+            targets = lookup(row)
+            if targets is None:
+                targets = tuple(_mask_ids(row))
+                if len(successor_memo) >= successor_memo.limit:
+                    successor_memo.clear()
+                successor_memo[row] = targets
+                successor_memo.misses += 1
+            succ[node] = targets
     # reach[u] = nodes within distance <= k of u; k starts at 1.
     reach: List[int] = [0] * len(rows)
     for node in ids:

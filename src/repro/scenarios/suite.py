@@ -156,6 +156,14 @@ def _campaign_plans(
     ``node_count`` (needed only by exhaustive models, to size the
     enumeration) is taken from the caller when already known; otherwise the
     graph is built deterministically to read it.
+
+    Raises
+    ------
+    ValueError
+        If an exhaustive model asks for more faults than the graph has
+        nodes: those sizes have no fault set to enumerate.  The suite plans
+        every campaign before it evaluates or stores one, so it refuses
+        the whole run up front.
     """
     model = scenario.faults
     if model.kind == "sizes":
@@ -167,6 +175,12 @@ def _campaign_plans(
         if node_count is not None
         else scenario.build_graph().number_of_nodes()
     )
+    if model.max_faults > n:
+        raise ValueError(
+            f"{scenario.canonical()}: no fault sets to evaluate above size "
+            f"{n}: exhaustive:f={model.max_faults} exceeds the graph's {n} "
+            f"nodes (use f <= {n})"
+        )
     return [
         ("exhaustive", size, 0.0, math.comb(n, size))
         for size in range(0, model.max_faults + 1)

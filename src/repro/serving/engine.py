@@ -17,10 +17,11 @@ The engine splits the serving problem in two:
 
 Point queries go through flat-table lookups (one index into the artifact's
 ``next_hop`` array plus one bit test against the cursor's surviving rows).
-The batch API additionally vectorises through numpy when available: the
-surviving rows are packed once per view into a ``(n, ceil(n/64))`` uint64
-matrix and a whole batch becomes two gathers and a shift — no per-query
-Python at all.
+The batch API additionally vectorises through numpy when available: each
+view builds one effective next-hop table — the artifact's table with ``-1``
+written at the flat pair index of every route through a fault, read from the
+artifact's kill masks — and a whole batch becomes one gather, with no
+per-query Python at all.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core.route_index import EvalCursor, RouteIndex
+from repro.core.route_index import EvalCursor, RouteIndex, _mask_ids
 from repro.exceptions import FaultModelError, ServingError
 from repro.serving.artifact import RoutingArtifact
 
@@ -42,6 +43,45 @@ def _numpy():
     from repro.core import np_kernel
 
     return np_kernel.np
+
+
+class _BatchTables:
+    """Builds the views' effective next-hop tables from kill masks.
+
+    ``table[s * n + d]`` is the surviving next hop of ``(s, d)`` or ``-1``.
+    A route survives exactly when no fault lies on it, endpoints included,
+    so a table is a copy of the artifact's ``next_hop`` table with ``-1``
+    written at each fault's *kill pairs*: the flat indices ``s * n + t`` of
+    every route through the node.  They are flattened from the artifact's
+    kill masks on first use, once per node, as ``int32``.  One instance
+    serves all views of an engine; ``built`` counts the tables built.
+    """
+
+    __slots__ = ("artifact", "built", "_kill_pairs")
+
+    def __init__(self, artifact: RoutingArtifact) -> None:
+        self.artifact = artifact
+        self.built = 0
+        self._kill_pairs: List = [None] * artifact.n
+
+    def table(self, np, fault_ids: Sequence[int]):
+        """The artifact's ``next_hop`` table with ``fault_ids``' routes at -1."""
+        table = np.frombuffer(self.artifact.next_hop, dtype="<i4").copy()
+        for nid in fault_ids:
+            pairs = self._kill_pairs[nid]
+            if pairs is None:
+                pairs = self._kill_pairs[nid] = self._flatten(np, nid)
+            table[pairs] = -1
+        self.built += 1
+        return table
+
+    def _flatten(self, np, nid: int):
+        n = self.artifact.n
+        flat: List[int] = []
+        for sid, mask in self.artifact.kill_rows[nid].items():
+            base = sid * n
+            flat.extend(base + tid for tid in _mask_ids(mask))
+        return np.array(flat, dtype=np.int32)
 
 
 class EngineView:
@@ -62,6 +102,7 @@ class EngineView:
         "_np_effective",
         "_reach_masks",
         "_multi_lookup",
+        "_tables",
     )
 
     def __init__(
@@ -71,6 +112,7 @@ class EngineView:
         generation: int,
         cursor: EvalCursor,
         multi_lookup: Optional[Dict[Tuple[int, int], Tuple[int, int]]],
+        tables: _BatchTables,
     ) -> None:
         self.artifact = artifact
         self.index = index
@@ -80,6 +122,7 @@ class EngineView:
         self._np_effective = None  # lazy flat effective next-hop table
         self._reach_masks: Dict[int, int] = {}
         self._multi_lookup = multi_lookup
+        self._tables = tables
 
     # ------------------------------------------------------------------
     # Fault set
@@ -236,10 +279,11 @@ class EngineView:
     ) -> Sequence[int]:
         """Id-native batch next-hop: one ``int`` per pair (``-1`` = no route).
 
-        On the numpy backend (single routings) the view compiles its fault
-        state into a flat *effective* next-hop table on first use — the
-        artifact's table with every faulted-out pair already set to ``-1``
-        (views are immutable, so the table never goes stale) — and a whole
+        On the numpy backend (single routings) the view builds a flat
+        *effective* next-hop table on first use — the artifact's table with
+        every route through a fault already set to ``-1`` (see
+        :class:`_BatchTables`; views are immutable, so the table never goes
+        stale) — and a whole
         batch is then a single fancy-index gather: the memory-bandwidth path
         the serving gate measures.  The result mirrors the input container:
         numpy arrays in, an ``int32`` array out (zero conversion cost);
@@ -252,7 +296,9 @@ class EngineView:
             if np is not None:
                 table = self._np_effective
                 if table is None:
-                    table = self._np_effective = self._compile_np_table(np)
+                    table = self._np_effective = self._tables.table(
+                        np, self.cursor._fault_id_list()
+                    )
                 sid = np.asarray(sources, dtype=np.int64)
                 tid = np.asarray(targets, dtype=np.int64)
                 out = table[sid * artifact.n + tid]
@@ -280,27 +326,6 @@ class EngineView:
             next_hop[sid * n + tid] if (rows[sid] >> tid) & 1 else -1
             for sid, tid in zip(sources, targets)
         ]
-
-    def _compile_np_table(self, np):
-        """Flatten this view's fault state into one effective next-hop table.
-
-        ``table[s * n + d]`` is the surviving next hop of ``(s, d)`` or
-        ``-1`` — the artifact's flat table with the cursor's dead arcs
-        already masked out, so per-batch work drops to a single gather.
-        Built once per view (the fault set is frozen by construction).
-        """
-        artifact = self.artifact
-        n = artifact.n
-        rows = self.cursor._materialise_rows()
-        width = (n + 7) // 8
-        buffer = b"".join(row.to_bytes(width, "little") for row in rows)
-        alive = np.unpackbits(
-            np.frombuffer(buffer, dtype=np.uint8).reshape(n, width),
-            axis=1,
-            bitorder="little",
-        )[:, :n]
-        hops = np.frombuffer(artifact.next_hop, dtype="<i4")
-        return np.where(alive.reshape(-1) != 0, hops, np.int32(-1))
 
 
 class ServingEngine:
@@ -341,9 +366,10 @@ class ServingEngine:
                 multi_lookup[pair] = (route_base, count)
                 route_base += count
         self._multi_lookup = multi_lookup
+        self._tables = _BatchTables(artifact)
         self._view = EngineView(
             artifact, self.index, self._generation, self._base_cursor,
-            multi_lookup,
+            multi_lookup, self._tables,
         )
 
     # ------------------------------------------------------------------
@@ -410,7 +436,7 @@ class ServingEngine:
         self._generation += 1
         self._view = EngineView(
             self.artifact, self.index, self._generation, cursor,
-            self._multi_lookup,
+            self._multi_lookup, self._tables,
         )
         return self._generation
 
@@ -522,7 +548,14 @@ class ServingEngine:
             self._batched += count
 
     def stats(self) -> Dict[str, object]:
-        """Operational counters (served by the ``stats`` wire op)."""
+        """Operational counters (served by the ``stats`` wire op).
+
+        Besides the query and cursor-LRU counters: the size of the index's
+        successor-list memo and the rows it had to convert
+        (``successor_memo_misses``), and the effective next-hop tables the
+        views built for batches (``batch_tables``).
+        """
+        memo = self.index._successor_memo
         return {
             "generation": self._generation,
             "faults": len(self._view.cursor._fault_id_list()),
@@ -531,6 +564,9 @@ class ServingEngine:
             "cursor_lru_size": len(self._lru),
             "cursor_lru_hits": self._lru_hits,
             "cursor_lru_misses": self._lru_misses,
+            "successor_memo_size": len(memo),
+            "successor_memo_misses": memo.misses,
+            "batch_tables": self._tables.built,
             "backend": self.index.eval_backend,
             "fingerprint": self.artifact.fingerprint,
             "n": self.artifact.n,

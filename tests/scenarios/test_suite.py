@@ -73,10 +73,31 @@ class TestSuiteBasics:
         rows = run_scenario_suite(["petersen/kernel/exhaustive:f=1"], samples=3, seed=0)
         assert [row.campaign.samples for row in rows] == [1, 10]
 
-    def test_exhaustive_model_past_the_node_count_is_a_clean_error(self):
-        # The Petersen graph has 10 nodes: no fault set of size 11 exists.
-        with pytest.raises(ValueError, match="no fault sets to evaluate"):
-            run_scenario_suite(["petersen/kernel/exhaustive:f=11"], samples=3, seed=0)
+    def test_exhaustive_model_past_the_node_count_is_a_clean_error(
+        self, tmp_path, monkeypatch
+    ):
+        """The Petersen graph has 10 nodes: no fault set of size 11 exists.
+
+        The refusal names f and the node count and comes before any
+        evaluation: the suite plans every campaign first, so neither the
+        feasible sizes 0-10 nor the scenario before it are evaluated or
+        stored, and the store keeps only its manifest.
+        """
+        from repro.faults import engine as engine_module
+        from repro.results import ResultStore
+        from repro.scenarios import suite_manifest
+
+        def fail_eval(task, indexes=None):  # pragma: no cover - must not run
+            raise AssertionError("task evaluated before the refusal")
+
+        monkeypatch.setattr(engine_module, "_evaluate_task", fail_eval)
+        scenarios = ["petersen/kernel/sizes:1", "petersen/kernel/exhaustive:f=11"]
+        path = str(tmp_path / "rows.jsonl")
+        with ResultStore.open(path, suite_manifest(scenarios, 3, 0, None)) as store:
+            with pytest.raises(ValueError, match="no fault sets to evaluate") as raised:
+                run_scenario_suite(scenarios, samples=3, seed=0, store=store)
+            assert "exhaustive:f=11 exceeds the graph's 10 nodes" in str(raised.value)
+            assert len(store) == 0
 
     def test_scenario_values_and_strings_mix(self):
         scenario = parse_scenario("hypercube:d=3/kernel/sizes:1")

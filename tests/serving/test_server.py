@@ -49,6 +49,9 @@ class TestProtocol:
             assert info["n"] == artifact.n
             stats = await client.stats()
             assert stats["generation"] == 0
+            assert stats["successor_memo_size"] == 0
+            assert stats["successor_memo_misses"] == 0
+            assert stats["batch_tables"] == 0
             return True
 
         assert run(_with_server(artifact, body))

@@ -228,3 +228,47 @@ class TestBatchQueries:
         stats = engine.stats()
         assert stats["queries"] == 8
         assert stats["batched_queries"] == 7
+
+
+class TestStats:
+    """``stats()`` reports the successor memo and the batch tables built."""
+
+    @pytest.fixture(scope="class")
+    def sparse(self):
+        # A sparse route graph: cursor evaluations take the batched
+        # strategy, which reads the successor memo.
+        graph = generators.cycle_graph(40)
+        result = build_routing(graph, strategy="kernel")
+        return graph, compile_routing_artifact(graph, result.routing)
+
+    def test_memo_and_table_counters(self, sparse):
+        graph, artifact = sparse
+        engine = ServingEngine(artifact)
+        stats = engine.stats()
+        assert stats["successor_memo_size"] == 0
+        assert stats["successor_memo_misses"] == 0
+        assert stats["batch_tables"] == 0
+
+        victim = graph.nodes()[5]
+        engine.fail(victim)
+        engine.surviving_diameter()
+        stats = engine.stats()
+        memo = engine.index._successor_memo
+        assert stats["successor_memo_size"] == len(memo) > 0
+        assert stats["successor_memo_misses"] == memo.misses == len(memo)
+
+        # Flapping back to a known state re-reads memoised cursors: no
+        # evaluation, so no new miss.
+        engine.restore(victim)
+        engine.fail(victim)
+        engine.surviving_diameter()
+        assert engine.stats()["successor_memo_misses"] == memo.misses
+
+        np = pytest.importorskip("numpy")
+        ids = np.arange(artifact.n)
+        engine.batch_next_hop_ids(ids, ids[::-1])
+        engine.batch_next_hop_ids(ids, ids)
+        assert engine.stats()["batch_tables"] == 1  # one view, one table
+        engine.fail(graph.nodes()[20])
+        engine.batch_next_hop_ids(ids, ids)
+        assert engine.stats()["batch_tables"] == 2

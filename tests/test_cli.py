@@ -331,6 +331,18 @@ class TestGridCommand:
         assert code == 1
         assert "bound violated" in capsys.readouterr().out
 
+    def test_grid_exhaustive_past_the_node_count_exits_2(self, tmp_path, capsys):
+        store = tmp_path / "x.jsonl"
+        code = main(
+            ["grid", "petersen/kernel/exhaustive:f=11", "--samples", "2",
+             "--store", str(store)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "exhaustive:f=11 exceeds the graph's 10 nodes" in err
+        # Only the manifest line: no campaign row was stored.
+        assert len(store.read_text().splitlines()) == 1
+
     def test_grid_bad_spec(self, capsys):
         assert main(["grid", "hypercube:d=5..3/kernel"]) == 2
         assert "reversed" in capsys.readouterr().err
