@@ -73,10 +73,11 @@ sharing callers — the greedy adversary evaluates ``F | {v}`` for hundreds of
 instead of ``O(n^2)``.  Cursors also memoise their diameter and the witness
 of a disconnection: once a cursor is known to be disconnected by a missing
 target other than ``v``, ``with_added(v)`` propagates the infinite diameter
-without running a single BFS.  Their bitset evaluations read each alive
-row's successor list from the index's memo, keyed by the row's value and
-bounded by :data:`SUCCESSOR_MEMO_FACTOR`; related fault sets share most
-rows.  One-shot :meth:`RouteIndex.surviving_diameter` calls skip the memo.
+without running a single BFS.
+
+Every bitset evaluation, cursor or one-shot, reads each alive row's
+successor list from the index's memo, keyed by the row's value and bounded
+by :data:`SUCCESSOR_MEMO_FACTOR`; related fault sets share most rows.
 
 The index is read-only with respect to the graph and routing: mutating either
 after building the index invalidates it (build a fresh one instead).  It is
@@ -176,7 +177,7 @@ class _SuccessorMemo(dict):
     """Masked row value -> its successor ids, ascending, as a tuple.
 
     The batched BFS strategy turns every alive row into a successor list
-    before it propagates.  Cursor evaluations pass their index's memo, so a
+    before it propagates.  Index evaluations pass their index's memo, so a
     row value seen before costs one dict lookup.  Rows recur under churn:
     a fault removes at most one of a source's disjoint kernel routes, so a
     source's row takes few distinct values.  The memo holds at most
@@ -632,7 +633,7 @@ class RouteIndex:
         fault_mask = self._fault_mask(fault_set)
         rows = self._surviving_rows(fault_mask)
         value, _witness, _capped = _rows_diameter_witness(
-            rows, self._full_mask & ~fault_mask, cap
+            rows, self._full_mask & ~fault_mask, cap, self._successor_memo
         )
         return value
 
@@ -894,11 +895,7 @@ class EvalCursor:
     def _evaluate(
         self, cap: Optional[float]
     ) -> Tuple[float, Optional[Tuple[int, int]], Optional[Tuple[int, int, int]]]:
-        """One diameter evaluation through the index's resolved backend.
-
-        Bitset evaluations read successor lists through the index's memo:
-        cursors evaluate related fault sets, whose rows recur.
-        """
+        """One diameter evaluation through the index's resolved backend."""
         index = self._index
         kernel = index._active_np_kernel()
         if kernel is not None:
@@ -1159,37 +1156,30 @@ def _batched_diameter(
     node or passes ``cap``, its triple is the answer (see
     :func:`_rows_diameter_witness`) and the propagation never runs.
 
-    With ``successor_memo`` given, each alive row's successor list comes
-    from the memo, keyed by the row's value, and only rows it lacks are
-    converted.  The result is the same either way.
+    Each alive row's successor list comes from ``successor_memo``, keyed
+    by the row's value; only rows it lacks are converted.  Index
+    evaluations pass their index's memo.  A caller with bare rows may
+    leave it out and gets a memo of its own for the call.  The result
+    never depends on the memo's contents.
     """
     guard = _per_source_diameter(rows, alive, cap, alive & -alive)
     if guard[0] == INFINITY:
         return guard
-    ids = _mask_ids(alive)
-    succ: List[Sequence[int]]
     if successor_memo is None:
-        succ = [[] for _ in rows]
-        for node in ids:
-            row = rows[node]
-            targets = succ[node]
-            while row:
-                bit = row & -row
-                targets.append(bit.bit_length() - 1)
-                row ^= bit
-    else:
-        succ = [()] * len(rows)
-        lookup = successor_memo.get
-        for node in ids:
-            row = rows[node]
-            targets = lookup(row)
-            if targets is None:
-                targets = tuple(_mask_ids(row))
-                if len(successor_memo) >= successor_memo.limit:
-                    successor_memo.clear()
-                successor_memo[row] = targets
-                successor_memo.misses += 1
-            succ[node] = targets
+        successor_memo = _SuccessorMemo(SUCCESSOR_MEMO_FACTOR * len(rows))
+    ids = _mask_ids(alive)
+    succ: List[Sequence[int]] = [()] * len(rows)
+    lookup = successor_memo.get
+    for node in ids:
+        row = rows[node]
+        targets = lookup(row)
+        if targets is None:
+            targets = tuple(_mask_ids(row))
+            if len(successor_memo) >= successor_memo.limit:
+                successor_memo.clear()
+            successor_memo[row] = targets
+            successor_memo.misses += 1
+        succ[node] = targets
     # reach[u] = nodes within distance <= k of u; k starts at 1.
     reach: List[int] = [0] * len(rows)
     for node in ids:

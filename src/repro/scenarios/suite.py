@@ -148,6 +148,20 @@ class ScenarioRow:
 # ----------------------------------------------------------------------
 # Campaign expansion
 # ----------------------------------------------------------------------
+def _plan_fault_sizes(scenario: Scenario) -> List[int]:
+    """Return the fault size of each of a scenario's campaigns, in plan order.
+
+    The fault model alone fixes them: an exhaustive model has one campaign
+    per size ``0..f`` whatever the graph's node count.
+    """
+    model = scenario.faults
+    if model.kind == "sizes":
+        return list(model.sizes)
+    if model.kind == "random":
+        return [0]
+    return list(range(model.max_faults + 1))
+
+
 def _campaign_plans(
     scenario: Scenario, samples: int, node_count: Optional[int] = None
 ) -> List[Tuple[str, int, float, int]]:
@@ -161,9 +175,11 @@ def _campaign_plans(
     ------
     ValueError
         If an exhaustive model asks for more faults than the graph has
-        nodes: those sizes have no fault set to enumerate.  The suite plans
-        every campaign before it evaluates or stores one, so it refuses
-        the whole run up front.
+        nodes: those sizes have no fault set to enumerate.  Only scenarios
+        the suite evaluates are planned (a dropped scenario records its
+        status rows per :func:`_plan_fault_sizes`), and
+        :func:`run_scenario_suite` plans all of them before it appends
+        any row, so a refused run leaves its store as it found it.
     """
     model = scenario.faults
     if model.kind == "sizes":
@@ -274,16 +290,12 @@ def campaign_row_keys(scenario: Scenario, occurrence: int = 0) -> List[str]:
     disambiguates repeated scenarios within one suite (each repeat draws an
     independent battery and therefore records distinct rows).
     """
-    model = scenario.faults
-    if model.kind == "sizes":
-        count = len(model.sizes)
-    elif model.kind == "random":
-        count = 1
-    else:
-        count = model.max_faults + 1
     spec = scenario.canonical()
     suffix = f"@{occurrence}" if occurrence else ""
-    return [f"{spec}#{plan_index}{suffix}" for plan_index in range(count)]
+    return [
+        f"{spec}#{plan_index}{suffix}"
+        for plan_index in range(len(_plan_fault_sizes(scenario)))
+    ]
 
 
 def suite_row_keys(scenarios: Sequence[Scenario]) -> List[List[str]]:
@@ -435,6 +447,12 @@ def run_scenario_suite(
 
     Raises
     ------
+    ValueError
+        If a scenario the suite would evaluate has an exhaustive model
+        with more faults than its graph has nodes.  The refusal comes
+        before any row is evaluated or stored, with or without a store.
+        Dropped scenarios are not refused: they record their status rows
+        for every size of the model.
     RuntimeError
         If a resumed store's rows were recorded against a different routing
         than the one this run builds.
@@ -488,10 +506,13 @@ def run_scenario_suite(
         may_skip = set(skip_inapplicable)
 
     # built[i]: row metadata without a campaign; indexes: the slim index
-    # of each built scenario, keyed by its canonical string.
+    # of each built scenario, keyed by its canonical string; inapplicable:
+    # the status rows owed by dropped scenarios, as _record_inapplicable's
+    # arguments.
     built: Dict[int, ScenarioRow] = {}
     indexes: Dict[str, RouteIndex] = {}
     dropped: Dict[int, str] = {}
+    inapplicable: List[Tuple[int, Scenario, str, int, int]] = []
 
     def _record_inapplicable(
         scenario_index: int,
@@ -502,16 +523,15 @@ def run_scenario_suite(
     ) -> None:
         """Append an ``inapplicable`` status row per missing campaign key.
 
-        Appends happen here, in build-loop scenario order and before any
-        campaign row is dispatched, so an uninterrupted store and a resumed
-        one lay out identical bytes (a resumed run appends only the keys a
-        crash left missing, in the same order).
+        Called once every evaluated campaign is planned, in build-loop
+        scenario order and before any campaign row is dispatched: a run
+        refused while planning stores nothing, and an uninterrupted store
+        and a resumed one lay out identical bytes (a resumed run appends
+        only the keys a crash left missing, in the same order).
         """
         if store is None:
             return
-        for plan_index, (_kind, fault_size, _p, _total) in enumerate(
-            _campaign_plans(scenario, samples, nodes)
-        ):
+        for plan_index, fault_size in enumerate(_plan_fault_sizes(scenario)):
             key = keys[scenario_index][plan_index]
             if key in store:
                 continue
@@ -540,12 +560,14 @@ def run_scenario_suite(
             if skipped is not None:
                 skipped.append((scenario, reason))
             first = store.get(keys[scenario_index][0])
-            _record_inapplicable(
-                scenario_index,
-                scenario,
-                reason,
-                first.get("n") or 0,
-                first.get("m") or 0,
+            inapplicable.append(
+                (
+                    scenario_index,
+                    scenario,
+                    reason,
+                    first.get("n") or 0,
+                    first.get("m") or 0,
+                )
             )
             continue
         if all(
@@ -570,12 +592,14 @@ def run_scenario_suite(
             dropped[scenario_index] = str(exc)
             if skipped is not None:
                 skipped.append((scenario, str(exc)))
-            _record_inapplicable(
-                scenario_index,
-                scenario,
-                str(exc),
-                graph.number_of_nodes(),
-                graph.number_of_edges(),
+            inapplicable.append(
+                (
+                    scenario_index,
+                    scenario,
+                    str(exc),
+                    graph.number_of_nodes(),
+                    graph.number_of_edges(),
+                )
             )
             continue
         spec = scenario.canonical()
@@ -633,6 +657,8 @@ def run_scenario_suite(
         greedy=greedy,
         candidate_limit=candidate_limit,
     )
+    for entry in inapplicable:
+        _record_inapplicable(*entry)
     # One task stream for the whole suite, so the pool drains every
     # campaign through one window.  A campaign's tasks are contiguous: its
     # row is folded, and persisted when a store is attached, as soon as its

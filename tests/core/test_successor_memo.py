@@ -1,14 +1,17 @@
-"""The successor-list memo behind cursor evaluations on the bitset kernel.
+"""The successor-list memo behind every evaluation on the bitset kernel.
 
 :func:`repro.core.route_index._batched_diameter` turns each alive row into
-its successor ids before it propagates reach sets.  Cursor evaluations pass
-their index's :class:`~repro.core.route_index._SuccessorMemo`, keyed by row
-value, so rows that recur across related fault sets are converted once.
-The memo must stay within its documented bound, hold only correct entries,
-start empty in every copied or rebuilt index, and never change an answer:
-cursor triples are the same with the memo empty, warm, or cleared mid-run.
+its successor ids before it propagates reach sets.  Index evaluations,
+cursor and one-shot alike, pass their index's
+:class:`~repro.core.route_index._SuccessorMemo`, keyed by row value, so
+rows that recur across related fault sets are converted once.  The memo
+must stay within its documented bound, hold only correct entries, start
+empty in every copied or rebuilt index, and never change an answer: triples
+equal those of the memo-free evaluation kept below as the oracle, with the
+memo empty, warm, or cleared mid-run.
 """
 
+import math
 import pickle
 import random
 
@@ -21,8 +24,10 @@ from hypothesis import strategies as st
 
 from repro.core import RouteIndex, build_routing
 from repro.core.route_index import (
+    BFS_DENSITY_FACTOR,
     SUCCESSOR_MEMO_FACTOR,
     _batched_diameter,
+    _per_source_diameter,
     _rows_diameter_witness,
     _SuccessorMemo,
 )
@@ -70,14 +75,64 @@ def _fault_lists(draw, nodes):
     return lists
 
 
-def _reference(index, faults, cap):
-    """The triple of a memo-free evaluation of the same rows."""
-    cursor = index.cursor(faults)
-    return _rows_diameter_witness(cursor._materialise_rows(), cursor._alive, cap)
-
-
 def _bits(row):
     return tuple(node for node in range(row.bit_length()) if (row >> node) & 1)
+
+
+def _memo_free_batched(rows, alive, cap):
+    """The batched strategy with successor lists walked bit by bit: the oracle.
+
+    The same guard and propagation as ``_batched_diameter``, without a
+    memo: every alive row is turned into its successor ids afresh.
+    """
+    guard = _per_source_diameter(rows, alive, cap, alive & -alive)
+    if guard[0] == math.inf:
+        return guard
+    ids = _bits(alive)
+    succ = {node: _bits(rows[node]) for node in ids}
+    reach = {node: (1 << node) | rows[node] for node in ids}
+    level = 1
+    while True:
+        complete = alive
+        for node in ids:
+            complete &= reach[node]
+        if complete == alive:
+            return level, None, None
+        if cap is not None and level >= cap:
+            for node in ids:
+                if reach[node] != alive:
+                    return math.inf, None, (1 << node, alive & ~reach[node], level + 1)
+        advanced = {}
+        for node in ids:
+            acc = reach[node]
+            for target in succ[node]:
+                acc |= reach[target]
+            advanced[node] = acc
+        if advanced == reach:
+            for node in ids:
+                if reach[node] != alive:
+                    return math.inf, (1 << node, alive & ~reach[node]), None
+        reach = advanced
+        level += 1
+
+
+def _memo_free_witness(rows, alive, cap):
+    """``_rows_diameter_witness`` with the memo-free batched strategy."""
+    if not alive:
+        return math.inf, None, None
+    total = alive.bit_count()
+    if total == 1:
+        return 0, None, None
+    arcs = sum(row.bit_count() for row in rows)
+    if arcs * BFS_DENSITY_FACTOR <= total * total:
+        return _memo_free_batched(rows, alive, cap)
+    return _per_source_diameter(rows, alive, cap)
+
+
+def _reference(index, faults, cap):
+    """The oracle's triple for the surviving rows of ``faults``."""
+    cursor = index.cursor(faults)
+    return _memo_free_witness(cursor._materialise_rows(), cursor._alive, cap)
 
 
 class TestBound:
@@ -125,7 +180,9 @@ class TestEntries:
         index = built[spec]
         index.cursor(()).diameter()
         for faults in _fault_lists(data.draw, list(index._nodes)):
-            index.cursor(faults).diameter(cap=data.draw(st.sampled_from(CAPS)))
+            cap = data.draw(st.sampled_from(CAPS))
+            index.cursor(faults).diameter(cap=cap)
+            index.surviving_diameter(faults, cap=cap)
         memo = index._successor_memo
         if spec.startswith("circulant"):
             # Its fault-free route graph takes the batched strategy.
@@ -181,20 +238,55 @@ class TestCopiesStartEmpty:
         assert rebuilt._successor_memo.misses == 0
         assert rebuilt._successor_memo.limit == SUCCESSOR_MEMO_FACTOR * rebuilt._n
 
-    def test_one_shot_calls_skip_the_memo(self, built):
+
+class TestOneShot:
+    """One-shot ``surviving_diameter(s)`` calls read the same memo."""
+
+    def test_one_shot_calls_fill_and_hit_the_memo(self, built):
         index = RouteIndex.from_state(
             built["circulant:n=96,offsets=1+2/kernel/sizes:1"].export_state(),
             backend="bitset",
         )
+        memo = index._successor_memo
         nodes = index._nodes
-        index.surviving_diameter([nodes[1]])
-        index.surviving_diameters([[nodes[2]], [nodes[3], nodes[9]]])
-        assert len(index._successor_memo) == 0
-        assert index._successor_memo.misses == 0
+        battery = [[nodes[1]], [nodes[2]], [nodes[3], nodes[9]]]
+        expected = [_reference(index, faults, None)[0] for faults in battery]
+        assert index.surviving_diameter(battery[0]) == expected[0]
+        first = memo.misses
+        assert first == len(memo) > 0
+        # The same fault set again converts no row.
+        assert index.surviving_diameter(battery[0]) == expected[0]
+        assert memo.misses == first
+        # A different fault set converts only the rows its faults changed.
+        assert index.surviving_diameters(battery) == expected
+        assert first < memo.misses < 3 * first
+        # A cursor for a fault set the one-shot calls saw converts nothing.
+        misses = memo.misses
+        assert index.cursor(battery[2])._evaluate(None) == _reference(
+            index, battery[2], None
+        )
+        assert memo.misses == misses
+
+    @SETTINGS
+    @given(data=st.data())
+    def test_values_equal_the_oracle(self, built, data):
+        spec = data.draw(st.sampled_from(SPECS))
+        index = RouteIndex.from_state(built[spec].export_state(), backend="bitset")
+        lists = _fault_lists(data.draw, list(index._nodes))
+        cap = data.draw(st.sampled_from(CAPS))
+        clear_at = data.draw(st.integers(min_value=0, max_value=len(lists)))
+        expected = [_reference(index, faults, cap)[0] for faults in lists]
+        for position, faults in enumerate(lists):
+            assert index.surviving_diameter(faults, cap=cap) == expected[position]
+            if position == clear_at:
+                index._successor_memo.clear()
+        assert index.surviving_diameters(lists, cap=cap) == expected
+        memo = index._successor_memo
+        assert len(memo) <= memo.limit
 
 
 class TestSameTriples:
-    """Cursor triples do not depend on the memo's state."""
+    """Cursor triples equal the oracle's whatever the memo's state."""
 
     @SETTINGS
     @given(data=st.data())
@@ -224,7 +316,8 @@ class TestSameTriples:
 
     @SETTINGS
     @given(data=st.data())
-    def test_batched_strategy_with_and_without_memo(self, built, data):
+    def test_batched_strategy_equals_the_oracle(self, built, data):
+        """A shared memo of any bound, or the call's own, gives the oracle's triple."""
         spec = data.draw(st.sampled_from(SPECS))
         index = built[spec]
         memo = _SuccessorMemo(data.draw(st.sampled_from([1, 5, 10 ** 6])))
@@ -234,7 +327,11 @@ class TestSameTriples:
             if not alive:
                 continue
             cap = data.draw(st.sampled_from(CAPS))
-            expected = _batched_diameter(rows, alive, alive.bit_count(), cap)
-            with_memo = _batched_diameter(rows, alive, alive.bit_count(), cap, memo)
-            assert with_memo == expected
+            expected = _memo_free_batched(rows, alive, cap)
+            total = alive.bit_count()
+            assert _batched_diameter(rows, alive, total, cap, memo) == expected
+            assert _batched_diameter(rows, alive, total, cap) == expected
+            assert _rows_diameter_witness(rows, alive, cap) == _memo_free_witness(
+                rows, alive, cap
+            )
             assert len(memo) <= memo.limit

@@ -546,6 +546,79 @@ class TestStrategyAxisSuite:
         assert len(resumed) == 1
         assert path.read_text() == full_text
 
+    #: circular does not apply to the 3-cube, whose 8 nodes are fewer than
+    #: its exhaustive model's 9 faults; Petersen's kernel routing applies.
+    PAST_N = [
+        "hypercube:d=3/circular/exhaustive:f=9",
+        "petersen/kernel/exhaustive:f=2",
+    ]
+
+    def test_dropped_exhaustive_model_past_the_node_count(self, tmp_path):
+        """A dropped scenario is never planned, so f past its node count
+        refuses nothing: with or without a store the suite returns the same
+        rows, and the store records a status row for each size 0..9."""
+        from repro.results import ResultStore
+        from repro.scenarios import suite_manifest
+
+        bare = _rows(self.PAST_N, samples=2, seed=0, skip_inapplicable=True)
+        assert [row["scenario"] for row in bare] == [self.PAST_N[1]] * 3
+        path = tmp_path / "rows.jsonl"
+        with ResultStore.open(str(path), suite_manifest(self.PAST_N, 2, 0)) as store:
+            rows = run_scenario_suite(
+                self.PAST_N, samples=2, seed=0, store=store, skip_inapplicable=True
+            )
+            records = [store.get(key) for key in store.keys()]
+        assert [row.as_row() for row in rows] == bare
+        status = [record for record in records if record["kind"] == "status"]
+        assert [record["faults"] for record in status] == list(range(10))
+        assert {record["disposition"] for record in status} == {"inapplicable"}
+        assert {record["n"] for record in status} == {8}
+        assert len(records) == len(status) + 3
+
+    def test_dropped_exhaustive_model_past_the_node_count_resumes(self, tmp_path):
+        """A store cut inside the status rows, or complete, resumes to the
+        uninterrupted run's bytes."""
+        from repro.results import ResultStore
+        from repro.scenarios import suite_manifest
+
+        run = suite_manifest(self.PAST_N, 2, 0)
+        path = tmp_path / "rows.jsonl"
+        with ResultStore.open(str(path), run) as store:
+            expected = run_scenario_suite(
+                self.PAST_N, samples=2, seed=0, store=store, skip_inapplicable=True
+            )
+        full_text = path.read_text()
+        lines = full_text.splitlines(keepends=True)
+        for keep in (5, len(lines)):
+            path.write_text("".join(lines[:keep]))
+            with ResultStore.open(str(path), run) as store:
+                resumed = run_scenario_suite(
+                    self.PAST_N, samples=2, seed=0, store=store, skip_inapplicable=True
+                )
+            assert [row.as_row() for row in resumed] == [
+                row.as_row() for row in expected
+            ]
+            assert path.read_text() == full_text
+
+    def test_refusal_stores_no_status_row(self, tmp_path):
+        """An evaluated scenario past its node count refuses the run before
+        the status rows of a dropped scenario ahead of it are stored; the
+        same refusal comes without a store."""
+        from repro.results import ResultStore
+        from repro.scenarios import suite_manifest
+
+        specs = ["hypercube:d=3/circular/sizes:1", "petersen/kernel/exhaustive:f=11"]
+        message = "exhaustive:f=11 exceeds the graph's 10 nodes"
+        with pytest.raises(ValueError, match=message):
+            run_scenario_suite(specs, samples=2, seed=0, skip_inapplicable=True)
+        path = str(tmp_path / "rows.jsonl")
+        with ResultStore.open(path, suite_manifest(specs, 2, 0)) as store:
+            with pytest.raises(ValueError, match=message):
+                run_scenario_suite(
+                    specs, samples=2, seed=0, store=store, skip_inapplicable=True
+                )
+            assert len(store) == 0
+
     def test_strategy_recorded_in_suite_records(self):
         rows = run_scenario_suite(
             self._scenarios(), samples=4, seed=0

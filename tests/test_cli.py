@@ -343,6 +343,23 @@ class TestGridCommand:
         # Only the manifest line: no campaign row was stored.
         assert len(store.read_text().splitlines()) == 1
 
+    def test_grid_dropped_exhaustive_past_the_node_count_runs(self, tmp_path, capsys):
+        # circular does not apply to the 8-node 3-cube: the dropped scenario
+        # is never planned, so the run succeeds with or without a store.
+        specs = ["hypercube:d=3/circular/exhaustive:f=9", "petersen/kernel/exhaustive:f=2"]
+        assert main(["grid", *specs, "--skip-inapplicable"]) == 0
+        bare = capsys.readouterr().out
+        store = tmp_path / "x.jsonl"
+        args = ["grid", *specs, "--skip-inapplicable", "--store", str(store)]
+        assert main(args) == 0
+        stored = capsys.readouterr().out
+        assert stored.replace(f"\nresult store: {store} (3 rows recorded)\n", "") == bare
+        # Manifest, ten status rows (sizes 0..9), three campaign rows.
+        lines = store.read_text().splitlines()
+        assert len(lines) == 14
+        assert main(args + ["--resume"]) == 0
+        assert store.read_text().splitlines() == lines
+
     def test_grid_bad_spec(self, capsys):
         assert main(["grid", "hypercube:d=5..3/kernel"]) == 2
         assert "reversed" in capsys.readouterr().err
