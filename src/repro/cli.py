@@ -68,7 +68,7 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.analysis import format_table, render_scaling_report
 from repro.core import build_routing, verify_construction
@@ -110,7 +110,6 @@ from repro.scenarios import (
 from repro.serialization import construction_to_dict, save_json
 
 __all__ = [
-    "GRAPH_FACTORIES",
     "build_parser",
     "main",
     "parse_graph_spec",
@@ -120,12 +119,7 @@ __all__ = [
 # Graph specification parsing
 # ----------------------------------------------------------------------
 # The parsing itself lives in :mod:`repro.graphs.registry` — the single
-# registry every layer shares.  ``GRAPH_FACTORIES`` is kept as a
-# backwards-compatible view (family name -> argument-token factory) for
-# callers that used the CLI's original dict.
-GRAPH_FACTORIES: Dict[str, Callable[[List[str]], Graph]] = {
-    name: family.build_from_tokens for name, family in GRAPH_FAMILIES.items()
-}
+# registry every layer shares.
 
 
 def _parse_faults(text: Optional[str], graph: Graph) -> List:

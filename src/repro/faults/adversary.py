@@ -180,7 +180,11 @@ def _select_round(candidates, trials, incumbent):
 
 
 def _sequential_round(cursor, candidates, incumbent):
-    """Reference evaluation: one uncapped cursor evaluation per candidate."""
+    """One uncapped cursor evaluation per candidate.
+
+    No search runs it: it is the reference the equivalence tests swap in
+    for :func:`_batched_round`, which must pick the same node every round.
+    """
     trials = []
     for node in candidates:
         trial = cursor.with_added(node)
@@ -244,7 +248,6 @@ def _greedy_rounds(
     size: int,
     candidate_limit: int,
     rng: _random.Random,
-    batched: bool,
 ) -> Set[Node]:
     """Run the greedy growth loop over an index; returns the fault set."""
     faults: Set[Node] = set()
@@ -258,14 +261,9 @@ def _greedy_rounds(
             candidates = rng.sample(remaining, candidate_limit)
         else:
             candidates = remaining
-        if batched:
-            chosen, chosen_cursor, incumbent = _batched_round(
-                cursor, candidates, incumbent
-            )
-        else:
-            chosen, chosen_cursor, incumbent = _sequential_round(
-                cursor, candidates, incumbent
-            )
+        chosen, chosen_cursor, incumbent = _batched_round(
+            cursor, candidates, incumbent
+        )
         if chosen is None:
             break
         cursor = chosen_cursor
@@ -280,7 +278,6 @@ def greedy_adversarial_fault_set(
     candidate_limit: int = 40,
     seed: RandomLike = None,
     index=None,
-    batched: bool = True,
 ) -> FaultSet:
     """Grow a fault set greedily, maximising the surviving diameter at each step.
 
@@ -302,12 +299,11 @@ def greedy_adversarial_fault_set(
     prefix-sharing evaluations never rebuild the surviving graph from
     scratch.
 
-    With ``batched`` (the default) each round is evaluated through
+    Each round is evaluated through
     :meth:`~repro.core.route_index.EvalCursor.batch_with_added` with
     incumbent-cap pruning — on the numpy backend the whole candidate round
-    advances as one packed BFS tensor.  The result is provably
-    byte-identical to ``batched=False`` (the sequential reference path, one
-    uncapped evaluation per candidate), which the hypothesis equivalence
+    advances as one packed BFS tensor.  The picks are provably those of one
+    uncapped evaluation per candidate, which the hypothesis equivalence
     suite enforces across backends, caps and seeds.
     """
     _check_candidate_limit(candidate_limit)
@@ -316,9 +312,7 @@ def greedy_adversarial_fault_set(
         from repro.core.route_index import RouteIndex
 
         index = RouteIndex(graph, routing)
-    faults = _greedy_rounds(
-        index, list(graph.nodes()), size, candidate_limit, rng, batched
-    )
+    faults = _greedy_rounds(index, list(graph.nodes()), size, candidate_limit, rng)
     return FaultSet(faults, description="greedy adversarial")
 
 
@@ -327,7 +321,6 @@ def greedy_fault_set_from_index(
     size: int,
     candidate_limit: int = 40,
     seed: RandomLike = None,
-    batched: bool = True,
 ) -> FaultSet:
     """Greedy adversarial search driven by a :class:`RouteIndex` alone.
 
@@ -340,9 +333,7 @@ def greedy_fault_set_from_index(
     """
     _check_candidate_limit(candidate_limit)
     rng = _rng(seed)
-    faults = _greedy_rounds(
-        index, list(index.node_pool), size, candidate_limit, rng, batched
-    )
+    faults = _greedy_rounds(index, list(index.node_pool), size, candidate_limit, rng)
     return FaultSet(faults, description="greedy adversarial")
 
 
@@ -356,15 +347,14 @@ def combined_fault_sets(
     include_greedy: bool = True,
     index=None,
     candidate_limit: int = 40,
-    batched: bool = True,
 ) -> List[FaultSet]:
     """Return a deduplicated battery of fault sets mixing all strategies.
 
     This is the default adversary used by the benchmarks when exhaustive
     enumeration is too expensive: targeted sets, random sets, and one greedy
     adversarial set, all of exactly ``size`` faults (plus the empty set as a
-    baseline).  ``candidate_limit`` and ``batched`` tune the greedy search
-    (see :func:`greedy_adversarial_fault_set`).
+    baseline).  ``candidate_limit`` tunes the greedy search (see
+    :func:`greedy_adversarial_fault_set`).
     """
     battery: List[FaultSet] = [FaultSet((), description="no faults")]
     seen: Set[frozenset] = {frozenset()}
@@ -388,7 +378,6 @@ def combined_fault_sets(
                 candidate_limit=candidate_limit,
                 seed=seed,
                 index=index,
-                batched=batched,
             )
         )
     return battery

@@ -58,11 +58,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Un
 
 from repro.core.route_index import RouteIndex
 from repro.core.routing import MultiRouting, Routing
-from repro.faults.adversary import (
-    _check_candidate_limit,
-    greedy_fault_set_from_index,
-    random_fault_sets,
-)
+from repro.faults.adversary import _check_candidate_limit, greedy_fault_set_from_index
 from repro.faults.models import FaultSet
 from repro.faults.simulation import (
     CampaignResult,
@@ -89,6 +85,14 @@ DEFAULT_CHUNK_SIZE = 32
 #: size): one ``surviving_diameters`` call covers a 200-set battery.
 #: Pooled tasks stay one shard each.
 LOCAL_TASK_SHARDS = 8
+
+
+def _check_seed(seed) -> None:
+    """Refuse a campaign seed that per-shard seeding cannot derive from."""
+    if seed is not None and not isinstance(seed, int):
+        raise TypeError(
+            f"campaign seed must be an int or None, not {type(seed).__name__}"
+        )
 
 
 def shard_seed(seed: int, tag: str, shard: int) -> int:
@@ -131,7 +135,7 @@ class _Shard:
     fault_size: int = 0
     count: int = 0
     start: int = 0
-    seed: RandomLike = 0
+    seed: Optional[int] = 0
     p: float = 0.0
     candidate_limit: int = 0
 
@@ -605,7 +609,6 @@ class CampaignEngine:
         fault_size: int,
         candidate_limit: int = 40,
         seed: RandomLike = None,
-        batched: bool = True,
     ) -> Tuple[float, FaultSet]:
         """Greedy adversarial fault set of ``fault_size`` and its diameter.
 
@@ -621,7 +624,6 @@ class CampaignEngine:
             fault_size,
             candidate_limit=candidate_limit,
             seed=seed,
-            batched=batched,
         )
         return self.index.surviving_diameter(fault_set.nodes()), fault_set
 
@@ -629,7 +631,7 @@ class CampaignEngine:
         self,
         fault_size: int,
         samples: int = 100,
-        seed: RandomLike = None,
+        seed: Optional[int] = None,
         fault_sets: Optional[Iterable[FaultSet]] = None,
         bound: Optional[float] = None,
         frame=None,
@@ -638,11 +640,11 @@ class CampaignEngine:
     ) -> CampaignRow:
         """Run one campaign at ``fault_size`` and aggregate the outcomes.
 
-        With an integer (or ``None``) seed the battery is generated with
-        per-shard seeding, so the result is independent of the worker count.
-        Passing a :class:`random.Random` instance falls back to drawing the
-        whole battery from that stream in the parent (sequential legacy
-        semantics); explicit ``fault_sets`` are evaluated as given.
+        The battery is generated with per-shard seeding from an integer
+        seed (``None`` draws one), so the result is independent of the
+        worker count; any other seed is refused with :class:`TypeError`
+        before anything is evaluated.  Explicit ``fault_sets`` are evaluated
+        as given.
 
         With ``bound`` given the campaign streams *decisions* instead of
         exact diameters: every fault set is evaluated with an eccentricity
@@ -664,15 +666,12 @@ class CampaignEngine:
         over the unified record schema; the campaign's record is appended to
         it (the returned view and the frame row are interconvertible).
         """
+        _check_seed(seed)
         if greedy:
             _check_candidate_limit(candidate_limit)
-        greedy_seed: RandomLike = seed
+        greedy_seed = seed
         if fault_sets is not None:
             shards = self._explicit_shards(fault_sets)
-        elif isinstance(seed, _random.Random):
-            shards = self._explicit_shards(
-                random_fault_sets(self.graph.nodes(), fault_size, samples, seed=seed)
-            )
         else:
             base = seed if seed is not None else _random.SystemRandom().getrandbits(64)
             shards = _battery_shards(
@@ -687,9 +686,6 @@ class CampaignEngine:
                 seed=greedy_seed,
                 candidate_limit=candidate_limit,
             )
-            if isinstance(greedy_seed, _random.Random):
-                # A shared stream draws the probe here, before the battery.
-                probe = _Shard(fault_sets=probe.materialise(self.index))
             shards = itertools.chain(shards, [probe])
         result = _fold_campaign(
             fault_size,
@@ -706,7 +702,7 @@ class CampaignEngine:
         self,
         sizes: Sequence[int],
         samples: int = 50,
-        seed: RandomLike = None,
+        seed: Optional[int] = None,
         bound: Optional[float] = None,
         frame=None,
         greedy: bool = False,
@@ -714,27 +710,15 @@ class CampaignEngine:
     ) -> List[CampaignRow]:
         """Run one campaign per fault-set size and return the results in order.
 
-        Integer seeds are re-derived per size with :func:`shard_seed`, so
+        The integer seed is re-derived per size with :func:`shard_seed`, so
         each size's battery is independent of the others (and of the worker
-        count); a shared :class:`random.Random` instance is threaded through
-        sequentially as before.  ``bound`` selects the streaming-decision
-        path per campaign, and ``greedy``/``candidate_limit`` add a greedy
+        count); a seed that is neither an int nor ``None`` is refused before
+        any campaign runs.  ``bound`` selects the streaming-decision path
+        per campaign, and ``greedy``/``candidate_limit`` add a greedy
         adversarial probe per size (see :meth:`run_campaign`); ``frame``
         collects one unified record per campaign.
         """
-        if isinstance(seed, _random.Random):
-            return [
-                self.run_campaign(
-                    size,
-                    samples=samples,
-                    seed=seed,
-                    bound=bound,
-                    frame=frame,
-                    greedy=greedy,
-                    candidate_limit=candidate_limit,
-                )
-                for size in sizes
-            ]
+        _check_seed(seed)
         base = seed if seed is not None else _random.SystemRandom().getrandbits(64)
         # The position enters the derivation so that a repeated size draws an
         # independent battery (doubling a size doubles the information).

@@ -173,10 +173,6 @@ class GraphFamily:
             )
         return result
 
-    def build_from_tokens(self, tokens: Sequence[str]) -> Graph:
-        """Parse argument tokens and build the graph."""
-        return self.build(**self.parse_arguments(tokens))
-
     def canonical(self, values: Optional[Dict[str, object]] = None) -> str:
         """Return the canonical spec string for the given parameter values."""
         merged = self.defaults()

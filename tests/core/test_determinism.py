@@ -8,7 +8,9 @@ insertion-ordered end to end, so the same spec must produce bit-for-bit the
 same routing under any ``PYTHONHASHSEED``.  These tests verify exactly that
 by comparing routing fingerprints across subprocesses with different hash
 seeds — an in-process test cannot catch the regression because the hash seed
-is fixed per interpreter.
+is fixed per interpreter.  Scenario-suite campaign rows printed by ``repro
+campaign`` are held to the same standard, across hash seeds and worker
+counts.
 """
 
 from __future__ import annotations
@@ -40,6 +42,16 @@ FINGERPRINT_SCENARIOS = [
     "petersen/auto",
 ]
 
+#: Scenario campaigns over six graph families and three fault models.
+CAMPAIGN_SCENARIOS = [
+    "hypercube:d=4/kernel/sizes:1,2",
+    "butterfly:d=3/kernel/sizes:1,2",
+    "debruijn:base=2,d=4/kernel/sizes:1,2",
+    "circulant:n=24,offsets=1+2/kernel/random:p=0.08",
+    "flower:t=2,k=9/circular/exhaustive:f=1",
+    "kernel-test:t=2/kernel/sizes:1",
+]
+
 _SCRIPT = """
 import sys
 from repro.scenarios import parse_scenario
@@ -55,19 +67,39 @@ def _golden_entries():
         return [tuple(line.split()) for line in handle if line.strip()]
 
 
-def _fingerprints(hash_seed: str) -> str:
+def _env(hash_seed: str) -> dict:
     env = dict(os.environ)
     env["PYTHONHASHSEED"] = hash_seed
     existing = env.get("PYTHONPATH")
     env["PYTHONPATH"] = REPO_SRC + (os.pathsep + existing if existing else "")
+    return env
+
+
+def _fingerprints(hash_seed: str) -> str:
     completed = subprocess.run(
         [sys.executable, "-c", _SCRIPT, *FINGERPRINT_SCENARIOS],
         capture_output=True,
         text=True,
-        env=env,
+        env=_env(hash_seed),
         check=True,
     )
     return completed.stdout
+
+
+def _campaign_rows(hash_seed: str, workers: int) -> str:
+    """``repro campaign`` over the scenarios, without the caption naming the workers."""
+    command = [sys.executable, "-m", "repro", "campaign"]
+    for spec in CAMPAIGN_SCENARIOS:
+        command += ["--scenario", spec]
+    command += ["--bound", "6", "--seed", "7", "--samples", "12", "--workers", str(workers)]
+    completed = subprocess.run(
+        command, capture_output=True, text=True, env=_env(hash_seed), check=False
+    )
+    # Exit 1 reports a bound violation, a legitimate outcome of the rows.
+    assert completed.returncode in (0, 1), completed.stderr
+    lines = completed.stdout.splitlines()
+    assert lines[0].startswith("Scenario suite (")
+    return "\n".join(lines[1:])
 
 
 class TestConstructionDeterminism:
@@ -108,6 +140,14 @@ class TestConstructionDeterminism:
         _, first = scenario.build()
         _, second = scenario.build()
         assert first.fingerprint() == second.fingerprint()
+
+
+class TestScenarioCampaignDeterminism:
+    def test_rows_identical_across_hash_seeds_and_worker_counts(self):
+        rows = _campaign_rows("1", workers=1)
+        assert all(spec in rows for spec in CAMPAIGN_SCENARIOS)
+        assert _campaign_rows("2", workers=1) == rows
+        assert _campaign_rows("3", workers=2) == rows
 
 
 class TestCommittedFingerprints:

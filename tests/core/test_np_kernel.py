@@ -203,11 +203,13 @@ class TestKernelMemory:
         assert held_bytes(kernel) == held
 
 
-#: Routings whose random batteries mix shallow, deep and disconnecting lanes.
+#: Routings whose random batteries mix shallow, deep and disconnecting lanes
+#: (the clique-augmented kernel routing of Section 6 among them).
 MIXED = (
     "cycle:n=30/kernel",
     "circulant:n=40,offsets=1+2+3/kernel",
     "hypercube:d=4/kernel",
+    "cycle:n=16/kernel+clique",
 )
 
 

@@ -19,6 +19,7 @@ configuration.
 """
 
 import random as _random
+from unittest import mock
 
 import pytest
 
@@ -36,6 +37,7 @@ from repro.core import (
 from repro.core.np_kernel import numpy_available
 from repro.core.route_index import _batched_diameter, _per_source_diameter
 from repro.core.routing import MultiRouting, Routing
+from repro.faults import adversary
 from repro.graphs import generators
 from repro.graphs.traversal import shortest_path
 
@@ -485,13 +487,25 @@ class TestBatchedCandidateEquivalence:
                 )
 
 
+def _sequential(search):
+    """``search`` with each round evaluated one uncapped candidate at a time."""
+
+    def run(*args, **kwargs):
+        with mock.patch.object(adversary, "_batched_round", adversary._sequential_round):
+            return search(*args, **kwargs)
+
+    return run
+
+
 class TestBatchedGreedyEquivalence:
     """Batched greedy must be byte-identical to the sequential adversary.
 
     The cap-pruned two-phase batch round, the sibling-bound memoisation and
     the numpy tensor path are all pure accelerations: for every graph,
     routing, seed, candidate budget and backend the chosen fault set — not
-    just its diameter — must equal the sequential greedy's choice.
+    just its diameter — must equal the choice of the sequential reference
+    round (``adversary._sequential_round``, one uncapped evaluation per
+    candidate).
     """
 
     @SETTINGS
@@ -510,16 +524,18 @@ class TestBatchedGreedyEquivalence:
         backends = ("bitset", "numpy") if numpy_available() else ("bitset",)
         picks = []
         for backend in backends:
-            for batched in (False, True):
+            for search in (
+                _sequential(greedy_adversarial_fault_set),
+                greedy_adversarial_fault_set,
+            ):
                 index = RouteIndex(graph, routing, backend=backend)
-                fault_set = greedy_adversarial_fault_set(
+                fault_set = search(
                     graph,
                     routing,
                     size,
                     candidate_limit=candidate_limit,
                     seed=seed,
                     index=index,
-                    batched=batched,
                 )
                 picks.append(tuple(sorted(fault_set, key=repr)))
         assert len(set(picks)) == 1
@@ -536,10 +552,8 @@ class TestBatchedGreedyEquivalence:
 
         graph, routing, _faults = case
         index = RouteIndex(graph, routing)
-        batched = greedy_fault_set_from_index(
-            index, size, candidate_limit=4, seed=seed, batched=True
-        )
-        sequential = greedy_fault_set_from_index(
-            index, size, candidate_limit=4, seed=seed, batched=False
+        batched = greedy_fault_set_from_index(index, size, candidate_limit=4, seed=seed)
+        sequential = _sequential(greedy_fault_set_from_index)(
+            index, size, candidate_limit=4, seed=seed
         )
         assert sorted(batched, key=repr) == sorted(sequential, key=repr)

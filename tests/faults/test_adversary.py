@@ -1,11 +1,13 @@
 """Unit tests for fault-set generation strategies (exhaustive, random, targeted, greedy)."""
 
 import math
+from unittest import mock
 
 import pytest
 
 from repro.core import Routing, kernel_routing, surviving_diameter
 from repro.faults import (
+    adversary,
     all_fault_sets,
     combined_fault_sets,
     count_fault_sets,
@@ -14,6 +16,16 @@ from repro.faults import (
     targeted_fault_sets,
 )
 from repro.graphs import generators
+
+
+def _sequential(search):
+    """``search`` with each round evaluated one uncapped candidate at a time."""
+
+    def run(*args, **kwargs):
+        with mock.patch.object(adversary, "_batched_round", adversary._sequential_round):
+            return search(*args, **kwargs)
+
+    return run
 
 
 @pytest.fixture(scope="module")
@@ -186,16 +198,14 @@ class TestCombinedBattery:
 
 
 class TestBatchedGreedy:
-    """The batched greedy path must reproduce the sequential one exactly."""
+    """The batched greedy rounds must reproduce the sequential ones exactly."""
 
     def test_batched_matches_sequential(self, cycle_routing):
         graph, result = cycle_routing
         for seed in (0, 3, 11):
-            batched = greedy_adversarial_fault_set(
-                graph, result.routing, 3, seed=seed, batched=True
-            )
-            sequential = greedy_adversarial_fault_set(
-                graph, result.routing, 3, seed=seed, batched=False
+            batched = greedy_adversarial_fault_set(graph, result.routing, 3, seed=seed)
+            sequential = _sequential(greedy_adversarial_fault_set)(
+                graph, result.routing, 3, seed=seed
             )
             assert batched.nodes() == sequential.nodes()
 
@@ -203,10 +213,10 @@ class TestBatchedGreedy:
         graph, result = cycle_routing
         for limit in (2, 4, 7):
             batched = greedy_adversarial_fault_set(
-                graph, result.routing, 2, candidate_limit=limit, seed=9, batched=True
+                graph, result.routing, 2, candidate_limit=limit, seed=9
             )
-            sequential = greedy_adversarial_fault_set(
-                graph, result.routing, 2, candidate_limit=limit, seed=9, batched=False
+            sequential = _sequential(greedy_adversarial_fault_set)(
+                graph, result.routing, 2, candidate_limit=limit, seed=9
             )
             assert batched.nodes() == sequential.nodes()
 
@@ -230,11 +240,9 @@ class TestBatchedGreedy:
         graph, result = cycle_routing
         index = RouteIndex(graph, result.routing)
         for seed in (1, 6):
-            assert greedy_fault_set_from_index(
-                index, 3, seed=seed, batched=True
-            ).nodes() == greedy_fault_set_from_index(
-                index, 3, seed=seed, batched=False
-            ).nodes()
+            assert greedy_fault_set_from_index(index, 3, seed=seed).nodes() == _sequential(
+                greedy_fault_set_from_index
+            )(index, 3, seed=seed).nodes()
 
     def test_combined_battery_candidate_limit_passthrough(self, cycle_routing):
         """candidate_limit reaches the greedy member of the combined battery."""

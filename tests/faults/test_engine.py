@@ -16,7 +16,6 @@ from repro.faults import (
     CampaignEngine,
     FaultSet,
     combined_fault_sets,
-    random_fault_sets,
     run_campaign,
     shard_seed,
     sweep_fault_sizes,
@@ -114,12 +113,19 @@ class TestEngineDeterminism:
         assert result.samples == 5
         engine.close()
 
-    def test_random_instance_seed_keeps_legacy_stream(self, workload):
+    def test_non_int_seed_refused_before_evaluation(self, workload, monkeypatch):
         graph, routing = workload
         engine = CampaignEngine(graph, routing)
-        first = engine.run_campaign(2, samples=10, seed=_random.Random(4))
-        second = engine.run_campaign(2, samples=10, seed=_random.Random(4))
-        assert first == second
+
+        def evaluated(*_args, **_kwargs):
+            raise AssertionError("a refused campaign evaluated a fault set")
+
+        monkeypatch.setattr(engine, "_outcomes", evaluated)
+        for seed in (_random.Random(4), 4.0, "4"):
+            with pytest.raises(TypeError, match="seed must be an int or None"):
+                engine.run_campaign(2, samples=10, seed=seed, greedy=True)
+            with pytest.raises(TypeError, match="seed must be an int or None"):
+                engine.sweep_fault_sizes([1, 2], samples=10, seed=seed)
 
 
 class TestExhaustiveShards:
@@ -489,24 +495,6 @@ class TestGreedyAugmentation:
         assert campaigns[0].candidate_limit is None
         assert campaigns[1].samples == 6
         assert campaigns[1].candidate_limit == 5
-
-    def test_shared_stream_draws_the_probe_before_the_battery(self, workload):
-        from repro.faults.adversary import greedy_fault_set_from_index
-        from repro.faults.engine import _fold_campaign
-
-        graph, routing = workload
-        engine = CampaignEngine(graph, routing)
-        row = engine.run_campaign(
-            2, samples=8, seed=_random.Random(4), greedy=True, candidate_limit=5
-        )
-        rng = _random.Random(4)
-        probe = greedy_fault_set_from_index(engine.index, 2, candidate_limit=5, seed=rng)
-        battery = list(random_fault_sets(graph.nodes(), 2, 8, seed=rng)) + [probe]
-        expected = _fold_campaign(
-            2, engine.evaluate(battery), engine.index, candidate_limit=5
-        )
-        assert row == expected
-        assert row.worst_fault_set.nodes() == expected.worst_fault_set.nodes()
 
     @pytest.mark.parametrize("limit", [0, -1])
     def test_candidate_limit_below_one_rejected_up_front(self, workload, limit):

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import GRAPH_FACTORIES, build_parser, main, parse_graph_spec
+from repro.cli import build_parser, main, parse_graph_spec
+from repro.graphs.registry import GRAPH_FAMILIES
 from repro.serialization import construction_from_dict, load_json
 
 
@@ -43,7 +44,7 @@ class TestGraphSpecParsing:
             parse_graph_spec("gnp:20,not-a-float")
 
     def test_every_registered_family_builds(self):
-        for name in GRAPH_FACTORIES:
+        for name in GRAPH_FAMILIES:
             graph = parse_graph_spec(name)
             assert graph.number_of_nodes() > 0
 
