@@ -24,8 +24,10 @@ only for a change that means to alter outcomes::
 
 ``tests/golden/traffic_capacity.jsonl`` is the result store of one
 capacity-limited ``repro traffic`` run (the command in :data:`CLI_ARGS`,
-with ``--store FILE``); the CI ``traffic-smoke`` job re-runs it under two
-``PYTHONHASHSEED`` values and byte-compares both stores with that file.
+with ``--store FILE``), and ``tests/golden/traffic_null.jsonl`` that of one
+null-model run under a fail/repair pair (:data:`NULL_CLI_ARGS`).  The CI
+``traffic-smoke`` job re-runs both commands under two ``PYTHONHASHSEED``
+values and byte-compares every store with its file.
 """
 
 import functools
@@ -53,12 +55,19 @@ from repro.scenarios import parse_scenario
 
 GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "traffic_outcomes.txt"
 CLI_GOLDEN = GOLDEN.with_name("traffic_capacity.jsonl")
+NULL_CLI_GOLDEN = GOLDEN.with_name("traffic_null.jsonl")
 
 CLI_ARGS = [
     "traffic", "circulant:n=24,offsets=1+2/kernel",
     "--workload", "hotspot", "--messages", "400", "--duration", "80",
     "--capacity", "1", "--buffer", "4",
     "--fail", "10:3", "--repair", "40:3", "--fail", "30:7", "--seed", "7",
+]
+
+NULL_CLI_ARGS = [
+    "traffic", "circulant:n=24,offsets=1+2/kernel",
+    "--workload", "uniform", "--messages", "60", "--duration", "40",
+    "--fail", "10:3", "--repair", "25:3", "--seed", "7",
 ]
 
 SPEC = "circulant:n=48,offsets=1+2/kernel"
@@ -267,6 +276,12 @@ def test_cli_capacity_store_matches_golden(tmp_path, capsys):
     store = tmp_path / "traffic.jsonl"
     assert main(CLI_ARGS + ["--store", str(store)]) == 0
     assert store.read_bytes() == CLI_GOLDEN.read_bytes()
+
+
+def test_cli_null_store_matches_golden(tmp_path, capsys):
+    store = tmp_path / "traffic.jsonl"
+    assert main(NULL_CLI_ARGS + ["--store", str(store)]) == 0
+    assert store.read_bytes() == NULL_CLI_GOLDEN.read_bytes()
 
 
 if __name__ == "__main__":
