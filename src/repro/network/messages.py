@@ -78,34 +78,6 @@ class Message:
         self.hop_index = 0
         self.route_counter += 1
 
-    @property
-    def current_node(self) -> Node:
-        """Return the node currently holding the message."""
-        if not self.route:
-            return self.origin
-        return self.route[self.hop_index]
-
-    @property
-    def next_node(self) -> Optional[Node]:
-        """Return the next node on the attached route, or ``None`` at the end."""
-        if not self.route or self.hop_index + 1 >= len(self.route):
-            return None
-        return self.route[self.hop_index + 1]
-
-    @property
-    def at_segment_end(self) -> bool:
-        """Return ``True`` when the message sits at the end of its current route."""
-        return bool(self.route) and self.hop_index == len(self.route) - 1
-
-    def advance(self) -> Node:
-        """Move one hop along the attached route and return the new position."""
-        if self.next_node is None:
-            raise ValueError("message is already at the end of its route")
-        self.hop_index += 1
-        node = self.route[self.hop_index]
-        self.trace.append(node)
-        return node
-
     def __repr__(self) -> str:
         return (
             f"<Message #{self.message_id} {self.origin!r}->{self.final_destination!r} "

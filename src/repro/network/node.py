@@ -1,17 +1,15 @@
-"""Network node processes for the fixed-route simulator.
+"""Network node state for the fixed-route simulator.
 
-A :class:`NetworkNode` is deliberately dumb, matching the paper's model: when
-it holds a message that is *not* at the end of its attached route, it simply
-forwards it to the next node named in the route (no routing computation); when
-the message reaches a route endpoint, control returns to the simulator, which
-performs the endpoint processing and decides whether another route segment is
-needed to make further progress towards the final destination.
+A :class:`NetworkNode` is deliberately dumb, matching the paper's model: it
+computes no next hop.  It holds a liveness flag, its counters and its
+application inbox; the simulator moves every message along the route the
+message carries, and a failed node kills any message that reaches it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, Hashable, List, Optional
+from typing import Any, Hashable, List
 
 from repro.exceptions import SimulationError
 from repro.network.messages import Message
@@ -48,32 +46,6 @@ class NetworkNode:
     def repair(self) -> None:
         """Bring the node back (used by the repair / reconfiguration examples)."""
         self.alive = True
-
-    def can_forward(self, message: Message) -> bool:
-        """Return ``True`` if this node is able to forward the message."""
-        return self.alive
-
-    def forward(self, message: Message) -> Optional[Node]:
-        """Forward the message one hop along its attached route.
-
-        Returns the next node's identifier, or ``None`` when the message is at
-        the end of its route (the simulator then performs endpoint
-        processing).  Dead nodes drop messages silently, which is reported by
-        raising :class:`SimulationError` so the simulator can account for it.
-        """
-        if not self.alive:
-            self.stats.dropped += 1
-            raise SimulationError(f"node {self.node_id!r} is failed and dropped the message")
-        if message.current_node != self.node_id:
-            raise SimulationError(
-                f"message {message.message_id} routed to {self.node_id!r} but its "
-                f"route position is {message.current_node!r}"
-            )
-        if message.at_segment_end:
-            self.stats.received += 1
-            return None
-        self.stats.forwarded += 1
-        return message.next_node
 
     def deliver(self, message: Message, payload: Any) -> None:
         """Hand a fully delivered message to the application layer."""

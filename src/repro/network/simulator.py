@@ -18,37 +18,35 @@ The route-sequence planner uses BFS over the surviving route graph — the
 module implements the paper's decentralised route-counter protocol that
 needs no such global knowledge.
 
-Unlike the original per-hop loop (which drove one message at a time by
-scheduling placeholder events and draining the queue after every hop), the
-simulator is now fully **event-driven** over the slotted integer-tick
-engine of :mod:`repro.network.events`:
+The simulator is **event-driven** over the slotted integer-tick engine of
+:mod:`repro.network.events`:
 
 * time is quantised at ``resolution`` ticks per latency unit, so hop and
   service delays are exact integers and latency statistics are exact;
 * :meth:`inject` starts a delivery at any future tick without blocking —
   many messages progress concurrently, queueing at the per-edge
   :class:`~repro.network.links.Link` transmission queues (capacity,
-  bounded buffers, drops) instead of passing through placeholder lambdas;
+  bounded buffers, drops);
 * :meth:`send` remains the one-shot synchronous API: inject, run the
   engine until this delivery's receipt materialises, return it;
 * a delivery owns exactly one engine event: the inject event is re-armed
   (:meth:`EventQueue.reschedule`) for every later step — endpoint send,
-  each hop, endpoint receive, a null-model segment flight — so it never
-  has two pending events, and a hop allocates no event, closure or link
-  key;
-* under a link capacity every hop is that event firing :meth:`_hop`, one
-  handler that checks the next route node's liveness, moves the message
-  onto it, and reserves the following link.  Links come from a per-path
-  list with one slot per route position, filled the first time a message
-  crosses it, so :attr:`links` still holds only links that carried
-  traffic;
+  each hop, endpoint receive — so it never has two pending events, and a
+  hop allocates no event, closure or link key;
+* every hop is that event firing :meth:`_hop`, one handler that checks
+  the next route node's liveness, moves the message onto it, and reserves
+  the following link.  There is one delivery path: under the null link
+  model a link reserves a departure at the arrival tick, so nothing
+  queues.  Links come from a per-path list with one slot per route
+  position, filled the first time a message crosses it, so :attr:`links`
+  holds only links that carried traffic;
+* a fault kills a message at the first failed node it reaches, and the
+  run's clock ends at its last real event (a receipt or a fault action);
 * route plans are BFS parent maps cached per origin and invalidated when
   the fault set changes, so steady-state traffic pays O(plan length) per
-  message, not O(graph) — the main reason the engine beats the legacy
-  loop by the benchmark's gated factor;
-* failure receipts report the ticks elapsed for *that message* (the legacy
-  loop read the global clock while scheduled-but-unrun endpoint events
-  were still pending, under-/over-counting failure latency).
+  message, not O(graph);
+* failure receipts report the ticks elapsed for *that message*, never the
+  global clock of unrelated pending events.
 
 With the default null link model (infinite capacity, zero queueing) the
 engine reproduces the legacy simulator's receipts exactly — delivered
@@ -110,7 +108,6 @@ class _Delivery:
         "index",
         "hops",
         "payload",
-        "epoch",
         "event",
         "position",
         "links",
@@ -127,7 +124,6 @@ class _Delivery:
         self.index = 0
         self.hops = 0
         self.payload: Any = None
-        self.epoch = 0
         #: The delivery's one engine event, re-armed for every step and
         #: cleared when the delivery finishes.
         self.event: Optional[Event] = None
@@ -196,19 +192,9 @@ class NetworkSimulator:
         #: BFS parent maps per origin over the surviving route graph,
         #: invalidated whenever the fault set changes.
         self._plan_cache: Dict[Node, Dict[Node, Optional[Node]]] = {}
-        #: Monotone counter bumped on every fail/repair; a segment flight
-        #: whose epoch still matches at landing crossed an unchanged fault
-        #: set and needs no per-hop liveness replay.
-        self._fault_epoch = 0
-        #: Per-node (tick, alive) transition history, so a landing flight
-        #: can reconstruct whether a node was up when the message crossed it.
-        self._transitions: Dict[Node, List[Tuple[int, bool]]] = {}
         #: Chosen surviving path per route segment, invalidated with the
         #: plans: steady-state traffic skips the per-node fault scan.
         self._route_cache: Dict[Tuple[Node, Node], Tuple[Node, ...]] = {}
-        #: Stats objects per path (NetworkNode instances are never replaced,
-        #: so these rows stay valid across fail/repair).
-        self._path_stats: Dict[Tuple[Node, ...], Tuple[List, Any]] = {}
         #: Link per position of each route path, filled as hops first cross
         #: it (``links`` holds only links that carried traffic).
         self._path_links: Dict[Tuple[Node, ...], List[Optional[Link]]] = {}
@@ -237,8 +223,6 @@ class NetworkSimulator:
             raise SimulationError(f"unknown node {node_id!r}")
         self.nodes[node_id].fail()
         self._failed.add(node_id)
-        self._fault_epoch += 1
-        self._transitions.setdefault(node_id, []).append((self.events.now, False))
         self._invalidate_plans()
 
     def fail_nodes(self, node_ids: Iterable[Node]) -> None:
@@ -252,8 +236,6 @@ class NetworkSimulator:
             raise SimulationError(f"unknown node {node_id!r}")
         self.nodes[node_id].repair()
         self._failed.discard(node_id)
-        self._fault_epoch += 1
-        self._transitions.setdefault(node_id, []).append((self.events.now, True))
         self._invalidate_plans()
 
     def _invalidate_plans(self) -> None:
@@ -429,27 +411,9 @@ class NetworkSimulator:
         wire_payload = self.service.on_send(
             delivery.payload, segment_source, segment_target
         )
-        delivery.epoch = self._fault_epoch
         message = delivery.message
         message.payload = wire_payload
         message.attach_route(path)
-        if self.link_spec.capacity is None:
-            # Null link model: no transmission queues, so the whole segment
-            # is deterministic at departure — endpoint send, flight, and
-            # endpoint receive coalesce into a single landing event (see
-            # :meth:`_land`), instead of an event per hop.
-            hop = self.link_spec.latency
-            if hop is None:
-                hop = self.hop_ticks
-            hops = len(path) - 1
-            start = self.events.now + self.service_ticks
-            self.events.reschedule(
-                delivery.event,
-                2 * self.service_ticks + hops * hop,
-                lambda: self._land(delivery, start, hop),
-                "segment",
-            )
-            return
         links = self._path_links.get(path)
         if links is None:
             links = self._path_links[path] = [None] * (len(path) - 1)
@@ -523,75 +487,6 @@ class NetworkSimulator:
         delivery.position = index + 1
         events.reschedule(event, depart - now + link.latency, event.callback, "hop")
 
-    def _land(self, delivery: _Delivery, start: int, hop: int) -> None:
-        """Finish one null-model segment scheduled as a single event.
-
-        Without link capacity there is nothing to queue for: every node of
-        the attached route is crossed at a tick known at departure
-        (``start``, ``start + hop``, ...).  Liveness is replayed at landing
-        from the fault-transition history, so timed fail/repair schedules
-        kill exactly the crossings the per-hop model would have killed — a
-        death mid-flight backdates the receipt to the tick the message
-        reached the failed node.
-        """
-        message = delivery.message
-        path = message.route
-        last = len(path) - 1
-        nodes = self.nodes
-        if self._fault_epoch != delivery.epoch:
-            # The fault set changed after the path was validated: replay
-            # each crossing against the transition history.
-            if not self._alive_at(path[0], start):
-                nodes[path[0]].stats.dropped += 1
-                self._finish(
-                    delivery,
-                    delivered=False,
-                    reason=f"node {path[0]!r} is failed and dropped the message",
-                    at_tick=start,
-                )
-                return
-            for index in range(1, last + 1):
-                if self._alive_at(path[index], start + index * hop):
-                    continue
-                for passed in range(index):
-                    nodes[path[passed]].stats.forwarded += 1
-                message.trace.extend(path[1:index])
-                message.hop_index = index - 1
-                delivery.hops += index - 1
-                self._finish(
-                    delivery,
-                    delivered=False,
-                    reason=(
-                        f"message {message.message_id} reached failed node "
-                        f"{path[index]!r}"
-                    ),
-                    at_tick=start + index * hop,
-                )
-                return
-        stats_row = self._path_stats.get(path)
-        if stats_row is None:
-            stats_row = (
-                [nodes[node].stats for node in path[:-1]],
-                nodes[path[last]].stats,
-            )
-            self._path_stats[path] = stats_row
-        for stats in stats_row[0]:
-            stats.forwarded += 1
-        stats_row[1].received += 1
-        message.trace.extend(path[1:])
-        message.hop_index = last
-        delivery.hops += last
-        # The landing event already includes the endpoint-receive delay.
-        self._finish_segment(delivery)
-
-    def _alive_at(self, node_id: Node, tick: int) -> bool:
-        """Return whether a node was up at ``tick`` (ties go to the fault:
-        fail/repair schedules fire before traffic within a tick)."""
-        for when, alive in reversed(self._transitions.get(node_id, ())):
-            if when <= tick:
-                return alive
-        return True
-
     def _finish_segment(self, delivery: _Delivery) -> None:
         # The message still carries the segment's wire payload.
         assert delivery.plan is not None
@@ -617,13 +512,12 @@ class NetworkSimulator:
         delivery: _Delivery,
         delivered: bool,
         reason: str = "",
-        at_tick: Optional[int] = None,
     ) -> None:
         message = delivery.message
         # The event's callback holds the delivery: drop the back reference so
         # reference counting frees both (no cycle left for the collector).
         delivery.event = None
-        now = self.events.now if at_tick is None else at_tick
+        now = self.events.now
         message.finished_tick = now
         ticks = now - message.injected_tick
         if delivered:

@@ -11,11 +11,11 @@ workloads:
    and the exact serial latency
    ``hops * hop_ticks + 2 * segments * service_ticks``.
 
-2. **The coalesced segment flight matches the per-hop machinery.**  With
-   effectively infinite link capacity the per-hop congestion path must
-   produce the very same receipts (including mid-flight deaths under
-   timed fault schedules) as the null model's single-event flights — the
-   fast path may not change semantics, only event counts.
+2. **Null links match unbounded capacity-limited links.**  Every delivery
+   crosses its route one hop event at a time, whatever the link model.  A
+   link with effectively infinite capacity must produce the very same
+   receipts (including mid-flight deaths under timed fault schedules) as
+   a null link: a capacity that never binds may change no outcome.
 """
 
 import re
@@ -226,7 +226,7 @@ def _run_indexed(graph, routing, faults, seed, link):
     return receipts
 
 
-class TestFlightPathMatchesPerHopMachinery:
+class TestNullLinksMatchUnboundedLinks:
     @SETTINGS
     @given(case=traffic_case())
     def test_timed_fault_receipts_identical(self, case):

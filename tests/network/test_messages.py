@@ -8,10 +8,10 @@ from repro.network import DeliveryReceipt, Message
 class TestMessage:
     def test_initial_state(self):
         message = Message(origin="a", final_destination="z", payload="data")
-        assert message.current_node == "a"
         assert message.route_counter == 0
-        assert message.next_node is None
-        assert not message.at_segment_end
+        assert message.route == ()
+        assert message.hop_index == 0
+        assert message.trace == []
 
     def test_unique_ids(self):
         first = Message(origin=1, final_destination=2, payload=None)
@@ -24,34 +24,12 @@ class TestMessage:
         assert message.route_counter == 1
         assert message.source == "a"
         assert message.destination == "c"
-        assert message.current_node == "a"
+        assert message.route == ("a", "b", "c")
+        message.hop_index = 2
         message.attach_route(["c", "d"])
         assert message.route_counter == 2
-
-    def test_advance_along_route(self):
-        message = Message(origin="a", final_destination="c", payload=None)
-        message.attach_route(["a", "b", "c"])
-        assert message.advance() == "b"
-        assert message.current_node == "b"
-        assert not message.at_segment_end
-        assert message.advance() == "c"
-        assert message.at_segment_end
-        assert message.next_node is None
-
-    def test_advance_past_end_rejected(self):
-        message = Message(origin="a", final_destination="b", payload=None)
-        message.attach_route(["a", "b"])
-        message.advance()
-        with pytest.raises(ValueError):
-            message.advance()
-
-    def test_trace_records_visits(self):
-        message = Message(origin="a", final_destination="c", payload=None)
-        message.trace.append("a")
-        message.attach_route(["a", "b", "c"])
-        message.advance()
-        message.advance()
-        assert message.trace == ["a", "b", "c"]
+        assert (message.source, message.destination) == ("c", "d")
+        assert message.hop_index == 0
 
     def test_repr(self):
         message = Message(origin="a", final_destination="b", payload=None)

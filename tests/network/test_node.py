@@ -1,4 +1,4 @@
-"""Unit tests for the NetworkNode process."""
+"""Unit tests for the NetworkNode state."""
 
 import pytest
 
@@ -12,43 +12,14 @@ def make_message(route):
     return message
 
 
-class TestForwarding:
-    def test_forward_returns_next_hop(self):
+class TestLiveness:
+    def test_fail_and_repair_toggle_liveness(self):
         node = NetworkNode("a")
-        message = make_message(["a", "b", "c"])
-        assert node.forward(message) == "b"
-        assert node.stats.forwarded == 1
-
-    def test_forward_at_segment_end_returns_none(self):
-        node = NetworkNode("c")
-        message = make_message(["a", "b", "c"])
-        message.advance()
-        message.advance()
-        assert node.forward(message) is None
-        assert node.stats.received == 1
-
-    def test_forward_wrong_position_rejected(self):
-        node = NetworkNode("z")
-        message = make_message(["a", "b"])
-        with pytest.raises(SimulationError):
-            node.forward(message)
-
-    def test_failed_node_drops(self):
-        node = NetworkNode("a")
+        assert node.alive
         node.fail()
-        message = make_message(["a", "b"])
-        with pytest.raises(SimulationError):
-            node.forward(message)
-        assert node.stats.dropped == 1
-
-    def test_can_forward_reflects_liveness(self):
-        node = NetworkNode("a")
-        message = make_message(["a", "b"])
-        assert node.can_forward(message)
-        node.fail()
-        assert not node.can_forward(message)
+        assert not node.alive
         node.repair()
-        assert node.can_forward(message)
+        assert node.alive
 
 
 class TestDelivery:
@@ -64,6 +35,8 @@ class TestDelivery:
         node.fail()
         with pytest.raises(SimulationError):
             node.deliver(make_message(["a", "b"]), "payload")
+        assert node.stats.dropped == 1
+        assert node.application_inbox == []
 
     def test_repr_shows_status(self):
         node = NetworkNode("b")

@@ -1,15 +1,17 @@
-"""Property suite for the capacity-limited link model.
+"""Property suite for the link model.
 
-Random small circulants with kernel routings, link capacity 1-3, a bounded
-or unbounded buffer, the endpoint service on or off, random workloads and
-timed fail/repair schedules.  Three invariants of the queueing model must
-hold on every run:
+Random small circulants with kernel routings, the null link model or link
+capacity 1-3 with a bounded or unbounded buffer, the endpoint service on
+or off, random workloads and timed fail/repair schedules.  Four invariants
+must hold on every run:
 
 1. every receipt that failed with ``buffer full`` is one link drop, and
    every link drop is such a receipt;
 2. no link queue ever grows past its buffer;
 3. queueing only adds delay: a delivered message takes at least its serial
-   cost ``hops * hop_ticks + 2 * routes_used * service_ticks``.
+   cost ``hops * hop_ticks + 2 * routes_used * service_ticks``;
+4. the engine's clock ends at the run's last real event: the latest
+   receipt's ``finished_tick`` or scheduled fault tick, whichever is later.
 """
 
 import functools
@@ -49,10 +51,14 @@ def queueing_case(draw):
     n = draw(st.integers(min_value=8, max_value=16))
     offsets = draw(st.sampled_from([(1, 2), (1, 3), (1, 2, 3)]))
     graph, routing = _routing(n, offsets)
-    link = LinkSpec(
-        capacity=draw(st.integers(min_value=1, max_value=3)),
-        buffer=draw(st.none() | st.integers(min_value=0, max_value=8)),
-    )
+    capacity = draw(st.sampled_from([None, 1, 2, 3]))
+    if capacity is None:
+        link = LinkSpec()
+    else:
+        link = LinkSpec(
+            capacity=capacity,
+            buffer=draw(st.none() | st.integers(min_value=0, max_value=8)),
+        )
     faults = draw(
         st.lists(
             st.builds(
@@ -120,3 +126,14 @@ class TestQueueingModel:
                     receipt.hops * simulator.hop_ticks
                     + 2 * receipt.routes_used * simulator.service_ticks
                 )
+
+    @SETTINGS
+    @given(case=queueing_case())
+    def test_clock_ends_at_the_last_receipt_or_fault(self, case):
+        simulator, receipts = _run(*case)
+        faults = case[3]
+        last = max(
+            [receipt.message.finished_tick for receipt in receipts]
+            + [fault.tick for fault in faults]
+        )
+        assert simulator.events.now == last

@@ -55,6 +55,11 @@ class TestDelivery:
         assert receipt.routes_used >= 1
         assert receipt.hops >= receipt.routes_used
         assert simulator.nodes[6].application_inbox == ["hello"]
+        # The trace records every node the message reached, one per hop.
+        trace = receipt.message.trace
+        assert (trace[0], trace[-1]) == (0, 6)
+        assert len(trace) == receipt.hops + 1
+        assert receipt.message.hop_index == len(receipt.message.route) - 1
 
     def test_routes_used_matches_surviving_distance(self, cycle_simulator_factory):
         simulator, graph, result = cycle_simulator_factory()

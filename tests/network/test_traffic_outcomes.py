@@ -70,6 +70,16 @@ NULL_CLI_ARGS = [
     "--fail", "10:3", "--repair", "25:3", "--seed", "7",
 ]
 
+#: A null-model gossip run whose last receipt, a message reaching failed
+#: node 21, finishes at tick 110 while messages that died earlier were
+#: still due to cross the rest of their routes.
+MAKESPAN_CLI_ARGS = [
+    "traffic", "circulant:n=30,offsets=1+2+3/kernel",
+    "--workload", "gossip", "--rounds", "4", "--interval", "10",
+    "--repair", "13:19", "--fail", "34:4", "--fail", "46:20",
+    "--repair", "49:1", "--fail", "58:21", "--seed", "26",
+]
+
 SPEC = "circulant:n=48,offsets=1+2/kernel"
 
 
@@ -282,6 +292,15 @@ def test_cli_null_store_matches_golden(tmp_path, capsys):
     store = tmp_path / "traffic.jsonl"
     assert main(NULL_CLI_ARGS + ["--store", str(store)]) == 0
     assert store.read_bytes() == NULL_CLI_GOLDEN.read_bytes()
+
+
+def test_cli_duration_ends_at_the_last_receipt(tmp_path, capsys):
+    store = tmp_path / "traffic.jsonl"
+    assert main(MAKESPAN_CLI_ARGS + ["--store", str(store)]) == 0
+    (row,) = [json.loads(line) for line in store.read_text().splitlines()[1:]]
+    record = row["record"]
+    assert (record["delivered"], record["duration"]) == (92, 110)
+    assert record["throughput"] == pytest.approx(92 / 1.1)
 
 
 if __name__ == "__main__":
