@@ -18,7 +18,6 @@ to the pool, and the aggregated rows are identical for any worker count.
 from __future__ import annotations
 
 import dataclasses
-import random as _random
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.routing import MultiRouting, Routing
@@ -27,7 +26,6 @@ from repro.graphs.graph import Graph
 
 Node = Hashable
 AnyRouting = Union[Routing, MultiRouting]
-RandomLike = Union[int, _random.Random, None]
 
 
 @dataclasses.dataclass
@@ -438,7 +436,7 @@ def run_campaign(
     routing: AnyRouting,
     fault_size: int,
     samples: int = 100,
-    seed: RandomLike = None,
+    seed: Optional[int] = None,
     fault_sets: Optional[Iterable[FaultSet]] = None,
     workers: int = 1,
     index=None,
@@ -451,6 +449,10 @@ def run_campaign(
 
     Parameters
     ----------
+    seed:
+        An int or ``None`` (which draws one).  Any other seed, a
+        :class:`random.Random` included, is refused with :class:`TypeError`
+        before anything is evaluated.
     fault_sets:
         Optional explicit fault sets to evaluate instead of random sampling
         (e.g. the output of :func:`repro.faults.adversary.combined_fault_sets`).
@@ -486,7 +488,7 @@ def sweep_fault_sizes(
     routing: AnyRouting,
     sizes: Sequence[int],
     samples: int = 50,
-    seed: RandomLike = None,
+    seed: Optional[int] = None,
     workers: int = 1,
     index=None,
     bound: Optional[float] = None,
@@ -496,9 +498,11 @@ def sweep_fault_sizes(
 ) -> List:
     """Run one campaign per fault-set size and return the results in order.
 
-    ``bound`` selects the streaming-decision path and ``greedy``/
-    ``candidate_limit`` add a greedy adversarial probe per size (see
-    :func:`run_campaign`); ``frame`` collects one unified record per
+    ``seed`` is an int or ``None``; any other seed, a :class:`random.Random`
+    included, is refused with :class:`TypeError` before anything is
+    evaluated.  ``bound`` selects the streaming-decision path and
+    ``greedy``/``candidate_limit`` add a greedy adversarial probe per size
+    (see :func:`run_campaign`); ``frame`` collects one unified record per
     campaign.
     """
     from repro.faults.engine import CampaignEngine

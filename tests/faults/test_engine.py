@@ -120,12 +120,18 @@ class TestEngineDeterminism:
         def evaluated(*_args, **_kwargs):
             raise AssertionError("a refused campaign evaluated a fault set")
 
-        monkeypatch.setattr(engine, "_outcomes", evaluated)
+        # Patched on the class: the module-level wrappers build their own engine.
+        monkeypatch.setattr(CampaignEngine, "_outcomes", evaluated)
+        campaigns = (
+            lambda seed: engine.run_campaign(2, samples=10, seed=seed, greedy=True),
+            lambda seed: engine.sweep_fault_sizes([1, 2], samples=10, seed=seed),
+            lambda seed: run_campaign(graph, routing, 2, samples=10, seed=seed, greedy=True),
+            lambda seed: sweep_fault_sizes(graph, routing, [1, 2], samples=10, seed=seed),
+        )
         for seed in (_random.Random(4), 4.0, "4"):
-            with pytest.raises(TypeError, match="seed must be an int or None"):
-                engine.run_campaign(2, samples=10, seed=seed, greedy=True)
-            with pytest.raises(TypeError, match="seed must be an int or None"):
-                engine.sweep_fault_sizes([1, 2], samples=10, seed=seed)
+            for campaign in campaigns:
+                with pytest.raises(TypeError, match="seed must be an int or None"):
+                    campaign(seed)
 
 
 class TestExhaustiveShards:
