@@ -247,9 +247,15 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     graph, result = _build(args)
     faults = _parse_faults(args.faults, graph)
+    failed = set(faults)
+    alive = [node for node in graph.nodes() if node not in failed]
+    if len(alive) < 2:
+        raise ValueError(
+            f"simulate needs two live nodes to pick message endpoints; faults "
+            f"{faults} leave {len(alive)} of {graph.number_of_nodes()} nodes live"
+        )
     simulator = NetworkSimulator(graph, result.routing, service=XorEncryptionService())
     simulator.fail_nodes(faults)
-    alive = [node for node in graph.nodes() if node not in set(faults)]
     rng = random.Random(args.seed)
     rows = []
     for index in range(args.messages):

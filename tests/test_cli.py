@@ -135,6 +135,15 @@ class TestCommands:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_simulate_refuses_fewer_than_two_live_nodes(self, capsys):
+        code = main(
+            ["simulate", "--graph", "cycle:6", "--faults", "0,1,2,3,4", "--messages", "2"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "leave 1 of 6 nodes live" in captured.err
+        assert captured.out == ""
+
     def test_campaign_command(self, capsys):
         code = main(
             [
