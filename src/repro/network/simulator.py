@@ -35,11 +35,11 @@ The simulator is **event-driven** over the slotted integer-tick engine of
   hop allocates no event, closure or link key;
 * every hop is that event firing :meth:`_hop`, one handler that checks
   the next route node's liveness, moves the message onto it, and reserves
-  the following link.  There is one delivery path: under the null link
-  model a link reserves a departure at the arrival tick, so nothing
-  queues.  Links come from a per-path list with one slot per route
-  position, filled the first time a message crosses it, so :attr:`links`
-  holds only links that carried traffic;
+  the following link.  Null links take the same path: a null link
+  reserves a departure at the arrival tick, so nothing queues on it.
+  Links come from a per-path list with one slot per route position,
+  filled the first time a message crosses it, so :attr:`links` holds only
+  links that carried traffic;
 * a fault kills a message at the first failed node it reaches, and the
   run's clock ends at its last real event (a receipt or a fault action);
 * route plans are BFS parent maps cached per origin and invalidated when
