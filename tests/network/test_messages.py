@@ -2,7 +2,18 @@
 
 import pytest
 
-from repro.network import DeliveryReceipt, Message
+from repro.core import Routing
+from repro.graphs import generators
+from repro.network import DeliveryReceipt, Message, NetworkSimulator
+
+
+def line_simulator(*routes):
+    """A simulator on the path 0-1-2-3 whose routing holds exactly ``routes``."""
+    graph = generators.path_graph(4)
+    routing = Routing(graph)
+    for path in routes:
+        routing.set_route(path[0], path[-1], path)
+    return NetworkSimulator(graph, routing)
 
 
 class TestMessage:
@@ -30,6 +41,29 @@ class TestMessage:
         assert message.route_counter == 2
         assert (message.source, message.destination) == ("c", "d")
         assert message.hop_index == 0
+
+    def test_advance_along_route(self):
+        simulator = line_simulator((0, 1, 2, 3))
+        message = simulator.inject(0, 3, None)
+        steps = []
+        while simulator.events.step():
+            steps.append((message.hop_index, message.trace[-1]))
+        assert message.route == (0, 1, 2, 3)
+        # The pointer moves one position per hop and names the node reached.
+        positions = [index for index, _node in steps]
+        assert positions == sorted(positions)
+        assert list(dict.fromkeys(positions)) == [0, 1, 2, 3]
+        assert all(message.route[index] == node for index, node in steps)
+
+    def test_trace_records_visits(self):
+        # No 0-3 route: the delivery takes 0-1-2, then 2-3.
+        simulator = line_simulator((0, 1, 2), (2, 3))
+        receipt = simulator.send(0, 3, None)
+        message = receipt.message
+        assert message.route_counter == 2
+        # The trace spans both segments and holds their joint once.
+        assert message.trace == [0, 1, 2, 3]
+        assert receipt.hops == len(message.trace) - 1
 
     def test_repr(self):
         message = Message(origin="a", final_destination="b", payload=None)
