@@ -1,10 +1,10 @@
 """A slotted integer-tick discrete-event engine for the network simulator.
 
-The simulator in :mod:`repro.network.simulator` schedules message hops,
-link departures and endpoint-service steps as timestamped events.  Time is
-an **integer tick** (the simulator quantises float latencies through its
-``resolution``), which buys the engine three structural wins over the old
-float-keyed binary heap:
+The simulator in :mod:`repro.network.simulator` runs every delivery as a
+process on this engine, and fault actions as plain timestamped events.
+Time is an **integer tick** (the simulator quantises float latencies
+through its ``resolution``), which buys the engine three structural wins
+over the old float-keyed binary heap:
 
 * events landing on the same tick live in one **slot** (a plain list), so
   dispatch pops each distinct tick from a small heap once and then walks
@@ -13,41 +13,50 @@ float-keyed binary heap:
 * ``len(queue)`` is a maintained **live-event counter**, not a heap scan;
 * :meth:`cancel` flips a flag and decrements the counter — cancelled
   events are skipped (and never counted) at dispatch, with no heap
-  surgery and no O(n) sweeps;
-* :meth:`reschedule` re-arms a fired :class:`Event` instead of allocating
-  a new one, for callers that keep one pending event at a time (the
-  simulator keeps one per delivery and re-arms it for every hop).
+  surgery and no O(n) sweeps.
+
+A **process** (:meth:`EventQueue.process`) is a generator driven on one
+event: each ``yield d`` re-arms that event ``d`` ticks on, under the next
+sequence number, exactly where a freshly scheduled event would land, so a
+process allocates nothing per step and never has two pending events.  Its
+generator is built only when the event first fires.
 
 Determinism is unchanged from the old engine: events on one tick fire in
-scheduling order, and an event scheduled with zero delay from inside a
-callback joins the *currently dispatching* tick batch (cascades complete
-within their tick).
+scheduling order, and an event scheduled (or a process re-armed) with zero
+delay from inside a firing joins the *currently dispatching* tick batch
+(cascades complete within their tick).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import heapq
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Generator, List, Optional
 
 from repro.exceptions import SimulationError
 
 EventCallback = Callable[[], None]
+#: A process body: yields the delay in ticks to its next step.
+ProcessGenerator = Generator[int, None, None]
 
 
 @dataclasses.dataclass(slots=True)
 class Event:
-    """One scheduled callback: fires at ``tick``, ties broken by ``seq``.
+    """One scheduled step: fires at ``tick``, ties broken by ``seq``.
 
-    Once fired, the record may be re-armed with :meth:`EventQueue.reschedule`.
+    A plain event calls ``callback`` once.  A process event (see
+    :meth:`EventQueue.process`) calls ``callback`` on its first firing to
+    build its ``generator``, then steps that generator on every firing.
     """
 
     tick: int
     seq: int
-    callback: EventCallback
+    callback: Optional[Callable[[], object]]
     kind: str = ""
     cancelled: bool = False
     fired: bool = False
+    process: bool = False
+    generator: Optional[ProcessGenerator] = None
 
     def __repr__(self) -> str:
         state = "fired" if self.fired else ("cancelled" if self.cancelled else "pending")
@@ -115,24 +124,21 @@ class EventQueue:
         self._push(event, delay)
         return event
 
-    def reschedule(
-        self, event: Event, delay: int, callback: EventCallback, kind: str = ""
-    ) -> None:
-        """Re-arm a fired ``event`` to run ``callback`` ``delay`` ticks from now.
+    def process(
+        self, delay: int, start: Callable[[], ProcessGenerator], kind: str = ""
+    ) -> Event:
+        """Schedule a process to take its first step ``delay`` ticks from now.
 
-        The event takes the next sequence number, exactly as a new one from
-        :meth:`schedule` would, so dispatch order does not depend on which
-        of the two was called; only the allocation is saved.  An event may
-        be re-armed from inside its own callback (it counts as fired by
-        then).  A pending or cancelled event is refused: it still sits in
-        its slot, and re-arming it would queue it twice.
+        When the returned event first fires, ``start()`` builds the process's
+        generator and the engine advances it.  Each ``yield d`` re-arms the
+        same event ``d`` ticks on, under the next sequence number, exactly
+        as ``schedule(d, ...)`` would order a new event; the process ends
+        when the generator returns.  A pending process holds no generator,
+        and a cancelled one never calls ``start``.
         """
-        if not event.fired:
-            raise SimulationError(f"only a fired event can be re-armed, got {event!r}")
+        event = Event(0, 0, start, kind, process=True)
         self._push(event, delay)
-        event.callback = callback
-        event.kind = kind
-        event.fired = False
+        return event
 
     def _push(self, event: Event, delay: int) -> None:
         """Queue ``event`` ``delay`` ticks from now under the next sequence number.
@@ -148,6 +154,7 @@ class EventQueue:
         tick = self._now + delay
         event.tick = tick
         event.seq = self._seq
+        event.fired = False
         self._seq += 1
         batch = self._batch
         if batch is not None and tick == self._batch_tick:
@@ -238,5 +245,37 @@ class EventQueue:
                 self._live -= 1
                 self._processed += 1
                 processed += 1
-                event.callback()
+                generator = event.generator
+                if generator is None:
+                    if not event.process:
+                        event.callback()
+                        continue
+                    # A process's first firing builds its generator.
+                    generator = event.generator = event.callback()
+                    event.callback = None
+                try:
+                    delay = next(generator)
+                except StopIteration:
+                    event.generator = None
+                    continue
+                if delay.__class__ is not int or delay < 0:
+                    # _push refuses the delay (or queues an int subclass).
+                    self._push(event, delay)
+                    continue
+                # Re-arm the process: _push inlined, as it runs once per step.
+                tick = event.tick + delay
+                event.tick = tick
+                event.seq = self._seq
+                self._seq += 1
+                event.fired = False
+                self._live += 1
+                if tick == self._batch_tick and self._batch is not None:
+                    self._batch.append(event)
+                else:
+                    slot = self._slots.get(tick)
+                    if slot is None:
+                        self._slots[tick] = [event]
+                        heapq.heappush(self._ticks, tick)
+                    else:
+                        slot.append(event)
         return processed

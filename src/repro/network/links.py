@@ -19,16 +19,17 @@ simulator reproduces the legacy per-hop loop's receipts exactly.  That
 equivalence is pinned by the hypothesis parity suite in
 ``tests/network/test_legacy_parity.py``.
 
-Reservation is O(1) amortised per message: the link keeps a slot cursor
-``(tick, used)`` that only moves forward (simulation time is monotone), and
-a deque of pending departure ticks whose head expires as time passes.
+Reservation is O(1) per message and keeps no per-message state: the link
+holds only a slot cursor ``(tick, used)`` that moves forward (simulation
+time is monotone).  Every slot from the arrival tick up to the cursor's is
+full, so the queue depth at ``now`` is ``(tick - now) * capacity + used``
+while the cursor is not behind ``now``, and 0 once it is.
 """
 
 from __future__ import annotations
 
-import collections
 import dataclasses
-from typing import Deque, Hashable, Optional
+from typing import Hashable, Optional
 
 Node = Hashable
 
@@ -104,7 +105,6 @@ class Link:
         "stats",
         "_slot_tick",
         "_slot_used",
-        "_departures",
     )
 
     def __init__(
@@ -121,17 +121,16 @@ class Link:
         self.capacity = capacity
         self.buffer = buffer
         self.stats = LinkStats()
+        #: The latest departure slot handed out, and how many messages it
+        #: holds; a null link never moves it.
         self._slot_tick = -1
         self._slot_used = 0
-        #: Departure ticks of queued messages, oldest first (monotone).
-        self._departures: Deque[int] = collections.deque()
 
     def queue_depth(self, now: int) -> int:
         """Return the number of messages queued (not yet departed) at ``now``."""
-        departures = self._departures
-        while departures and departures[0] < now:
-            departures.popleft()
-        return len(departures)
+        if now > self._slot_tick:
+            return 0
+        return (self._slot_tick - now) * self.capacity + self._slot_used
 
     def reserve(self, now: int) -> Optional[int]:
         """Reserve a departure slot for a message entering the link at ``now``.
@@ -146,22 +145,20 @@ class Link:
             stats.entered += 1
             return now
         # queue_depth(now), inlined: this runs once per capacity-limited hop.
-        departures = self._departures
-        while departures and departures[0] < now:
-            departures.popleft()
-        depth = len(departures)
+        depart = self._slot_tick
+        if now > depart:
+            depart, used, depth = now, 0, 0
+        else:
+            used = self._slot_used
+            depth = (depart - now) * capacity + used
         if self.buffer is not None and depth >= self.buffer:
             stats.dropped += 1
             return None
-        if now > self._slot_tick:
-            self._slot_tick = now
-            self._slot_used = 0
-        while self._slot_used >= capacity:
-            self._slot_tick += 1
-            self._slot_used = 0
-        self._slot_used += 1
-        depart = self._slot_tick
-        departures.append(depart)
+        if used >= capacity:
+            depart += 1
+            used = 0
+        self._slot_tick = depart
+        self._slot_used = used + 1
         stats.entered += 1
         depth += 1
         if depth > stats.max_queue_depth:

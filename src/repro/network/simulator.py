@@ -29,15 +29,16 @@ The simulator is **event-driven** over the slotted integer-tick engine of
   bounded buffers, drops);
 * :meth:`send` remains the one-shot synchronous API: inject, run the
   engine until this delivery's receipt materialises, return it;
-* a delivery owns exactly one engine event: the inject event is re-armed
-  (:meth:`EventQueue.reschedule`) for every later step — endpoint send,
-  each hop, endpoint receive — so it never has two pending events, and a
-  hop allocates no event, closure or link key;
-* every hop is that event firing :meth:`_hop`, one handler that checks
-  the next route node's liveness, moves the message onto it, and reserves
-  the following link.  Null links take the same path: a null link
-  reserves a departure at the arrival tick, so nothing queues on it.
-  Links come from a per-path list with one slot per route position,
+* a delivery is one engine process, the generator :meth:`_deliver`: its
+  ``yield`` statements are its steps — endpoint send, each hop, endpoint
+  receive — and the engine re-arms the delivery's one event for each, so
+  its state lives in generator locals and a step allocates no event,
+  closure or link key.  The generator is built when the delivery starts,
+  so a pending injection holds only its message, event and start callable;
+* each hop checks the next route node's liveness, moves the message onto
+  it, and reserves the following link.  Null links take the same path: a
+  null link reserves a departure at the arrival tick, so nothing queues on
+  it.  Links come from a per-path list with one slot per route position,
   filled the first time a message crosses it, so :attr:`links` holds only
   links that carried traffic;
 * a fault kills a message at the first failed node it reaches, and the
@@ -66,7 +67,7 @@ from repro.exceptions import DeliveryError, SimulationError
 from repro.graphs.digraph import DiGraph
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import bfs_tree
-from repro.network.events import Event, EventQueue
+from repro.network.events import EventQueue, ProcessGenerator
 from repro.network.links import Link, LinkSpec
 from repro.network.messages import DeliveryReceipt, Message
 from repro.network.node import NetworkNode
@@ -96,41 +97,6 @@ class SimulatorStats:
         if self.messages_sent == 0:
             return 1.0
         return self.messages_delivered / self.messages_sent
-
-
-class _Delivery:
-    """Per-message progress of one end-to-end delivery (engine-internal)."""
-
-    __slots__ = (
-        "message",
-        "on_complete",
-        "plan",
-        "index",
-        "hops",
-        "payload",
-        "event",
-        "position",
-        "links",
-    )
-
-    def __init__(
-        self,
-        message: Message,
-        on_complete: Optional[Callable[[DeliveryReceipt], None]],
-    ) -> None:
-        self.message = message
-        self.on_complete = on_complete
-        self.plan: Optional[List[Tuple[Node, Node]]] = None
-        self.index = 0
-        self.hops = 0
-        self.payload: Any = None
-        #: The delivery's one engine event, re-armed for every step and
-        #: cleared when the delivery finishes.
-        self.event: Optional[Event] = None
-        #: Route position the pending hop event brings the message to.
-        self.position = 0
-        #: Per-position links of the attached route (see ``_path_links``).
-        self.links: Optional[List[Optional[Link]]] = None
 
 
 class NetworkSimulator:
@@ -366,163 +332,121 @@ class NetworkSimulator:
         not at injection time — timed fault schedules change the outcomes
         of messages injected before the fault strikes.  ``on_complete``
         receives the :class:`DeliveryReceipt` when the delivery finishes
-        (delivered, failed, or dropped at a full link buffer).
+        (delivered, failed, or dropped at a full link buffer).  A delay the
+        engine refuses raises :class:`SimulationError` and counts no message.
         """
-        self.stats.messages_sent += 1
         message = Message(origin=origin, final_destination=destination, payload=payload)
         message.trace.append(origin)
-        delivery = _Delivery(message, on_complete)
-        delivery.event = self.events.schedule(
-            delay, lambda: self._start(delivery), kind="inject"
+        self.events.process(
+            delay,
+            functools.partial(self._deliver, message, on_complete),
+            kind="delivery",
         )
+        self.stats.messages_sent += 1
         return message
 
-    # Each delivery is a small state machine walked by engine callbacks:
-    # _start -> [per segment: endpoint-send -> hop* -> endpoint-recv] -> _finish.
-    # The inject event is the delivery's only one: every later step re-arms it.
-    def _start(self, delivery: _Delivery) -> None:
-        message = delivery.message
-        message.injected_tick = self.events.now
-        try:
-            delivery.plan = self.plan_route_sequence(
-                message.origin, message.final_destination
-            )
-        except DeliveryError as exc:
-            self._finish(delivery, delivered=False, reason=str(exc))
-            return
-        self.nodes[message.origin].stats.originated += 1
-        delivery.payload = message.payload
-        self._next_segment(delivery)
+    def _deliver(
+        self,
+        message: Message,
+        on_complete: Optional[Callable[[DeliveryReceipt], None]],
+    ) -> ProcessGenerator:
+        """Carry ``message`` to its destination: the engine process of one delivery.
 
-    def _next_segment(self, delivery: _Delivery) -> None:
-        plan = delivery.plan
-        assert plan is not None
-        if delivery.index >= len(plan):
-            self._complete(delivery)
-            return
-        segment_source, segment_target = plan[delivery.index]
-        try:
-            path = self._segment_path(segment_source, segment_target)
-        except DeliveryError as exc:
-            self._finish(delivery, delivered=False, reason=str(exc))
-            return
-        # Service errors (e.g. checksum mismatches) propagate out of the
-        # engine run, matching the legacy simulator's synchronous raise.
-        wire_payload = self.service.on_send(
-            delivery.payload, segment_source, segment_target
-        )
-        message = delivery.message
-        message.payload = wire_payload
-        message.attach_route(path)
-        links = self._path_links.get(path)
-        if links is None:
-            links = self._path_links[path] = [None] * (len(path) - 1)
-        delivery.links = links
-        delivery.position = 0
-        # A partial rather than a lambda: every hop of the segment calls it,
-        # and it saves a Python frame per call.
-        self.events.reschedule(
-            delivery.event,
-            self.service_ticks,
-            functools.partial(self._hop, delivery),
-            "endpoint-send",
-        )
-
-    def _hop(self, delivery: _Delivery) -> None:
-        """Take the message to ``delivery.position`` of its route and on.
-
-        Position 0 is the endpoint-send step at the segment source (a failed
-        source drops the message); any later position is an arrival over a
-        link (a failed node there kills the message before it moves in).
-        From a live node the message either ends the segment, or enters the
-        next link's transmission queue and re-arms the delivery's event for
-        its arrival at the following position.
+        Each ``yield`` hands the engine the ticks to the delivery's next
+        step — the endpoint send of a route segment, each hop over a link,
+        the endpoint receive — and the engine re-arms the delivery's one
+        event for it, so ``now`` advances by exactly what was yielded.  A
+        failed segment source drops the message; a failed node kills it when
+        it arrives there; a full link buffer drops it.
         """
-        message = delivery.message
-        route = message.route
-        index = delivery.position
-        node_id = route[index]
-        node = self.nodes[node_id]
-        if not node.alive:
-            if index:
-                reason = f"message {message.message_id} reached failed node {node_id!r}"
-            else:
+        nodes = self.nodes
+        service = self.service
+        service_ticks = self.service_ticks
+        now = message.injected_tick = self.events.now
+        hops = 0
+        try:
+            plan = self.plan_route_sequence(message.origin, message.final_destination)
+        except DeliveryError as exc:
+            self._finish(message, on_complete, hops, False, str(exc))
+            return
+        nodes[message.origin].stats.originated += 1
+        payload = message.payload
+        trace = message.trace
+        for source, target in plan:
+            try:
+                path = self._segment_path(source, target)
+            except DeliveryError as exc:
+                self._finish(message, on_complete, hops, False, str(exc))
+                return
+            # Service errors (e.g. checksum mismatches) propagate out of the
+            # engine run, matching the legacy simulator's synchronous raise.
+            message.payload = service.on_send(payload, source, target)
+            message.attach_route(path)
+            links = self._path_links.get(path)
+            if links is None:
+                links = self._path_links[path] = [None] * (len(path) - 1)
+            yield service_ticks  # endpoint send
+            now += service_ticks
+            node_id = source
+            node = nodes[node_id]
+            if not node.alive:
                 node.stats.dropped += 1
                 reason = f"node {node_id!r} is failed and dropped the message"
-            self._finish(delivery, delivered=False, reason=reason)
-            return
-        if index:
-            message.hop_index = index
-            message.trace.append(node_id)
-            delivery.hops += 1
-        events = self.events
-        event = delivery.event
-        if index == len(route) - 1:
-            # End of the segment: endpoint receive, then the next segment.
+                self._finish(message, on_complete, hops, False, reason)
+                return
+            for index in range(1, len(path)):
+                node.stats.forwarded += 1
+                next_id = path[index]
+                link = links[index - 1]
+                if link is None:
+                    link = links[index - 1] = self.link_between(node_id, next_id)
+                depart = link.reserve(now)
+                if depart is None:
+                    reason = (
+                        f"link {node_id!r}->{next_id!r} dropped "
+                        f"message {message.message_id} (buffer full)"
+                    )
+                    self._finish(message, on_complete, hops, False, reason)
+                    return
+                arrive = depart + link.latency
+                yield arrive - now  # hop
+                now = arrive
+                node_id = next_id
+                node = nodes[node_id]
+                if not node.alive:
+                    reason = f"message {message.message_id} reached failed node {node_id!r}"
+                    self._finish(message, on_complete, hops, False, reason)
+                    return
+                message.hop_index = index
+                trace.append(node_id)
+                hops += 1
             node.stats.received += 1
-            events.reschedule(
-                event,
-                self.service_ticks,
-                lambda: self._finish_segment(delivery),
-                "endpoint-recv",
-            )
-            return
-        node.stats.forwarded += 1
-        next_id = route[index + 1]
-        link = delivery.links[index]
-        if link is None:
-            link = delivery.links[index] = self.link_between(node_id, next_id)
-        now = event.tick  # the event that called this fired just now
-        depart = link.reserve(now)
-        if depart is None:
-            self._finish(
-                delivery,
-                delivered=False,
-                reason=(
-                    f"link {node_id!r}->{next_id!r} dropped "
-                    f"message {message.message_id} (buffer full)"
-                ),
-            )
-            return
-        delivery.position = index + 1
-        events.reschedule(event, depart - now + link.latency, event.callback, "hop")
-
-    def _finish_segment(self, delivery: _Delivery) -> None:
-        # The message still carries the segment's wire payload.
-        assert delivery.plan is not None
-        source, target = delivery.plan[delivery.index]
-        delivery.payload = self.service.on_receive(
-            delivery.message.payload, source, target
-        )
-        delivery.index += 1
-        self._next_segment(delivery)
-
-    def _complete(self, delivery: _Delivery) -> None:
-        message = delivery.message
+            yield service_ticks  # endpoint receive
+            now += service_ticks
+            # The message still carries the segment's wire payload.
+            payload = service.on_receive(message.payload, source, target)
         try:
-            self.nodes[message.final_destination].deliver(message, delivery.payload)
+            nodes[message.final_destination].deliver(message, payload)
         except SimulationError as exc:
             # The destination failed while the delivery was in flight.
-            self._finish(delivery, delivered=False, reason=str(exc))
+            self._finish(message, on_complete, hops, False, str(exc))
             return
-        self._finish(delivery, delivered=True)
+        self._finish(message, on_complete, hops, True)
 
     def _finish(
         self,
-        delivery: _Delivery,
+        message: Message,
+        on_complete: Optional[Callable[[DeliveryReceipt], None]],
+        hops: int,
         delivered: bool,
         reason: str = "",
     ) -> None:
-        message = delivery.message
-        # The event's callback holds the delivery: drop the back reference so
-        # reference counting frees both (no cycle left for the collector).
-        delivery.event = None
         now = self.events.now
         message.finished_tick = now
         ticks = now - message.injected_tick
         if delivered:
             self.stats.messages_delivered += 1
-            self.stats.total_hops += delivery.hops
+            self.stats.total_hops += hops
             self.stats.total_routes_used += message.route_counter
             self.stats.total_latency_ticks += ticks
         else:
@@ -531,13 +455,13 @@ class NetworkSimulator:
             message=message,
             delivered=delivered,
             routes_used=message.route_counter,
-            hops=delivery.hops,
+            hops=hops,
             latency=ticks / self.resolution,
             failure_reason=reason,
             latency_ticks=ticks,
         )
-        if delivery.on_complete is not None:
-            delivery.on_complete(receipt)
+        if on_complete is not None:
+            on_complete(receipt)
 
     # ------------------------------------------------------------------
     # Reporting

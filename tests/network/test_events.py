@@ -1,5 +1,7 @@
 """Unit tests for the slotted integer-tick discrete-event queue."""
 
+import types
+
 import pytest
 
 from repro.exceptions import SimulationError
@@ -246,91 +248,141 @@ class TestCancellation:
         assert fired == ["killer", "survivor"]
 
 
-def _firings(rearm):
-    """Log the firings of a start event that re-arms itself or schedules anew.
+def _firings(as_process):
+    """Log the firings of a two-step start, as a process or as plain events.
 
-    The start event's callback schedules a sibling one tick on, then either
-    re-arms the start event or schedules a fresh one, also one tick on.
+    The first step schedules a sibling one tick on; the second step comes
+    one tick after the first, either as the process's next step or as a
+    freshly scheduled event, and schedules a tail event.
     """
     queue = EventQueue()
     log = []
     handle = {}
 
-    def second():
-        log.append(("second", queue.now, handle["event"].seq))
-
     def first():
         log.append(("first", queue.now, handle["event"].seq))
         queue.schedule(1, lambda: log.append(("sibling", queue.now, None)))
-        if rearm:
-            queue.reschedule(handle["event"], 1, second, "again")
-        else:
+
+    def second():
+        log.append(("second", queue.now, handle["event"].seq))
+        tail = queue.schedule(0, lambda: log.append(("tail", queue.now, None)))
+        log.append(("scheduled", queue.now, tail.seq))
+
+    def body():
+        first()
+        yield 1
+        second()
+
+    if as_process:
+        handle["event"] = queue.process(3, body, "start")
+    else:
+
+        def start():
+            first()
             handle["event"] = queue.schedule(1, second, "again")
 
-    handle["event"] = queue.schedule(3, first, "start")
+        handle["event"] = queue.schedule(3, start, "start")
     queue.schedule(4, lambda: log.append(("queued", queue.now, None)))
     queue.run()
     return log, queue.processed, len(queue)
 
 
-class TestReschedule:
-    def test_rearmed_event_orders_like_a_new_one(self):
-        # Re-arming instead of allocating must not move any firing's tick,
-        # sequence number or place in its tick.
-        assert _firings(rearm=True) == _firings(rearm=False)
-        assert _firings(rearm=True)[0] == [
+class TestProcess:
+    def test_steps_order_like_new_events(self):
+        # Re-arming a process's event instead of allocating one must not
+        # move any firing's tick, sequence number or place in its tick.
+        assert _firings(as_process=True) == _firings(as_process=False)
+        assert _firings(as_process=True)[0] == [
             ("first", 3, 0),
             ("queued", 4, None),
             ("sibling", 4, None),
             ("second", 4, 3),
+            ("scheduled", 4, 4),
+            ("tail", 4, None),
         ]
 
-    def test_rearm_updates_callback_and_kind(self):
+    def test_zero_delay_yield_joins_the_current_tick(self):
         queue = EventQueue()
         fired = []
-        event = queue.schedule(1, lambda: fired.append("a"), "one")
-        queue.run()
-        queue.reschedule(event, 2, lambda: fired.append("b"), "two")
-        assert len(queue) == 1
-        assert (event.tick, event.kind, event.fired) == (3, "two", False)
-        queue.run()
-        assert fired == ["a", "b"]
-        assert queue.now == 3
-
-    def test_zero_delay_rearm_joins_the_current_tick(self):
-        queue = EventQueue()
-        fired = []
-        holder = {}
 
         def bounce():
+            for _ in range(2):
+                fired.append(("bounce", queue.now))
+                yield 0
             fired.append(("bounce", queue.now))
-            if fired.count(("bounce", 1)) < 3:
-                queue.reschedule(holder["event"], 0, bounce)
 
-        holder["event"] = queue.schedule(1, bounce)
-        queue.schedule(1, lambda: fired.append(("sibling", queue.now)))
+        def sibling():
+            fired.append(("sibling", queue.now))
+            queue.schedule(0, lambda: fired.append(("chained", queue.now)))
+
+        queue.process(1, bounce)
+        queue.schedule(1, sibling)
         queue.run()
-        assert fired == [("bounce", 1), ("sibling", 1), ("bounce", 1), ("bounce", 1)]
+        # The first re-arm joins the batch ahead of the chained event that
+        # the sibling schedules after it.
+        assert fired == [
+            ("bounce", 1),
+            ("sibling", 1),
+            ("bounce", 1),
+            ("chained", 1),
+            ("bounce", 1),
+        ]
+        assert queue.now == 1
 
-    def test_pending_or_cancelled_events_are_refused(self):
-        queue = EventQueue()
-        pending = queue.schedule(1, lambda: None)
-        with pytest.raises(SimulationError, match="only a fired event"):
-            queue.reschedule(pending, 1, lambda: None)
-        queue.cancel(pending)
-        with pytest.raises(SimulationError, match="only a fired event"):
-            queue.reschedule(pending, 1, lambda: None)
-        assert len(queue) == 0
-        assert queue.run() == 0
-
-    def test_rearm_validates_the_delay(self):
-        queue = EventQueue()
-        event = queue.schedule(0, lambda: None)
-        queue.run()
+    def test_yielded_delay_is_validated(self):
         for delay in (-1, 0.5, True):
+            queue = EventQueue()
+
+            def body(delay=delay):
+                yield delay
+
+            queue.process(0, body)
             with pytest.raises(SimulationError, match="delay|integer ticks"):
-                queue.reschedule(event, delay, lambda: None)
-        # A refused delay leaves the event fired, so it can still be re-armed.
-        assert len(queue) == 0
-        queue.reschedule(event, 1, lambda: None)
-        assert queue.run() == 1
+                queue.run()
+            # The refused step is not queued: the process is over.
+            assert len(queue) == 0
+            assert queue.run() == 0
+
+    def test_cancelled_process_never_starts(self):
+        queue = EventQueue()
+        started = []
+
+        def start():
+            started.append(queue.now)
+            yield 1
+
+        pending = queue.process(2, start)
+        queue.cancel(pending)
+        assert queue.run() == 0
+        assert started == []
+        assert pending.generator is None
+        # Cancelled between steps, a running process never resumes.
+        running = queue.process(0, start)
+        assert queue.run(max_events=1) == 1
+        queue.cancel(running)
+        assert queue.run() == 0
+        assert started == [0]
+
+    def test_only_a_running_process_holds_a_generator(self):
+        queue = EventQueue()
+        steps = []
+
+        def body():
+            for _ in range(3):
+                steps.append(queue.now)
+                yield 2
+            steps.append(queue.now)
+
+        event = queue.process(5, body)
+        assert event.generator is None
+        assert queue.run(until=4) == 0
+        assert event.generator is None
+        assert len(queue) == 1
+        assert queue.run(max_events=1) == 1
+        assert isinstance(event.generator, types.GeneratorType)
+        assert (len(queue), event.tick) == (1, 7)
+        assert queue.run() == 3
+        assert steps == [5, 7, 9, 11]
+        # A finished process lets its generator go.
+        assert event.generator is None
+        assert (len(queue), queue.processed) == (0, 4)

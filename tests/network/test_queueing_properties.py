@@ -12,9 +12,14 @@ must hold on every run:
    cost ``hops * hop_ticks + 2 * routes_used * service_ticks``;
 4. the engine's clock ends at the run's last real event: the latest
    receipt's ``finished_tick`` or scheduled fault tick, whichever is later.
+
+A fifth property pins one :class:`~repro.network.links.Link` alone to a
+reference FIFO that keeps every pending departure tick in a deque.
 """
 
+import collections
 import functools
+import itertools
 
 import pytest
 
@@ -27,7 +32,9 @@ from repro.core import build_routing
 from repro.graphs import generators
 from repro.network import (
     FaultEvent,
+    Link,
     LinkSpec,
+    LinkStats,
     NetworkSimulator,
     Workload,
     XorEncryptionService,
@@ -137,3 +144,69 @@ class TestQueueingModel:
             + [fault.tick for fault in faults]
         )
         assert simulator.events.now == last
+
+
+class _DequeLink:
+    """Reference FIFO link: a deque of every departure tick not yet passed.
+
+    An arrival departs at ``now`` when nothing is queued; otherwise behind
+    the last queued departure, on its tick while that tick has room for
+    ``capacity`` departures, or on the next one.
+    """
+
+    def __init__(self, capacity, buffer):
+        self.capacity = capacity
+        self.buffer = buffer
+        self.departures = collections.deque()
+        self.stats = LinkStats()
+
+    def queue_depth(self, now):
+        while self.departures and self.departures[0] < now:
+            self.departures.popleft()
+        return len(self.departures)
+
+    def reserve(self, now):
+        stats = self.stats
+        if self.capacity is None:
+            stats.entered += 1
+            return now
+        depth = self.queue_depth(now)
+        if self.buffer is not None and depth >= self.buffer:
+            stats.dropped += 1
+            return None
+        depart = now
+        if self.departures:
+            depart = self.departures[-1]
+            if self.departures.count(depart) >= self.capacity:
+                depart += 1
+        self.departures.append(depart)
+        stats.entered += 1
+        stats.max_queue_depth = max(stats.max_queue_depth, depth + 1)
+        stats.queue_wait_ticks += depart - now
+        return depart
+
+
+@st.composite
+def link_case(draw):
+    capacity = draw(st.sampled_from([None, 1, 2, 3]))
+    buffer = None
+    if capacity is not None:
+        buffer = draw(st.none() | st.integers(min_value=0, max_value=5))
+    gaps = draw(st.lists(st.integers(min_value=0, max_value=3), max_size=40))
+    return capacity, buffer, list(itertools.accumulate(gaps))
+
+
+class TestLinkAgainstDequeModel:
+    @SETTINGS
+    @given(case=link_case())
+    def test_reservations_depths_and_stats_match(self, case):
+        capacity, buffer, arrivals = case
+        link = Link("a", "b", latency=1, capacity=capacity, buffer=buffer)
+        model = _DequeLink(capacity, buffer)
+        for now in arrivals:
+            assert link.queue_depth(now) == model.queue_depth(now)
+            assert link.reserve(now) == model.reserve(now)
+            assert link.queue_depth(now) == model.queue_depth(now)
+        later = (arrivals[-1] if arrivals else 0) + 2
+        assert link.queue_depth(later) == model.queue_depth(later)
+        assert link.stats == model.stats

@@ -103,6 +103,16 @@ class TestDelivery:
         assert simulator.stats.delivery_ratio() == 1.0
         assert simulator.stats.total_hops > 0
 
+    def test_refused_injection_counts_no_message(self, cycle_simulator_factory):
+        simulator, _graph, _result = cycle_simulator_factory()
+        with pytest.raises(SimulationError, match="in the past"):
+            simulator.inject(0, 4, "x", delay=-1)
+        assert simulator.stats.messages_sent == 0
+        assert simulator.stats.delivery_ratio() == 1.0
+        assert len(simulator.events) == 0
+        assert simulator.send(0, 4, "x").delivered
+        assert simulator.stats.messages_sent == 1
+
     def test_describe(self, cycle_simulator_factory):
         simulator, _graph, _result = cycle_simulator_factory()
         simulator.send(0, 5, "a")

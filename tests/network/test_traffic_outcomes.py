@@ -25,9 +25,13 @@ only for a change that means to alter outcomes::
 ``tests/golden/traffic_capacity.jsonl`` is the result store of one
 capacity-limited ``repro traffic`` run (the command in :data:`CLI_ARGS`,
 with ``--store FILE``), and ``tests/golden/traffic_null.jsonl`` that of one
-null-model run under a fail/repair pair (:data:`NULL_CLI_ARGS`).  The CI
-``traffic-smoke`` job re-runs both commands under two ``PYTHONHASHSEED``
-values and byte-compares every store with its file.
+null-model run under a fail/repair pair (:data:`NULL_CLI_ARGS`).
+``tests/golden/datacenter_broadcast.txt`` is the output of
+``examples/datacenter_broadcast.py``: synchronous null-model ``send()``
+calls with endpoint services, re-routed across two segments around a failed
+node.  The CI ``traffic-smoke`` job re-runs both commands and the example
+under two ``PYTHONHASHSEED`` values and byte-compares each output with its
+file.
 """
 
 import functools
@@ -35,6 +39,8 @@ import gc
 import hashlib
 import json
 import re
+import runpy
+import types
 from pathlib import Path
 from unittest import mock
 
@@ -56,6 +62,8 @@ from repro.scenarios import parse_scenario
 GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "traffic_outcomes.txt"
 CLI_GOLDEN = GOLDEN.with_name("traffic_capacity.jsonl")
 NULL_CLI_GOLDEN = GOLDEN.with_name("traffic_null.jsonl")
+EXAMPLE_GOLDEN = GOLDEN.with_name("datacenter_broadcast.txt")
+EXAMPLE = Path(__file__).resolve().parents[2] / "examples" / "datacenter_broadcast.py"
 
 CLI_ARGS = [
     "traffic", "circulant:n=24,offsets=1+2/kernel",
@@ -269,13 +277,18 @@ def test_configs_hit_every_failure_family(runs):
 
 def test_finished_deliveries_leave_no_reference_cycle():
     # Every delivery finishes by the time run_traffic returns, so reference
-    # counting alone must free them: none may wait for the cycle collector.
+    # counting alone must free its generator: none may wait for the cycle
+    # collector.  The type test comes first: reading attributes of arbitrary
+    # collector-tracked objects can run their lazy loaders.
+    deliver = simulator_module.NetworkSimulator._deliver.__code__
     gc.collect()
     gc.disable()
     try:
         run_config("a")
         leftover = [
-            obj for obj in gc.get_objects() if isinstance(obj, simulator_module._Delivery)
+            obj
+            for obj in gc.get_objects()
+            if isinstance(obj, types.GeneratorType) and obj.gi_code is deliver
         ]
     finally:
         gc.enable()
@@ -292,6 +305,11 @@ def test_cli_null_store_matches_golden(tmp_path, capsys):
     store = tmp_path / "traffic.jsonl"
     assert main(NULL_CLI_ARGS + ["--store", str(store)]) == 0
     assert store.read_bytes() == NULL_CLI_GOLDEN.read_bytes()
+
+
+def test_datacenter_example_matches_golden(capsys):
+    runpy.run_path(str(EXAMPLE), run_name="__main__")
+    assert capsys.readouterr().out == EXAMPLE_GOLDEN.read_text()
 
 
 def test_cli_duration_ends_at_the_last_receipt(tmp_path, capsys):
