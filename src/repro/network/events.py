@@ -19,7 +19,8 @@ A **process** (:meth:`EventQueue.process`) is a generator driven on one
 event: each ``yield d`` re-arms that event ``d`` ticks on, under the next
 sequence number, exactly where a freshly scheduled event would land, so a
 process allocates nothing per step and never has two pending events.  Its
-generator is built only when the event first fires.
+generator is built only when the event first fires, so a pending process
+holds its start callable, which is smaller than a generator frame.
 
 Determinism is unchanged from the old engine: events on one tick fire in
 scheduling order, and an event scheduled (or a process re-armed) with zero
@@ -254,28 +255,7 @@ class EventQueue:
                     generator = event.generator = event.callback()
                     event.callback = None
                 try:
-                    delay = next(generator)
+                    self._push(event, next(generator))
                 except StopIteration:
                     event.generator = None
-                    continue
-                if delay.__class__ is not int or delay < 0:
-                    # _push refuses the delay (or queues an int subclass).
-                    self._push(event, delay)
-                    continue
-                # Re-arm the process: _push inlined, as it runs once per step.
-                tick = event.tick + delay
-                event.tick = tick
-                event.seq = self._seq
-                self._seq += 1
-                event.fired = False
-                self._live += 1
-                if tick == self._batch_tick and self._batch is not None:
-                    self._batch.append(event)
-                else:
-                    slot = self._slots.get(tick)
-                    if slot is None:
-                        self._slots[tick] = [event]
-                        heapq.heappush(self._ticks, tick)
-                    else:
-                        slot.append(event)
         return processed
