@@ -22,7 +22,7 @@ from repro.core.construction import ConstructionResult, Guarantee
 from repro.core.routing import Routing
 from repro.core.tree_routing import kernel_tree_routings
 from repro.exceptions import ConstructionError
-from repro.graphs.connectivity import connectivity_parameter, require_connectivity
+from repro.graphs.connectivity import connectivity_parameter
 from repro.graphs.graph import Graph
 from repro.graphs.separators import is_separating_set, minimum_separator
 
@@ -36,21 +36,17 @@ def kernel_separator(
 
     A supplied ``M`` is returned as given; each construction checks it.
     Otherwise ``M`` is a minimum separator, and when ``t`` is ``None`` it is
-    ``|M| - 1``: the separator sweep already finds ``kappa(G) = |M|``, so no
-    separate connectivity sweep runs.  Refusals keep the order of resolving
-    ``t`` first: a disconnected graph, then a negative ``t``, then the
-    separator's own (too few nodes, complete graph).
+    ``|M| - 1``: the graph caches the separator its connectivity is read
+    from, so Even's pairs are swept once.  Refusals keep the order of
+    resolving ``t`` first: a disconnected graph, then a negative ``t``, then
+    the separator's own (too few nodes, complete graph).
     """
-    if t is None and separating_set is None:
-        require_connectivity(graph)
-        kernel_set = set(minimum_separator(graph))
-        return len(kernel_set) - 1, kernel_set
     if t is None:
         t = connectivity_parameter(graph)
     if t < 0:
         raise ConstructionError("t must be non-negative")
     if separating_set is None:
-        return t, set(minimum_separator(graph))
+        return t, minimum_separator(graph)
     return t, set(separating_set)
 
 

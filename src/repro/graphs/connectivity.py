@@ -10,46 +10,26 @@ prerequisite for everything else.  We use the classical reduction:
   edge ``{x, y}`` becomes the two arcs ``x_out -> y_in`` and ``y_out -> x_in``
   (see :mod:`repro.graphs.flow`, which compiles that network once per graph);
 * **global vertex connectivity** is the minimum of ``kappa(v, w)`` over
-  Even's pairs (:func:`even_pairs`): a minimum-degree node against every
-  non-neighbour, and every non-adjacent pair among its neighbours.
+  Even's pairs (:func:`~repro.graphs.separators.even_pairs`): a
+  minimum-degree node against every non-neighbour, and every non-adjacent
+  pair among its neighbours.  That sweep also finds a minimum separator, so
+  :func:`node_connectivity` reads ``kappa(G)`` as the size of the one
+  :func:`~repro.graphs.separators.minimum_separator` caches on the graph.
 
 Edge connectivity uses the same machinery without node splitting.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Hashable, List, Optional, Tuple
+from typing import Hashable, Optional
 
 from repro.exceptions import NodeNotFoundError
 from repro.graphs.flow import FlowNetwork, split_network
 from repro.graphs.graph import Graph
+from repro.graphs.separators import even_pairs, minimum_separator
 from repro.graphs.traversal import is_connected
 
 Node = Hashable
-
-
-def even_pairs(graph: Graph) -> List[Tuple[Node, Node]]:
-    """Return the non-adjacent pairs whose minimum local connectivity is ``kappa(G)``.
-
-    Even's scheme: pick a minimum-degree pivot ``v``; every minimum separator
-    either misses ``v`` (and separates it from some non-neighbour ``w``) or
-    contains it (and separates two non-adjacent neighbours of ``v``).  Pairs
-    come pivot-first, then neighbour pairs by ``(degree, repr)``.
-    """
-    pivot = min(graph.nodes(), key=graph.degree)
-    pairs = [
-        (pivot, node)
-        for node in graph.nodes()
-        if node != pivot and not graph.has_edge(pivot, node)
-    ]
-    neighbors = sorted(
-        graph.neighbors(pivot), key=lambda node: (graph.degree(node), repr(node))
-    )
-    pairs.extend(
-        (x, y) for x, y in itertools.combinations(neighbors, 2) if not graph.has_edge(x, y)
-    )
-    return pairs
 
 
 def local_node_connectivity(
@@ -88,7 +68,8 @@ def node_connectivity(graph: Graph, cutoff: Optional[int] = None) -> int:
     cutoff:
         Optional early-exit: if every examined pair has local connectivity at
         least ``cutoff``, the returned value may be capped at ``cutoff``.  Use
-        this when only ``kappa(G) >= k`` matters.
+        this when only ``kappa(G) >= k`` matters.  Without it the value is the
+        size of the graph's cached minimum separator.
     """
     n = graph.number_of_nodes()
     if n <= 1:
@@ -97,12 +78,14 @@ def node_connectivity(graph: Graph, cutoff: Optional[int] = None) -> int:
         return 0
     if all(graph.degree(node) == n - 1 for node in graph.nodes()):
         return n - 1
+    if cutoff is None:
+        return len(minimum_separator(graph))
 
     # kappa(G) is the minimum local connectivity over Even's pairs; we
     # additionally never exceed min degree.
     best = graph.min_degree()
-    if cutoff is not None:
-        best = min(best, max(cutoff, 0) if cutoff > 0 else best)
+    if cutoff > 0:
+        best = min(best, cutoff)
     network = split_network(graph)
     for x, y in even_pairs(graph):
         best = min(best, network.max_flow(x, y, cutoff=best).value)

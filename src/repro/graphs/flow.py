@@ -23,15 +23,16 @@ a copy of its capacity list:
 
 The search order is part of the result: the minimum cut and the disjoint paths
 a flow yields (and with them every separator and routing downstream) depend on
-which augmenting paths Dinic finds.  Neighbours are visited in insertion order,
-each node's arc pointer moves past the arc it took, and dead ends leave the
-level graph, so the same graph always gives the same flow under any
-``PYTHONHASHSEED``.
+which augmenting paths Dinic finds.  Each BFS phase lists every node's level
+arcs in insertion order, the search scans only those and moves past the arc it
+took, and dead ends leave the level graph, so the same graph always gives the
+same flow under any ``PYTHONHASHSEED``.  :meth:`SplitFlow.paths` walks each
+path of that flow from one of the source's flow arcs, last first.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Hashable, Iterable, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Hashable, Iterable, Iterator, List, Optional, Set, Tuple
 
 if TYPE_CHECKING:
     from repro.graphs.graph import Graph
@@ -51,31 +52,44 @@ def _dinic(
     """Push a maximum flow from ``source`` to ``sink``; ``capacity`` becomes residual.
 
     Each phase labels the level graph by BFS, stopping at the sink's level
-    (nodes beyond it cannot lie on a shortest augmenting path), then searches
-    augmenting paths from the source with an explicit stack, so paths of any
-    length stay clear of Python's recursion limit.  Returns as soon as the
-    flow value reaches ``cutoff``.
+    (nodes beyond it cannot lie on a shortest augmenting path), and lists each
+    node's *level arcs* in adjacency order: its arcs with residual capacity
+    into the next level.  No other arc can join the level graph during the
+    phase: an arc gains capacity only when its partner is augmented, and that
+    partner runs one level up.  The search for augmenting paths then scans
+    only these lists, from the source with an explicit stack, so paths of any
+    length stay clear of Python's recursion limit.  Each node's scan resumes
+    past the arc it last took, even if that arc keeps capacity (part of the
+    search order results depend on), so no arc is tried twice in a phase and
+    every arc still ahead keeps the capacity the BFS saw.  Returns as soon as
+    the flow value reaches ``cutoff``.
     """
     size = len(adjacency)
     flow = 0
     while True:
         level = [-1] * size
         level[source] = 0
+        # Nodes the BFS does not expand keep the shared empty scan: dead ends.
+        ahead: List[Iterator[int]] = [iter(())] * size
         queue = [source]
         for node in queue:
             depth = level[node]
             if depth == level[sink]:
                 break
             depth += 1
+            arcs = []
             for arc in adjacency[node]:
                 if capacity[arc] > 0:
                     nxt = head[arc]
                     if level[nxt] < 0:
                         level[nxt] = depth
                         queue.append(nxt)
+                        arcs.append(arc)
+                    elif level[nxt] == depth:
+                        arcs.append(arc)
+            ahead[node] = iter(arcs)
         if level[sink] < 0:
             return flow
-        pointer = [0] * size
         while True:
             stack = [source]
             taken: List[int] = []
@@ -83,21 +97,14 @@ def _dinic(
                 node = stack[-1]
                 if node == sink:
                     break
-                arcs = adjacency[node]
-                want = level[node] + 1
-                for index in range(pointer[node], len(arcs)):
-                    arc = arcs[index]
-                    if capacity[arc] > 0 and level[head[arc]] == want:
-                        # Past the arc taken, even if it keeps capacity:
-                        # part of the search order results depend on.
-                        pointer[node] = index + 1
+                for arc in ahead[node]:
+                    if level[head[arc]] > 0:  # not yet a dead end
                         stack.append(head[arc])
                         taken.append(arc)
                         break
                 else:
                     # Dead end: this node cannot reach the sink in the level
                     # graph any more during this phase.
-                    pointer[node] = len(arcs)
                     level[node] = -1
                     stack.pop()
                     if taken:
@@ -324,37 +331,33 @@ class SplitFlow:
     def paths(self) -> List[List[Node]]:
         """Decompose the (integral, unit) flow into source-target node paths.
 
-        An arc carries flow when its reverse residual arc has capacity.  Each
-        split node lists the heads of its flow arcs (node arcs in node order,
-        then edge arcs in edge order) and the walk below consumes them with
-        ``pop()``, so the same flow always decomposes into the same paths.
+        An edge arc carries flow when its reverse residual arc has capacity.
+        Every node but the endpoints has capacity 1, so a path leaves each
+        node it enters by the single flow arc out of that node's out-node.
+        Each path is walked from one of the source's flow arcs, taken last
+        first in adjacency (edge) order, so the same flow always decomposes
+        into the same paths.
         """
         residual = self._residual
-        head = self._split._head
-        nodes = self._split.nodes
-        used: Dict[int, List[int]] = {}
-        for i in range(len(nodes)):
-            if residual[2 * i + 1] > 0:
-                used.setdefault(2 * i, []).append(2 * i + 1)
-        for arc in range(2 * len(nodes), len(head), 2):
-            if residual[arc + 1] > 0:
-                used.setdefault(head[arc + 1], []).append(head[arc])
-        start, goal = 2 * self._source + 1, 2 * self._target
+        adjacency, head, nodes = self._split._adjacency, self._split._head, self._split.nodes
+        goal = 2 * self._target
         paths: List[List[Node]] = []
-        while used.get(start):
-            # Walk one unit of flow from the source to the target.
-            walk = [start]
-            while walk[-1] != goal:
-                candidates = used.get(walk[-1])
-                if not candidates:
-                    # Cannot happen with a valid integral flow; guard anyway.
-                    return paths
-                walk.append(candidates.pop())
-            path = [self._source]
-            for split_id in walk[1:]:
-                if split_id % 2 == 0 and split_id // 2 != path[-1]:
-                    path.append(split_id // 2)
-            paths.append([nodes[i] for i in path])
+        # An out-node's even arcs are its edge arcs; its odd one is the
+        # reverse of its node arc.
+        starts = [
+            arc
+            for arc in adjacency[2 * self._source + 1]
+            if not arc & 1 and residual[arc + 1] > 0
+        ]
+        for arc in reversed(starts):
+            path = [nodes[self._source]]
+            tip = head[arc]
+            while tip != goal:
+                path.append(nodes[tip >> 1])
+                (arc,) = [a for a in adjacency[tip + 1] if not a & 1 and residual[a + 1] > 0]
+                tip = head[arc]
+            path.append(nodes[self._target])
+            paths.append(path)
         return paths
 
 

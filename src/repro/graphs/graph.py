@@ -323,9 +323,10 @@ class Graph:
         """Return ``build(self)``, built once and reused until the graph changes.
 
         Expensive structures computed from the adjacency alone (the compiled
-        flow networks of :mod:`repro.graphs.flow`) are cached here under
-        ``key``.  Any node or edge mutation drops the cache, and it is left
-        out of equality, :meth:`copy` and pickles.
+        flow networks of :mod:`repro.graphs.flow`, the minimum separator of
+        :mod:`repro.graphs.separators`) are cached here under ``key``.  Any
+        node or edge mutation drops the cache, and it is left out of
+        equality, :meth:`copy` and pickles.
         """
         try:
             return self._derived[key]

@@ -15,15 +15,38 @@ separator nodes.
 
 from __future__ import annotations
 
-from typing import Hashable, Optional, Set
+import itertools
+from typing import FrozenSet, Hashable, List, Optional, Set, Tuple
 
 from repro.exceptions import NodeNotFoundError
-from repro.graphs.connectivity import even_pairs
 from repro.graphs.flow import split_network
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import connected_components, is_connected
 
 Node = Hashable
+
+
+def even_pairs(graph: Graph) -> List[Tuple[Node, Node]]:
+    """Return the non-adjacent pairs whose minimum local connectivity is ``kappa(G)``.
+
+    Even's scheme: pick a minimum-degree pivot ``v``; every minimum separator
+    either misses ``v`` (and separates it from some non-neighbour ``w``) or
+    contains it (and separates two non-adjacent neighbours of ``v``).  Pairs
+    come pivot-first, then neighbour pairs by ``(degree, repr)``.
+    """
+    pivot = min(graph.nodes(), key=graph.degree)
+    pairs = [
+        (pivot, node)
+        for node in graph.nodes()
+        if node != pivot and not graph.has_edge(pivot, node)
+    ]
+    neighbors = sorted(
+        graph.neighbors(pivot), key=lambda node: (graph.degree(node), repr(node))
+    )
+    pairs.extend(
+        (x, y) for x, y in itertools.combinations(neighbors, 2) if not graph.has_edge(x, y)
+    )
+    return pairs
 
 
 def is_separating_set(graph: Graph, candidate: Set[Node]) -> bool:
@@ -85,11 +108,14 @@ def minimum_separator(graph: Graph) -> Set[Node]:
     ``M`` of size ``t + 1``, as required by the kernel construction, and
     ``len(M) - 1`` is the fault parameter ``t`` itself.
 
-    One sweep over Even's pairs (:func:`repro.graphs.connectivity
-    .even_pairs`) keeps the first strictly smallest pair separator.  Each
-    flow stops once it reaches the best size so far: a flow that stops there
-    cannot improve on it, and one that finishes below it ran exactly as an
-    uncut flow would, so the result is the unpruned sweep's.
+    One sweep over Even's pairs (:func:`even_pairs`) keeps the first strictly
+    smallest pair separator.  Each flow stops once it reaches the best size
+    so far: a flow that stops there cannot improve on it, and one that
+    finishes below it ran exactly as an uncut flow would, so the result is
+    the unpruned sweep's.  The sweep runs once per graph: its result is
+    cached on the graph (:meth:`~repro.graphs.graph.Graph.derived`) until the
+    graph changes, and :func:`~repro.graphs.connectivity.node_connectivity`
+    reads ``kappa(G)`` from it.  Each call returns a fresh set.
 
     Raises
     ------
@@ -97,6 +123,10 @@ def minimum_separator(graph: Graph) -> Set[Node]:
         If the graph is complete (no separating set exists), disconnected or
         has fewer than three nodes.
     """
+    return set(graph.derived("minimum-separator", _sweep_even_pairs))
+
+
+def _sweep_even_pairs(graph: Graph) -> FrozenSet[Node]:
     n = graph.number_of_nodes()
     if n < 3:
         raise ValueError("graphs with fewer than 3 nodes have no separating set")
@@ -117,7 +147,7 @@ def minimum_separator(graph: Graph) -> Set[Node]:
         # Every non-adjacent pair search failed, which for a non-complete
         # connected graph cannot happen; guard for safety.
         raise ValueError("failed to locate a separating set")
-    return best
+    return frozenset(best)
 
 
 def minimal_separating_set(graph: Graph, size: Optional[int] = None) -> Set[Node]:

@@ -192,10 +192,8 @@ class TestConstructionFlowWork:
         build_routing(graph, strategy=scenario.strategy, t=scenario.t)
         assert compiled == []
 
-    def test_certify_dense_routing_runs_184_max_flows(self, monkeypatch):
-        # circulant(96; 1, 2, 3): 95 Even pairs swept once for both t and
-        # M (a separate connectivity sweep would add 95 more), plus one
-        # flow per tree routing not covered by direct edges (89).
+    @staticmethod
+    def _build_counting_flows(spec, monkeypatch):
         calls = []
         original = flow._dinic
 
@@ -204,9 +202,29 @@ class TestConstructionFlowWork:
             return original(*args)
 
         monkeypatch.setattr(flow, "_dinic", counting_dinic)
-        _, result = parse_scenario("circulant:n=96,offsets=1+2+3/kernel").build()
+        _, result = parse_scenario(spec).build()
+        return result, len(calls)
+
+    def test_certify_dense_routing_runs_184_max_flows(self, monkeypatch):
+        # circulant(96; 1, 2, 3): 95 Even pairs swept once for both t and
+        # M (a separate connectivity sweep would add 95 more), plus one
+        # flow per tree routing not covered by direct edges (89).
+        result, flows = self._build_counting_flows(
+            "circulant:n=96,offsets=1+2+3/kernel", monkeypatch
+        )
         assert result.t == 5
-        assert len(calls) == 184
+        assert flows == 184
+
+    def test_auto_build_sweeps_even_pairs_once(self, monkeypatch):
+        # auto resolves t first, then falls back to the kernel: 30 Even
+        # pairs swept once, since the kernel's M is the separator that
+        # sweep cached (sweeping them again would add 30 more), plus 25
+        # tree-routing flows.
+        result, flows = self._build_counting_flows(
+            "random-regular:degree=4,n=30,seed=0/auto", monkeypatch
+        )
+        assert (result.scheme, result.t) == ("kernel", 3)
+        assert flows == 55
 
     def test_default_t_equals_connectivity_minus_one(self):
         for graph in (

@@ -5,7 +5,13 @@ import pickle
 
 import pytest
 
-from repro.graphs import generators, local_node_connectivity, node_connectivity
+from repro.graphs import (
+    Graph,
+    generators,
+    local_node_connectivity,
+    node_connectivity,
+    vertex_disjoint_paths,
+)
 from repro.graphs.flow import FlowNetwork, split_network, unit_max_flow
 
 
@@ -208,3 +214,16 @@ class TestSplitNetwork:
             plain = split_network(reduced, unit_edges).max_flow(0, 1)
             assert masked.value == plain.value == 1
             assert masked.paths() == plain.paths() == [[0, 5, 4, 3, 2, 1]]
+
+    def test_cancelled_flow_decomposes_in_source_arc_order(self):
+        # Dinic augments 0-5-6, then 0-2-3-6, then 0-1-3-2-4-6, whose step
+        # 3 -> 2 runs along the reverse arc of 2 -> 3 and cancels that unit.
+        # The paths come out by the source's flow arcs, last first.
+        graph = Graph(
+            nodes=range(7),
+            edges=[
+                (0, 5), (1, 3), (3, 6), (5, 6), (3, 4), (0, 2),
+                (1, 2), (4, 6), (2, 3), (0, 1), (2, 4),
+            ],
+        )
+        assert vertex_disjoint_paths(graph, 0, 6) == [[0, 1, 3, 6], [0, 2, 4, 6], [0, 5, 6]]

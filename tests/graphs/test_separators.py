@@ -105,7 +105,10 @@ class TestMinimumSeparator:
             generators.circulant_graph(10, [1, 2]),
         ):
             separator = minimum_separator(graph)
-            assert len(separator) == node_connectivity(graph)
+            # Without a cutoff node_connectivity reads the separator's size;
+            # a cutoff of n runs the value sweep over Even's pairs instead.
+            n = graph.number_of_nodes()
+            assert len(separator) == node_connectivity(graph, cutoff=n)
             assert is_separating_set(graph, separator)
 
     def test_path_cut_vertex(self):
@@ -125,6 +128,16 @@ class TestMinimumSeparator:
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError):
             minimum_separator(Graph(edges=[(0, 1)], nodes=[2]))
+
+    def test_cached_until_the_graph_changes_and_handed_out_fresh(self):
+        graph = generators.cycle_graph(8)
+        separator = minimum_separator(graph)
+        assert separator == {1, 7}
+        separator.add(4)
+        assert minimum_separator(graph) == {1, 7}
+        assert minimum_separator(graph) is not minimum_separator(graph)
+        graph.add_edge(0, 4)
+        assert minimum_separator(graph) == {0, 2}
 
 
 class TestMinimalSeparatingSet:
