@@ -50,7 +50,9 @@ BFS of the lowest alive node alone.  When that BFS misses a node or passes
 the cap, it ends the evaluation after one BFS, with the triple the
 per-source strategy returns.  Past the tolerance most fault sets
 disconnect, and such a set then costs one BFS instead of a propagation to
-convergence.
+convergence.  The propagation itself drops each source once its reach set
+is complete, and advances a source through its hub successors first, so a
+source usually completes without reading the rest of its row.
 
 Evaluation backends
 -------------------
@@ -75,9 +77,12 @@ of a disconnection: once a cursor is known to be disconnected by a missing
 target other than ``v``, ``with_added(v)`` propagates the infinite diameter
 without running a single BFS.
 
-Every bitset evaluation, cursor or one-shot, reads each alive row's
-successor list from the index's memo, keyed by the row's value and bounded
-by :data:`SUCCESSOR_MEMO_FACTOR`; related fault sets share most rows.
+Every bitset evaluation on the batched strategy, cursor or one-shot,
+reads the successor ids of each row it propagates from the index's memo,
+in two parts keyed by value: the row's hub successors (nodes whose
+fault-free row is longer than the mean row) and the rest.  The memo is
+bounded by :data:`SUCCESSOR_MEMO_FACTOR`; related fault sets share most
+parts.
 
 The index is read-only with respect to the graph and routing: mutating either
 after building the index invalidates it (build a fresh one instead).  It is
@@ -173,24 +178,56 @@ def _mask_ids(mask: int) -> List[int]:
     return ids
 
 
-class _SuccessorMemo(dict):
-    """Masked row value -> its successor ids, ascending, as a tuple.
+def _hub_mask(rows: Sequence[int]) -> int:
+    """The nodes whose row holds more arcs than the mean row, as a mask.
 
-    The batched BFS strategy turns every alive row into a successor list
-    before it propagates.  Index evaluations pass their index's memo, so a
-    row value seen before costs one dict lookup.  Rows recur under churn:
-    a fault removes at most one of a source's disjoint kernel routes, so a
-    source's row takes few distinct values.  The memo holds at most
-    ``limit`` entries and is cleared when full; ``misses`` counts the rows
-    it had to convert.
+    The batched BFS strategy ORs the reach sets of these successors first.
+    On a kernel routing they are the separator's nodes, whose routes reach
+    almost every node, so a source's reach is usually complete after them.
+    Index evaluations take the hubs of the fault-free route graph.
+    """
+    n = len(rows)
+    arcs = sum(map(int.bit_count, rows))
+    hubs = 0
+    for node, row in enumerate(rows):
+        if row.bit_count() * n > arcs:
+            hubs |= 1 << node
+    return hubs
+
+
+class _SuccessorMemo(dict):
+    """Row part -> its node ids, ascending, as a tuple.
+
+    The batched BFS strategy reads a row's successors in two parts: its
+    hub successors ``row & hubs`` and the rest ``row & ~hubs``, where
+    ``hubs`` is the :func:`_hub_mask` of the route graph the memo serves.
+    Each part is a key, so a part seen before costs one dict lookup, and a
+    missing one is converted on ``memo[part]``.  Parts recur under churn:
+    most rows hold the same hub part, and a fault removes at most one of a
+    source's disjoint kernel routes, so a row's rest takes few distinct
+    values.  The memo holds at most ``limit`` entries and is cleared when
+    full; ``misses`` counts the parts it had to convert.
     """
 
-    __slots__ = ("limit", "misses")
+    __slots__ = ("limit", "hubs", "misses")
 
-    def __init__(self, limit: int) -> None:
+    def __init__(self, limit: int, hubs: int) -> None:
         super().__init__()
         self.limit = limit
+        self.hubs = hubs
         self.misses = 0
+
+    @classmethod
+    def for_rows(cls, rows: Sequence[int]) -> "_SuccessorMemo":
+        """An empty memo bounded for ``rows``, with their hubs."""
+        return cls(SUCCESSOR_MEMO_FACTOR * len(rows), _hub_mask(rows))
+
+    def __missing__(self, part: int) -> Tuple[int, ...]:
+        if len(self) >= self.limit:
+            self.clear()
+        targets = self[part] = tuple(_mask_ids(part))
+        self.misses += 1
+        return targets
 
 
 class RouteIndex:
@@ -286,7 +323,7 @@ class RouteIndex:
                     kill = kill_rows[id_of[node]]
                     kill[sid] = kill.get(sid, 0) | target_bit
         self._backend = backend or _rule_backend(n)
-        self._successor_memo = _SuccessorMemo(SUCCESSOR_MEMO_FACTOR * n)
+        self._successor_memo = _SuccessorMemo.for_rows(self._base_rows)
 
     # ------------------------------------------------------------------
     # Pickling (worker shipping)
@@ -297,7 +334,8 @@ class RouteIndex:
         # to rebuild from the bitset rows; receivers rebuild it lazily.
         state["_np_kernel"] = None
         # Receivers start with an empty successor memo.
-        state["_successor_memo"] = _SuccessorMemo(self._successor_memo.limit)
+        memo = self._successor_memo
+        state["_successor_memo"] = _SuccessorMemo(memo.limit, memo.hubs)
         return state
 
     # ------------------------------------------------------------------
@@ -457,7 +495,7 @@ class RouteIndex:
         index._base_rows = [int(row) for row in state["base_rows"]]
         index._base_preds = [int(row) for row in state["base_preds"]]
         index._backend = backend or _rule_backend(n)
-        index._successor_memo = _SuccessorMemo(SUCCESSOR_MEMO_FACTOR * n)
+        index._successor_memo = _SuccessorMemo.for_rows(index._base_rows)
         index._multi = bool(state["multi"])
         if index._multi:
             index._kill_rows = []
@@ -498,7 +536,8 @@ class RouteIndex:
         clone.graph = None
         clone.routing = None
         clone._np_kernel = None  # rebuilt lazily in the receiving process
-        clone._successor_memo = _SuccessorMemo(self._successor_memo.limit)
+        memo = self._successor_memo
+        clone._successor_memo = _SuccessorMemo(memo.limit, memo.hubs)
         clone._node_pool = self.node_pool  # materialise before shipping
         return clone
 
@@ -1111,12 +1150,13 @@ def _rows_diameter_witness(
 
     Two strategies cover the two shapes surviving route graphs come in.
     Sparse graphs use *batched propagation*: every node's reachable set is a
-    bitmask and one level advance is a single ``|=`` per surviving arc — all
-    sources progress together, so the cost is ``O(arcs)`` per diameter unit.
-    Dense graphs (where a BFS completes in a level or two and most sources
-    terminate almost immediately) use per-source frontier BFS, which
-    exploits that early exit.  :data:`BFS_DENSITY_FACTOR` draws the line
-    between the two.  Both return identical values.
+    bitmask, all sources advance one level together, and a source leaves
+    the propagation once its reach set is complete (see
+    :func:`_batched_diameter`).  Dense graphs (where a BFS completes in a
+    level or two and most sources terminate almost immediately) use
+    per-source frontier BFS, which exploits that early exit.
+    :data:`BFS_DENSITY_FACTOR` draws the line between the two.  Both return
+    identical values.
 
     The batched strategy is guarded by the lowest alive node's frontier BFS,
     which is the per-source strategy's first step.  When that BFS misses a
@@ -1135,9 +1175,7 @@ def _rows_diameter_witness(
     total = alive.bit_count()
     if total == 1:
         return 0, None, None
-    arcs = 0
-    for row in rows:
-        arcs += row.bit_count()
+    arcs = sum(map(int.bit_count, rows))
     if arcs * BFS_DENSITY_FACTOR <= total * total:
         return _batched_diameter(rows, alive, total, cap, successor_memo)
     return _per_source_diameter(rows, alive, cap)
@@ -1150,73 +1188,88 @@ def _batched_diameter(
     cap: Optional[float],
     successor_memo: Optional[_SuccessorMemo] = None,
 ) -> Tuple[float, Optional[Tuple[int, int]], Optional[Tuple[int, int, int]]]:
-    """All-sources reachability propagation (one ``|=`` per arc per level).
+    """All-sources reachability propagation, hub successors first.
 
     Guarded by the lowest alive node's own frontier BFS: when it misses a
     node or passes ``cap``, its triple is the answer (see
     :func:`_rows_diameter_witness`) and the propagation never runs.
 
-    Each alive row's successor list comes from ``successor_memo``, keyed
-    by the row's value; only rows it lacks are converted.  Index
-    evaluations pass their index's memo.  A caller with bare rows may
-    leave it out and gets a memo of its own for the call.  The result
-    never depends on the memo's contents.
+    ``reach[u]`` holds the nodes within distance ``level`` of ``u``.  A
+    source is *active* while its reach falls short of ``alive``; its
+    eccentricity is the level at which it stops being active, so the
+    diameter is the level at which none is left.  A level advance ORs into
+    each active source's reach the previous level's reach sets of its
+    successors: first those of its hub successors (the memo's ``hubs``),
+    whose union is formed once per level for each distinct hub part, and
+    only when they leave the source short of ``alive``, those of the rest.
+    Every level thus yields the exact reach of each active source, which is
+    what the witnesses report: the lowest active source's unreached nodes,
+    once ``cap`` is reached (a capped witness) or once a level adds nothing
+    (a disconnection).
+
+    Successor ids come from ``successor_memo`` (see :class:`_SuccessorMemo`).
+    Index evaluations pass their index's memo, whose hubs are those of the
+    fault-free route graph.  A caller with bare rows may leave it out and
+    gets a memo of its own for the call, with the hubs of ``rows``.  The
+    result never depends on the memo's contents or hubs.
     """
     guard = _per_source_diameter(rows, alive, cap, alive & -alive)
     if guard[0] == INFINITY:
         return guard
     if successor_memo is None:
-        successor_memo = _SuccessorMemo(SUCCESSOR_MEMO_FACTOR * len(rows))
-    ids = _mask_ids(alive)
-    succ: List[Sequence[int]] = [()] * len(rows)
-    lookup = successor_memo.get
-    for node in ids:
-        row = rows[node]
-        targets = lookup(row)
-        if targets is None:
-            targets = tuple(_mask_ids(row))
-            if len(successor_memo) >= successor_memo.limit:
-                successor_memo.clear()
-            successor_memo[row] = targets
-            successor_memo.misses += 1
-        succ[node] = targets
-    # reach[u] = nodes within distance <= k of u; k starts at 1.
-    reach: List[int] = [0] * len(rows)
-    for node in ids:
-        reach[node] = (1 << node) | rows[node]
+        successor_memo = _SuccessorMemo.for_rows(rows)
+    hubs = successor_memo.hubs
+    others = ~hubs
+    n = len(rows)
+    # The alive ids, ascending: every id but the few faulty ones.
+    ids = list(range(n))
+    for node in reversed(_mask_ids(((1 << n) - 1) & ~alive)):
+        del ids[node]
+    # A faulty node's entry is never read: no alive row points at it.
+    reach = [(1 << node) | row for node, row in enumerate(rows)]
+    active = [node for node in ids if reach[node] != alive]
+    # Each source's rest successors, looked up on its first rest pass.
+    rest: List[Optional[Tuple[int, ...]]] = [None] * n
     level = 1
-    while True:
-        complete = alive
-        for node in ids:
-            complete &= reach[node]
-        if complete == alive:
-            return level, None, None
+    while active:
         if cap is not None and level >= cap:
             # reach covers distance <= level, so any unreached node is at
             # distance >= level + 1 from its source: a capped witness.
-            for node in ids:
-                if reach[node] != alive:
-                    return (
-                        INFINITY,
-                        None,
-                        (1 << node, alive & ~reach[node], level + 1),
-                    )
-            return INFINITY, None, None  # pragma: no cover - incomplete above
-        advanced: List[int] = [0] * len(rows)
-        changed = False
-        for node in ids:
+            node = active[0]
+            return INFINITY, None, (1 << node, alive & ~reach[node], level + 1)
+        advanced = list(reach)
+        still_active: List[int] = []
+        hub_reach: Dict[int, int] = {}
+        for node in active:
+            row = rows[node]
             acc = reach[node]
-            for target in succ[node]:
-                acc |= reach[target]
+            part = row & hubs
+            if part:
+                union = hub_reach.get(part)
+                if union is None:
+                    union = 0
+                    for target in successor_memo[part]:
+                        union |= reach[target]
+                    hub_reach[part] = union
+                acc |= union
+            if acc != alive:
+                targets = rest[node]
+                if targets is None:
+                    targets = rest[node] = successor_memo[row & others]
+                for target in targets:
+                    acc |= reach[target]
+                if acc != alive:
+                    still_active.append(node)
             advanced[node] = acc
-            if acc != reach[node]:
-                changed = True
-        if not changed:
-            for node in ids:
-                if reach[node] != alive:
-                    return INFINITY, (1 << node, alive & ~reach[node]), None
+        # A source that completes has grown, so nothing grew only when every
+        # source stayed active with its reach unchanged.
+        if len(still_active) == len(active) and advanced == reach:
+            node = active[0]
+            return INFINITY, (1 << node, alive & ~reach[node]), None
         reach = advanced
+        active = still_active
         level += 1
+    return level, None, None
 
 
 def _per_source_diameter(

@@ -10,12 +10,14 @@ propagate.
 
 from __future__ import annotations
 
-import asyncio
 import json
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.exceptions import ServingError
 from repro.serialization import decode_node, encode_node
+
+if TYPE_CHECKING:
+    import asyncio
 
 Node = Hashable
 
@@ -34,6 +36,8 @@ class ServingClient:
 
     @classmethod
     async def connect(cls, host: str, port: int) -> "ServingClient":
+        import asyncio
+
         reader, writer = await asyncio.open_connection(
             host, port, limit=_MAX_LINE
         )

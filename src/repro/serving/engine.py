@@ -551,7 +551,7 @@ class ServingEngine:
         """Operational counters (served by the ``stats`` wire op).
 
         Besides the query and cursor-LRU counters: the size of the index's
-        successor-list memo and the rows it had to convert
+        successor-list memo and the row parts it had to convert
         (``successor_memo_misses``), and the effective next-hop tables the
         views built for batches (``batch_tables``).
         """

@@ -17,13 +17,15 @@ the connection open; malformed JSON closes it.
 
 from __future__ import annotations
 
-import asyncio
 import json
-from typing import Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.exceptions import ReproError, ServingError
 from repro.serialization import decode_node, encode_node
 from repro.serving.engine import ServingEngine
+
+if TYPE_CHECKING:
+    import asyncio
 
 #: Protocol revision, reported by ``info`` and checked by the thin client.
 PROTOCOL_VERSION = 1
@@ -52,6 +54,8 @@ class RoutingTableServer:
         """Bind and start accepting connections (idempotent)."""
         if self._server is not None:
             return
+        import asyncio
+
         self._server = await asyncio.start_server(
             self._handle, self._host, self._port, limit=_MAX_LINE
         )
@@ -79,6 +83,8 @@ class RoutingTableServer:
     async def _handle(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        import asyncio
+
         try:
             while True:
                 try:

@@ -1,14 +1,17 @@
 """The successor-list memo behind every evaluation on the bitset kernel.
 
-:func:`repro.core.route_index._batched_diameter` turns each alive row into
-its successor ids before it propagates reach sets.  Index evaluations,
-cursor and one-shot alike, pass their index's
-:class:`~repro.core.route_index._SuccessorMemo`, keyed by row value, so
-rows that recur across related fault sets are converted once.  The memo
-must stay within its documented bound, hold only correct entries, start
-empty in every copied or rebuilt index, and never change an answer: triples
-equal those of the memo-free evaluation kept below as the oracle, with the
-memo empty, warm, or cleared mid-run.
+:func:`repro.core.route_index._batched_diameter` reads the successor ids of
+each row it propagates in two parts: the row's hub successors (``row &
+hubs``, the nodes whose fault-free row is longer than the mean row) and the
+rest (``row & ~hubs``), the latter only when the hub successors leave the
+source's reach incomplete.  Index evaluations, cursor and one-shot alike,
+pass their index's :class:`~repro.core.route_index._SuccessorMemo`, keyed
+by part value, so parts that recur across related fault sets are converted
+once.  The memo must stay within its documented bound, hold only such
+parts mapped to their bit positions, start empty in every copied or rebuilt
+index, and never change an answer: triples equal those of the memo-free,
+hub-free evaluation kept below as the oracle, with the memo empty, warm, or
+cleared mid-run, on route graphs with hub rows and without them.
 """
 
 import math
@@ -31,6 +34,8 @@ from repro.core.route_index import (
     _rows_diameter_witness,
     _SuccessorMemo,
 )
+from repro.core.routing import Routing
+from repro.graphs import generators
 from repro.scenarios.spec import parse_scenario
 
 SETTINGS = settings(
@@ -43,12 +48,16 @@ SETTINGS = settings(
 )
 
 #: Sparse route graphs, so cursor evaluations take the batched strategy:
-#: single routings (the serving benchmark's among them) and a multirouting.
+#: single routings (the serving benchmark's among them) and a multirouting,
+#: each with a few hub rows (the kernel's separator), and the edge routes of
+#: a circulant, whose rows are all alike, so it has no hub.
 SPECS = (
     "cycle:n=40/kernel/sizes:1",
     "circulant:n=96,offsets=1+2/kernel/sizes:1",
     "cycle:n=30/multi-kernel/sizes:1",
 )
+HUBLESS = "circulant:n=40,offsets=1+2/edge-routes"
+ROUTE_GRAPHS = SPECS + (HUBLESS,)
 
 CAPS = (None, 1, 2, 3, 5, 8)
 
@@ -61,6 +70,10 @@ def built():
         graph = scenario.build_graph()
         result = build_routing(graph, strategy=scenario.strategy, t=scenario.t)
         indexes[spec] = RouteIndex(graph, result.routing, backend="bitset")
+    graph = generators.circulant_graph(40, [1, 2])
+    routing = Routing(graph)
+    routing.add_all_edge_routes()
+    indexes[HUBLESS] = RouteIndex(graph, routing, backend="bitset")
     return indexes
 
 
@@ -77,6 +90,14 @@ def _fault_lists(draw, nodes):
 
 def _bits(row):
     return tuple(node for node in range(row.bit_length()) if (row >> node) & 1)
+
+
+def _hubs(rows):
+    """The hub rule restated: rows holding more arcs than the mean row."""
+    mean = sum(bin(row).count("1") for row in rows) / len(rows)
+    return sum(
+        1 << node for node, row in enumerate(rows) if bin(row).count("1") > mean
+    )
 
 
 def _memo_free_batched(rows, alive, cap):
@@ -147,7 +168,7 @@ class TestBound:
             built["circulant:n=96,offsets=1+2/kernel/sizes:1"].export_state(),
             backend="bitset",
         )
-        index._successor_memo = _SuccessorMemo(50)
+        index._successor_memo = _SuccessorMemo(50, index._successor_memo.hubs)
         rng = random.Random(7)
         nodes = list(index._nodes)
         misses = 0
@@ -172,24 +193,54 @@ class TestBound:
             assert len(index._successor_memo) <= index._successor_memo.limit
 
 
+class TestHubs:
+    def test_hubs_are_the_rows_longer_than_the_mean(self, built):
+        for key, index in built.items():
+            hubs = index._successor_memo.hubs
+            assert hubs == _hubs(index._base_rows)
+            assert bool(hubs) == (key != HUBLESS)
+            # A memo for bare rows takes the hubs of those rows.
+            rows = index.cursor([index._nodes[0]])._materialise_rows()
+            assert _SuccessorMemo.for_rows(rows).hubs == _hubs(rows)
+        # The serving benchmark's route graph: its four separator rows.
+        index = built["circulant:n=96,offsets=1+2/kernel/sizes:1"]
+        hub_ids = _bits(index._successor_memo.hubs)
+        lengths = sorted(bin(index._base_rows[node]).count("1") for node in hub_ids)
+        assert len(lengths) == 4 and lengths[0] > 90
+
+
 class TestEntries:
     @SETTINGS
     @given(data=st.data())
     def test_every_entry_is_its_rows_bit_positions(self, built, data):
-        spec = data.draw(st.sampled_from(SPECS))
-        index = built[spec]
+        """Every key is the hub part or the rest of a propagated row.
+
+        An entry maps such a part to its bit positions, ascending.  Both
+        parts of every surviving row of the evaluated fault sets are
+        allowed; a key that mixes hub and non-hub bits is not.
+        """
+        spec = data.draw(st.sampled_from(ROUTE_GRAPHS))
+        index = RouteIndex.from_state(built[spec].export_state(), backend="bitset")
+        hubs = index._successor_memo.hubs
         index.cursor(()).diameter()
-        for faults in _fault_lists(data.draw, list(index._nodes)):
+        parts = set()
+        for faults in [()] + _fault_lists(data.draw, list(index._nodes)):
             cap = data.draw(st.sampled_from(CAPS))
             index.cursor(faults).diameter(cap=cap)
             index.surviving_diameter(faults, cap=cap)
+            for row in index.cursor(faults)._materialise_rows():
+                parts.update((row & hubs, row & ~hubs))
         memo = index._successor_memo
         if spec.startswith("circulant"):
             # Its fault-free route graph takes the batched strategy.
             assert memo
-        for row, successors in memo.items():
+        for part, successors in memo.items():
             assert isinstance(successors, tuple)
-            assert successors == _bits(row)
+            assert successors == _bits(part)
+            assert part & hubs in (0, part)
+        # At most two parts per row and evaluation: the bound was not reached.
+        assert memo.misses == len(memo)
+        assert set(memo) <= parts
 
     def test_misses_count_the_converted_rows(self, built):
         index = RouteIndex.from_state(
@@ -200,7 +251,7 @@ class TestEntries:
         index.cursor(()).diameter()
         first = memo.misses
         assert first == len(memo) > 0
-        # The same fault set again: every row hits, no miss is counted.
+        # The same fault set again: every part hits, no miss is counted.
         index.cursor(()).diameter()
         assert memo.misses == first
 
@@ -219,6 +270,7 @@ class TestCopiesStartEmpty:
         assert clone._successor_memo.misses == 0
         assert clone._successor_memo is not index._successor_memo
         assert clone._successor_memo.limit == index._successor_memo.limit
+        assert clone._successor_memo.hubs == index._successor_memo.hubs
 
     def test_pickle(self, built):
         index = self._warm(built)
@@ -228,6 +280,7 @@ class TestCopiesStartEmpty:
             assert len(copy._successor_memo) == 0
             assert copy._successor_memo.misses == 0
             assert copy._successor_memo.limit == index._successor_memo.limit
+            assert copy._successor_memo.hubs == index._successor_memo.hubs
         # Pickling never empties the sender's memo.
         assert index._successor_memo
 
@@ -237,6 +290,7 @@ class TestCopiesStartEmpty:
         assert len(rebuilt._successor_memo) == 0
         assert rebuilt._successor_memo.misses == 0
         assert rebuilt._successor_memo.limit == SUCCESSOR_MEMO_FACTOR * rebuilt._n
+        assert rebuilt._successor_memo.hubs == index._successor_memo.hubs
 
 
 class TestOneShot:
@@ -254,10 +308,10 @@ class TestOneShot:
         assert index.surviving_diameter(battery[0]) == expected[0]
         first = memo.misses
         assert first == len(memo) > 0
-        # The same fault set again converts no row.
+        # The same fault set again converts no part.
         assert index.surviving_diameter(battery[0]) == expected[0]
         assert memo.misses == first
-        # A different fault set converts only the rows its faults changed.
+        # A different fault set converts only the parts its faults changed.
         assert index.surviving_diameters(battery) == expected
         assert first < memo.misses < 3 * first
         # A cursor for a fault set the one-shot calls saw converts nothing.
@@ -270,7 +324,7 @@ class TestOneShot:
     @SETTINGS
     @given(data=st.data())
     def test_values_equal_the_oracle(self, built, data):
-        spec = data.draw(st.sampled_from(SPECS))
+        spec = data.draw(st.sampled_from(ROUTE_GRAPHS))
         index = RouteIndex.from_state(built[spec].export_state(), backend="bitset")
         lists = _fault_lists(data.draw, list(index._nodes))
         cap = data.draw(st.sampled_from(CAPS))
@@ -291,7 +345,7 @@ class TestSameTriples:
     @SETTINGS
     @given(data=st.data())
     def test_empty_warm_and_cleared(self, built, data):
-        spec = data.draw(st.sampled_from(SPECS))
+        spec = data.draw(st.sampled_from(ROUTE_GRAPHS))
         state = built[spec].export_state()
         nodes = list(built[spec]._nodes)
         lists = _fault_lists(data.draw, nodes)
@@ -317,10 +371,17 @@ class TestSameTriples:
     @SETTINGS
     @given(data=st.data())
     def test_batched_strategy_equals_the_oracle(self, built, data):
-        """A shared memo of any bound, or the call's own, gives the oracle's triple."""
-        spec = data.draw(st.sampled_from(SPECS))
+        """A shared memo of any bound and hubs, or the call's own: the oracle's triple.
+
+        Hubs drawn: the index's, none (every successor in the rest part),
+        or every node (every successor in the hub part).
+        """
+        spec = data.draw(st.sampled_from(ROUTE_GRAPHS))
         index = built[spec]
-        memo = _SuccessorMemo(data.draw(st.sampled_from([1, 5, 10 ** 6])))
+        hubs = data.draw(
+            st.sampled_from([index._successor_memo.hubs, 0, index._full_mask])
+        )
+        memo = _SuccessorMemo(data.draw(st.sampled_from([1, 5, 10 ** 6])), hubs)
         for faults in _fault_lists(data.draw, list(index._nodes)):
             cursor = index.cursor(faults)
             rows, alive = cursor._materialise_rows(), cursor._alive

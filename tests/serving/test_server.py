@@ -2,6 +2,10 @@
 
 import asyncio
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -183,3 +187,24 @@ class TestProtocol:
         server = RoutingTableServer(ServingEngine(artifact))
         with pytest.raises(ServingError):
             server.address
+
+
+def test_importing_the_library_leaves_asyncio_unloaded():
+    """Only serving over a socket loads asyncio (and ssl, socket, selectors...).
+
+    The server, the client and ``repro serve`` import it where they use it,
+    so a fresh interpreter importing the library, the serving package and
+    the CLI leaves it out.
+    """
+    code = (
+        "import sys\n"
+        "import repro, repro.serving, repro.cli\n"
+        "print('asyncio' in sys.modules)\n"
+    )
+    src = str(Path(__file__).resolve().parents[2] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
