@@ -53,7 +53,7 @@ Quickstart::
     print(result.describe())
     print(surviving_diameter(graph, result.routing, faults={0, 3, 5}))
 
-Campaigns at scale go through the engine (``repro campaign`` on the command
+Campaigns at scale go through the engine (``repro grid`` on the command
 line)::
 
     from repro import CampaignEngine

@@ -19,20 +19,16 @@ driven without writing Python:
   and p99 latency, drop rate and the deepest link queue; several specs
   compare strategies under the identical load, and ``--store`` persists
   one ``kind="traffic"`` row per spec for ``repro report``;
-* ``python -m repro campaign --graph circulant:24,1,2 --sizes 1,2,3 --samples 100``
-  runs indexed Monte-Carlo fault campaigns (one per fault-set size) through
-  the :class:`~repro.faults.engine.CampaignEngine`, optionally sharded over
-  ``--workers`` processes (same seed => same rows for any worker count);
-* ``python -m repro campaign --scenario hypercube:d=4/kernel/sizes:1,2,3 --bound 4``
-  runs whole scenario suites — ``--scenario`` may repeat, each spec names a
-  graph family + strategy + fault model, and ``--bound`` streams pass/fail
-  decisions instead of exact diameters;
 * ``python -m repro grid "hypercube:d=3..5/kernel/t=1..2/sizes:1-3" \
-  --store results.jsonl`` expands a scenario *grid* (``lo..hi`` ranges over
-  integer graph parameters and ``t``) into a suite, persists one JSONL
-  record per campaign into the result store, and — with ``--resume`` —
-  skips every campaign the store already records, so an interrupted sweep
-  picks up exactly where it was killed;
+  --store results.jsonl`` runs fault campaigns: it expands a scenario
+  *grid* (``lo..hi`` ranges over integer graph parameters and ``t``) into
+  a suite, optionally sharded over ``--workers`` processes (same seed =>
+  same rows for any worker count), persists one JSONL record per campaign
+  into the result store, and — with ``--resume`` — skips every campaign
+  the store already records, so an interrupted sweep picks up exactly
+  where it was killed; a plain scenario such as
+  ``circulant:12,1,2/auto/sizes:0,1,2`` is a one-scenario grid, and
+  ``--bound`` streams pass/fail decisions instead of exact diameters;
 * ``python -m repro report results.jsonl`` renders the paper-style scaling
   table (rows = family/size, columns = ``t``, cells = ``mean ± worst``
   surviving diameter or pass rate) from a stored run, as markdown or CSV;
@@ -76,7 +72,6 @@ from repro.core.statistics import concentrator_load_share, routing_statistics
 from repro.core.builder import available_strategies
 from repro.core.route_index import EVAL_BACKENDS
 from repro.exceptions import ReproError
-from repro.faults import CampaignEngine
 from repro.faults.simulation import CampaignStatus
 from repro.graphs.graph import Graph
 from repro.graphs.registry import GRAPH_FAMILIES, parse_graph_spec
@@ -191,10 +186,10 @@ def _cmd_scenarios(args: argparse.Namespace) -> int:
         "  sizes:a-b    expands to the size list a,a+1,...,b\n"
         "  e.g. hypercube:d=3..8/kernel|circular/t=1..3/sizes:1-5\n"
         "\nexamples:\n"
-        "  repro campaign --scenario hypercube:d=4/kernel/sizes:1,2,3\n"
-        "  repro campaign --scenario circulant:n=60,offsets=1+2/kernel/random:p=0.05 \\\n"
-        "                 --scenario flower:t=2,k=9/circular/exhaustive:f=2 \\\n"
-        "                 --bound 6 --workers 4 --seed 7\n"
+        "  repro grid hypercube:d=4/kernel/sizes:1,2,3\n"
+        "  repro grid circulant:n=60,offsets=1+2/kernel/random:p=0.05 \\\n"
+        "             flower:t=2,k=9/circular/exhaustive:f=2 \\\n"
+        "             --bound 6 --workers 4 --seed 7\n"
         "  repro grid 'hypercube:d=3..5/kernel/t=1..2/sizes:1-3' \\\n"
         "             --samples 20 --store results.jsonl --resume\n"
         "  repro grid 'hypercube:d=3..5/kernel|circular/t=1..2/sizes:1-3' \\\n"
@@ -277,124 +272,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     return 0 if all(row["delivered"] == "yes" for row in rows) else 1
 
 
-def _parse_sizes(text: str) -> List[int]:
-    sizes = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        value = int(token)
-        if value < 0:
-            raise ValueError(f"fault-set size must be non-negative, got {value}")
-        sizes.append(value)
-    if not sizes:
-        raise ValueError("no fault-set sizes given (e.g. --sizes 1,2,3)")
-    return sizes
-
-
-def _cmd_campaign(args: argparse.Namespace) -> int:
-    if args.scenario:
-        if args.graph:
-            raise ValueError("--scenario and --graph are mutually exclusive")
-        # Scenario specs carry their own strategy / t / fault model; refuse
-        # the --graph-mode flags instead of silently ignoring them.
-        if args.strategy != "auto":
-            raise ValueError(
-                "--strategy has no effect with --scenario; put the strategy "
-                "in the spec, e.g. hypercube:d=4/kernel"
-            )
-        if args.t is not None:
-            raise ValueError(
-                "--t has no effect with --scenario; put it in the spec, "
-                "e.g. hypercube:d=4/kernel/t=2"
-            )
-        if args.sizes != "1,2,3":
-            raise ValueError(
-                "--sizes has no effect with --scenario; put the fault model "
-                "in the spec, e.g. hypercube:d=4/sizes:1,2,3"
-            )
-        return _run_scenario_campaigns(args)
-    if not args.graph:
-        raise ValueError("one of --graph or --scenario is required")
-    graph, result = _build(args)
-    sizes = _parse_sizes(args.sizes)
-    engine = CampaignEngine(
-        graph,
-        result.routing,
-        workers=args.workers,
-        chunk_size=args.chunk_size,
-        backend=args.eval_backend,
-    )
-    campaigns = engine.sweep_fault_sizes(
-        sizes,
-        samples=args.samples,
-        seed=args.seed,
-        bound=args.bound,
-        greedy=args.greedy,
-        candidate_limit=args.candidate_limit,
-    )
-    print(result.describe())
-    print()
-    bound_note = f", bound={args.bound:g}" if args.bound is not None else ""
-    print(
-        format_table(
-            [campaign.as_row() for campaign in campaigns],
-            caption=(
-                f"Fault campaigns ({args.samples} samples/size, "
-                f"workers={args.workers}, seed={args.seed}{bound_note})"
-            ),
-        )
-    )
-    exit_code = 0
-    for campaign in campaigns:
-        if args.bound is not None:
-            if campaign.first_violation is not None:
-                print(
-                    f"first violation at |F|={campaign.fault_size}: "
-                    f"{campaign.first_violation}"
-                )
-                exit_code = 1
-        elif campaign.worst_fault_set is not None and len(campaign.worst_fault_set):
-            print(f"worst at |F|={campaign.fault_size}: {campaign.worst_fault_set}")
-    return exit_code
-
-
-def _run_scenario_campaigns(args: argparse.Namespace) -> int:
-    """Run ``repro campaign --scenario ...`` through the suite runner."""
-    scenarios = [parse_scenario(spec) for spec in args.scenario]
-    rows = run_scenario_suite(
-        scenarios,
-        samples=args.samples,
-        seed=args.seed,
-        bound=args.bound,
-        workers=args.workers,
-        chunk_size=args.chunk_size,
-        backend=args.eval_backend,
-        greedy=args.greedy,
-        candidate_limit=args.candidate_limit,
-    )
-    bound_note = f", bound={args.bound:g}" if args.bound is not None else ""
-    print(
-        format_table(
-            [row.as_row() for row in rows],
-            caption=(
-                f"Scenario suite ({len(scenarios)} scenarios, "
-                f"{args.samples} samples/campaign, workers={args.workers}, "
-                f"seed={args.seed}{bound_note})"
-            ),
-        )
-    )
-    if args.bound is not None:
-        violated = [row for row in rows if not row.campaign.holds]
-        for row in violated:
-            print(
-                f"bound violated: {row.scenario} at |F|={row.campaign.fault_size} "
-                f"({row.campaign.violations} violations)"
-            )
-        return 1 if violated else 0
-    return 0
-
-
 def _cmd_grid(args: argparse.Namespace) -> int:
     """Run ``repro grid``: expand grid specs, run the suite, store + report."""
     grids = [parse_grid(spec) for spec in args.spec]
@@ -435,6 +312,8 @@ def _cmd_grid(args: argparse.Namespace) -> int:
             store = ResultStore.create(args.store, run, fsync=args.fsync)
     elif args.resume:
         raise ValueError("--resume needs --store (the JSONL file to resume)")
+    elif args.fsync is not None:
+        raise ValueError("--fsync needs --store (the JSONL file to make durable)")
 
     policy = SupervisorPolicy(
         task_timeout=args.task_timeout,
@@ -649,7 +528,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     into its own file.  Same key + different fingerprint across stores is a
     hard error: those stores were built against different constructions.
     """
-    paths = list(args.stores) + list(args.store or [])
+    paths = args.stores
     if not paths:
         raise ValueError(
             "no result store given; pass one or more JSONL paths "
@@ -757,6 +636,8 @@ def _cmd_traffic(args: argparse.Namespace) -> int:
     store = None
     if args.store:
         store = ResultStore.create(args.store, run, fsync=args.fsync)
+    elif args.fsync is not None:
+        raise ValueError("--fsync needs --store (the JSONL file to make durable)")
     results = []
     try:
         for scenario in scenarios:
@@ -817,16 +698,16 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=(
             "scenario examples:\n"
             "  repro scenarios --family hyper\n"
-            "  repro campaign --scenario hypercube:d=4/kernel/sizes:1,2,3 --seed 7\n"
-            "  repro campaign --scenario circulant:n=60,offsets=1+2/kernel/random:p=0.05 \\\n"
-            "                 --scenario flower:t=2,k=9/circular/exhaustive:f=2 \\\n"
-            "                 --bound 6 --workers 4\n"
+            "  repro grid hypercube:d=4/kernel/sizes:1,2,3 --seed 7\n"
+            "  repro grid circulant:n=60,offsets=1+2/kernel/random:p=0.05 \\\n"
+            "             flower:t=2,k=9/circular/exhaustive:f=2 \\\n"
+            "             --bound 6 --workers 4\n"
             "grid sweeps and stored reports:\n"
             "  repro grid 'hypercube:d=3..5/kernel/t=1..2/sizes:1-3' \\\n"
             "             --samples 20 --store results.jsonl\n"
             "  repro grid 'hypercube:d=3..5/kernel/t=1..2/sizes:1-3' \\\n"
             "             --samples 20 --store results.jsonl --resume\n"
-            "  repro report --store results.jsonl --format csv\n"
+            "  repro report results.jsonl --format csv\n"
             "a scenario spec is <graph>/<strategy>/t=<int>/<fault model>; the\n"
             "graph spec is mandatory, the other segments are optional and\n"
             "order-free (see `repro scenarios`).  Grid specs add lo..hi ranges\n"
@@ -845,8 +726,8 @@ def build_parser() -> argparse.ArgumentParser:
             "diameter evaluation backend: 'bitset' (pure Python) or "
             "'numpy' (packed-uint64 batches; falls back to bitset where "
             "numpy is not installed); values are identical either way.  "
-            "Unset, campaign and grid pick numpy for route graphs of at "
-            "least 64 nodes and bitset below, and serve uses bitset"
+            "Unset, grid picks numpy for route graphs of at least 64 "
+            "nodes and bitset below, and serve uses bitset"
         ),
     )
 
@@ -868,66 +749,11 @@ def build_parser() -> argparse.ArgumentParser:
         choices=FSYNC_POLICIES,
         default=None,
         help=(
-            "store durability policy: never (default), close (one fsync "
-            "at the end) or always (fsync per appended row); also via "
-            "REPRO_STORE_FSYNC"
+            "store durability policy (needs --store): never (default), "
+            "close (one fsync at the end) or always (fsync per appended "
+            "row); also via REPRO_STORE_FSYNC"
         ),
     )
-
-    # A parser per subcommand, not one shared parser: argparse shares a
-    # parent's actions with every child, so per-child --samples defaults
-    # would overwrite each other.
-    def sweep_options(samples: int) -> argparse.ArgumentParser:
-        """Options shared by the ``campaign`` and ``grid`` sweeps."""
-        options = argparse.ArgumentParser(
-            add_help=False, parents=[backend_options]
-        )
-        options.add_argument(
-            "--samples",
-            type=int,
-            default=samples,
-            help=f"fault sets per sampled campaign (default: {samples})",
-        )
-        options.add_argument("--seed", type=int, default=0)
-        options.add_argument(
-            "--bound",
-            type=float,
-            default=None,
-            help=(
-                "diameter bound: stream bounded pass/fail decisions instead "
-                "of exact diameters (exit code 1 on any violation)"
-            ),
-        )
-        options.add_argument(
-            "--workers",
-            type=int,
-            default=1,
-            help="worker processes for the evaluation",
-        )
-        options.add_argument(
-            "--chunk-size", type=int, default=32, help="fault sets per shard"
-        )
-        options.add_argument(
-            "--greedy",
-            action="store_true",
-            help=(
-                "augment every sampled battery of positive size with one "
-                "adversarially-grown fault set (batched greedy search), so "
-                "the row's worst case reflects a sampled and adversarial "
-                "battery"
-            ),
-        )
-        options.add_argument(
-            "--candidate-limit",
-            type=int,
-            default=40,
-            metavar="K",
-            help=(
-                "greedy adversary candidate budget per round (with --greedy; "
-                "default: 40)"
-            ),
-        )
-        return options
 
     def add_common(sub: argparse.ArgumentParser, graph_required: bool = True) -> None:
         sub.add_argument(
@@ -1055,30 +881,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub_traffic.set_defaults(handler=_cmd_traffic)
 
-    sub_campaign = subparsers.add_parser(
-        "campaign",
-        help="run indexed fault campaigns (per fault-set size, or whole scenario suites)",
-        parents=[sweep_options(samples=100)],
-    )
-    add_common(sub_campaign, graph_required=False)
-    sub_campaign.add_argument(
-        "--scenario",
-        action="append",
-        default=[],
-        metavar="SPEC",
-        help=(
-            "scenario spec, e.g. hypercube:d=4/kernel/sizes:1,2,3 "
-            "(repeatable; mutually exclusive with --graph)"
-        ),
-    )
-    sub_campaign.add_argument(
-        "--sizes", default="1,2,3", help="comma-separated fault-set sizes, e.g. 1,2,3"
-    )
-    sub_campaign.set_defaults(handler=_cmd_campaign)
-
     sub_grid = subparsers.add_parser(
         "grid",
-        help="run a scenario-grid sweep (resumable, with stored results)",
+        help="run fault campaigns over a scenario grid (resumable, stored)",
         epilog=(
             "examples:\n"
             "  repro grid 'hypercube:d=3..5/kernel/t=1..2/sizes:1-3' --samples 20\n"
@@ -1099,7 +904,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--resume without recomputing finished rows."
         ),
         formatter_class=argparse.RawDescriptionHelpFormatter,
-        parents=[sweep_options(samples=50), store_options],
+        parents=[backend_options, store_options],
     )
     sub_grid.add_argument(
         "spec",
@@ -1107,6 +912,51 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "grid spec(s), e.g. hypercube:d=3..5/kernel|circular/t=1..2/"
             "sizes:1-3"
+        ),
+    )
+    sub_grid.add_argument(
+        "--samples",
+        type=int,
+        default=50,
+        help="fault sets per sampled campaign (default: 50)",
+    )
+    sub_grid.add_argument("--seed", type=int, default=0)
+    sub_grid.add_argument(
+        "--bound",
+        type=float,
+        default=None,
+        help=(
+            "diameter bound: stream bounded pass/fail decisions instead "
+            "of exact diameters (exit code 1 on any violation)"
+        ),
+    )
+    sub_grid.add_argument(
+        "--workers",
+        type=int,
+        default=1,
+        help="worker processes for the evaluation",
+    )
+    sub_grid.add_argument(
+        "--chunk-size", type=int, default=32, help="fault sets per shard"
+    )
+    sub_grid.add_argument(
+        "--greedy",
+        action="store_true",
+        help=(
+            "augment every sampled battery of positive size with one "
+            "adversarially-grown fault set (batched greedy search), so "
+            "the row's worst case reflects a sampled and adversarial "
+            "battery"
+        ),
+    )
+    sub_grid.add_argument(
+        "--candidate-limit",
+        type=int,
+        default=40,
+        metavar="K",
+        help=(
+            "greedy adversary candidate budget per round (with --greedy; "
+            "default: 40)"
         ),
     )
     sub_grid.add_argument(
@@ -1189,13 +1039,6 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         metavar="PATH",
         help="JSONL result store(s) to read; several paths are merged",
-    )
-    sub_report.add_argument(
-        "--store",
-        action="append",
-        default=None,
-        metavar="PATH",
-        help="additional store path (repeatable; kept for compatibility)",
     )
     sub_report.add_argument(
         "--format",

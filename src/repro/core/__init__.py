@@ -39,9 +39,7 @@ from repro.core.augmentation import added_edge_cost, clique_augmented_kernel_rou
 from repro.core.tolerance import (
     ToleranceReport,
     check_tolerance,
-    diameter_profile,
     verify_construction,
-    worst_case_diameter,
 )
 from repro.core.verification import (
     check_bidirectional_bipolar_properties,
@@ -112,9 +110,7 @@ __all__ = [
     "clique_augmented_kernel_routing",
     "ToleranceReport",
     "check_tolerance",
-    "diameter_profile",
     "verify_construction",
-    "worst_case_diameter",
     "check_bidirectional_bipolar_properties",
     "check_bipolar_properties",
     "check_circ_properties",

@@ -4,9 +4,8 @@ A routing is ``(d, f)``-tolerant when every fault set of at most ``f`` nodes
 leaves a surviving route graph of diameter at most ``d``.  This module turns
 that definition into executable checks:
 
-* :func:`worst_case_diameter` evaluates a battery of fault sets and reports
-  the worst surviving diameter found (and the fault set realising it);
-* :func:`check_tolerance` compares that worst case against a claimed bound;
+* :func:`check_tolerance` compares the worst surviving diameter over a
+  battery of fault sets against a claimed bound;
 * :func:`verify_construction` does the same for a
   :class:`~repro.core.construction.ConstructionResult` using the guarantee
   recorded by the construction, choosing between exhaustive enumeration and
@@ -27,11 +26,10 @@ generative shards, so they parallelise like random batteries.
 from __future__ import annotations
 
 import dataclasses
-from typing import Hashable, Iterable, List, Optional, Sequence, Union
+from typing import Hashable, Iterable, Optional, Sequence, Union
 
 from repro.core.construction import ConstructionResult
 from repro.core.routing import MultiRouting, Routing
-from repro.core.surviving import surviving_diameter
 from repro.faults.adversary import combined_fault_sets, count_fault_sets
 from repro.faults.models import FaultSet
 from repro.graphs.graph import Graph
@@ -84,29 +82,6 @@ class ToleranceReport:
             f"<ToleranceReport ({self.claimed_diameter}, {self.max_faults}) {status}: "
             f"worst={self.worst_diameter} over {self.evaluated} {mode} fault sets>"
         )
-
-
-def worst_case_diameter(
-    graph: Graph,
-    routing: AnyRouting,
-    fault_sets: Iterable[FaultSet],
-    index=None,
-    workers: int = 1,
-) -> tuple:
-    """Return ``(worst_diameter, worst_fault_set, evaluated_count)``.
-
-    The baseline (no faults) is *not* added automatically; include the empty
-    fault set in ``fault_sets`` if the fault-free diameter matters.
-
-    The battery is evaluated through a :class:`~repro.faults.engine
-    .CampaignEngine`: incrementally against a
-    :class:`~repro.core.route_index.RouteIndex` (pass ``index`` to reuse a
-    pre-built one) and, when ``workers > 1``, sharded across a process pool.
-    """
-    from repro.faults.engine import CampaignEngine
-
-    engine = CampaignEngine(graph, routing, workers=workers, index=index)
-    return engine.worst_case(fault_sets)
 
 
 def check_tolerance(
@@ -213,22 +188,3 @@ def verify_construction(
         workers=workers,
         candidate_limit=candidate_limit,
     )
-
-
-def diameter_profile(
-    graph: Graph,
-    routing: AnyRouting,
-    fault_sets: Iterable[FaultSet],
-    index=None,
-) -> List[tuple]:
-    """Return ``(fault_set, surviving_diameter)`` for every supplied fault set.
-
-    Handy for tabulating how the surviving diameter degrades as specific fault
-    patterns are applied (used by the examples and the figure benches).
-    """
-    profile = []
-    for fault_set in fault_sets:
-        profile.append(
-            (fault_set, surviving_diameter(graph, routing, fault_set, index=index))
-        )
-    return profile

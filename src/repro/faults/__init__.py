@@ -14,8 +14,6 @@ from repro.faults.simulation import (
     DecisionCampaignResult,
     aggregate_decisions,
     aggregate_outcomes,
-    run_campaign,
-    sweep_fault_sizes,
 )
 from repro.faults.engine import CampaignEngine, shard_seed
 
@@ -32,8 +30,6 @@ __all__ = [
     "DecisionCampaignResult",
     "aggregate_decisions",
     "aggregate_outcomes",
-    "run_campaign",
-    "sweep_fault_sizes",
     "CampaignEngine",
     "shard_seed",
 ]

@@ -522,8 +522,8 @@ class CampaignEngine:
     def worst_case(self, fault_sets: Iterable[FaultSet]) -> Tuple[float, Optional[FaultSet], int]:
         """Return ``(worst_diameter, worst_fault_set, evaluated_count)``.
 
-        Matches :func:`repro.core.tolerance.worst_case_diameter`: the first
-        fault set realising the strict maximum wins, and ``inf`` dominates.
+        The first fault set realising the strict maximum wins, and ``inf``
+        (a disconnecting set) dominates.
         """
         worst = -1.0
         worst_set: Optional[FaultSet] = None
@@ -596,10 +596,6 @@ class CampaignEngine:
         return self._bounded_scan(
             self._exhaustive_shards(max_faults, include_smaller=include_smaller), bound
         )
-
-    def profile(self, fault_sets: Iterable[FaultSet]) -> List[Outcome]:
-        """Return ``(fault_set, surviving_diameter)`` rows for the battery."""
-        return list(self.evaluate(fault_sets))
 
     # ------------------------------------------------------------------
     # Greedy adversarial search

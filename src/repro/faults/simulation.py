@@ -1,31 +1,27 @@
-"""Monte-Carlo fault-injection campaigns and summary statistics.
+"""Fault-campaign results and the folds that produce them.
 
 While the theorems are worst-case statements, a systems designer also cares
 about the *typical* surviving diameter under random failures.  This module
-runs randomised fault-injection campaigns over a constructed routing and
-aggregates the results (mean / max diameter, fraction of disconnecting fault
-sets, distribution over fault-set sizes), which the examples and a couple of
-benchmarks report alongside the worst-case numbers.
+holds a campaign's result views — :class:`CampaignResult` (exact
+diameters), :class:`DecisionCampaignResult` (pass/fail against a bound) and
+:class:`CampaignStatus` (a campaign with no aggregate) — and the streaming
+folds that summarise a battery into them (mean / max diameter, fraction of
+disconnecting fault sets, realised fault-set sizes).
 
-The evaluation loop itself lives in :class:`repro.faults.engine
-.CampaignEngine`: campaigns are evaluated through a precomputed
-:class:`~repro.core.route_index.RouteIndex` (bitset subtraction and
-level-mask BFS instead of re-walking every route) and can be sharded across
-worker processes with ``workers=N`` — the engine ships its pre-built index
-to the pool, and the aggregated rows are identical for any worker count.
+Campaigns run through :class:`repro.faults.engine.CampaignEngine` in code
+and ``repro grid`` on the command line: batteries are evaluated through a
+precomputed :class:`~repro.core.route_index.RouteIndex` (bitset subtraction
+and level-mask BFS instead of re-walking every route) and can be sharded
+across worker processes with ``workers=N`` — the pre-built index ships to
+the pool, and the aggregated rows are identical for any worker count.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Optional, Tuple
 
-from repro.core.routing import MultiRouting, Routing
 from repro.faults.models import FaultSet
-from repro.graphs.graph import Graph
-
-Node = Hashable
-AnyRouting = Union[Routing, MultiRouting]
 
 
 @dataclasses.dataclass
@@ -154,7 +150,8 @@ class CampaignResult:
 class DecisionCampaignResult:
     """Aggregated pass/fail outcome of a *bounded-decision* campaign.
 
-    Produced by ``run_campaign(bound=...)``: every fault set of the battery
+    Produced by a campaign with a bound (``CampaignEngine.run_campaign(
+    bound=...)``, or ``repro grid --bound``): every fault set of the battery
     is evaluated with an eccentricity cap of ``bound`` (the
     ``surviving_diameter_at_most`` decision) instead of an exact diameter, so
     the campaign only learns — and only pays for — which side of the bound
@@ -428,92 +425,4 @@ def aggregate_decisions(
         faults_min=size_min,
         faults_mean=size_total / evaluated,
         faults_max=size_max,
-    )
-
-
-def run_campaign(
-    graph: Graph,
-    routing: AnyRouting,
-    fault_size: int,
-    samples: int = 100,
-    seed: Optional[int] = None,
-    fault_sets: Optional[Iterable[FaultSet]] = None,
-    workers: int = 1,
-    index=None,
-    bound: Optional[float] = None,
-    frame=None,
-    greedy: bool = False,
-    candidate_limit: int = 40,
-):
-    """Inject ``samples`` random fault sets of the given size and summarise.
-
-    Parameters
-    ----------
-    seed:
-        An int or ``None`` (which draws one).  Any other seed, a
-        :class:`random.Random` included, is refused with :class:`TypeError`
-        before anything is evaluated.
-    fault_sets:
-        Optional explicit fault sets to evaluate instead of random sampling
-        (e.g. the output of :func:`repro.faults.adversary.combined_fault_sets`).
-    workers:
-        Number of worker processes for the evaluation (default sequential).
-        With an integer seed the result is identical for any worker count.
-    index:
-        Optional pre-built :class:`~repro.core.route_index.RouteIndex` for
-        ``(graph, routing)`` to reuse across calls.
-    bound:
-        Optional diameter bound selecting the streaming-decision path: the
-        campaign then evaluates every fault set with an eccentricity cap of
-        ``bound`` and returns a :class:`DecisionCampaignResult` of pass/fail
-        rows instead of exact-diameter statistics.
-    """
-    from repro.faults.engine import CampaignEngine
-
-    engine = CampaignEngine(graph, routing, workers=workers, index=index)
-    return engine.run_campaign(
-        fault_size,
-        samples=samples,
-        seed=seed,
-        fault_sets=fault_sets,
-        bound=bound,
-        frame=frame,
-        greedy=greedy,
-        candidate_limit=candidate_limit,
-    )
-
-
-def sweep_fault_sizes(
-    graph: Graph,
-    routing: AnyRouting,
-    sizes: Sequence[int],
-    samples: int = 50,
-    seed: Optional[int] = None,
-    workers: int = 1,
-    index=None,
-    bound: Optional[float] = None,
-    frame=None,
-    greedy: bool = False,
-    candidate_limit: int = 40,
-) -> List:
-    """Run one campaign per fault-set size and return the results in order.
-
-    ``seed`` is an int or ``None``; any other seed, a :class:`random.Random`
-    included, is refused with :class:`TypeError` before anything is
-    evaluated.  ``bound`` selects the streaming-decision path and
-    ``greedy``/``candidate_limit`` add a greedy adversarial probe per size
-    (see :func:`run_campaign`); ``frame`` collects one unified record per
-    campaign.
-    """
-    from repro.faults.engine import CampaignEngine
-
-    engine = CampaignEngine(graph, routing, workers=workers, index=index)
-    return engine.sweep_fault_sizes(
-        sizes,
-        samples=samples,
-        seed=seed,
-        bound=bound,
-        frame=frame,
-        greedy=greedy,
-        candidate_limit=candidate_limit,
     )

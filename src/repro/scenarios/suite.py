@@ -167,23 +167,21 @@ def _campaign_plans(
 ) -> List[Tuple[str, int, float, int]]:
     """Return ``(shard kind, fault_size, p, total)`` per campaign of a scenario.
 
-    ``node_count`` (needed only by exhaustive models, to size the
-    enumeration) is taken from the caller when already known; otherwise the
-    graph is built deterministically to read it.
+    ``node_count`` (needed by sizes and exhaustive models, to check their
+    sizes and to size an enumeration) is taken from the caller when already
+    known; otherwise the graph is built deterministically to read it.
 
     Raises
     ------
     ValueError
-        If an exhaustive model asks for more faults than the graph has
-        nodes: those sizes have no fault set to enumerate.  Only scenarios
-        the suite evaluates are planned (a dropped scenario records its
-        status rows per :func:`_plan_fault_sizes`), and
+        If a sizes or exhaustive model asks for more faults than the graph
+        has nodes: those sizes have no fault set to draw or enumerate.  Only
+        scenarios the suite evaluates are planned (a dropped scenario
+        records its status rows per :func:`_plan_fault_sizes`), and
         :func:`run_scenario_suite` plans all of them before it appends
         any row, so a refused run leaves its store as it found it.
     """
     model = scenario.faults
-    if model.kind == "sizes":
-        return [("random", size, 0.0, samples) for size in model.sizes]
     if model.kind == "random":
         return [("random-p", 0, model.p, samples)]
     n = (
@@ -191,6 +189,15 @@ def _campaign_plans(
         if node_count is not None
         else scenario.build_graph().number_of_nodes()
     )
+    if model.kind == "sizes":
+        largest = max(model.sizes)
+        if largest > n:
+            raise ValueError(
+                f"{scenario.canonical()}: no fault sets to evaluate above size "
+                f"{n}: fault-set size {largest} exceeds the graph's {n} nodes "
+                f"(use sizes <= {n})"
+            )
+        return [("random", size, 0.0, samples) for size in model.sizes]
     if model.max_faults > n:
         raise ValueError(
             f"{scenario.canonical()}: no fault sets to evaluate above size "
@@ -631,8 +638,8 @@ def run_scenario_suite(
                     "different construction"
                 )
 
-    # Node counts feed exhaustive-model plan sizing: from the fresh build
-    # when there is one, otherwise from the stored rows.
+    # Node counts feed the plans' size checks and exhaustive sizing: from
+    # the fresh build when there is one, otherwise from the stored rows.
     node_counts: List[Optional[int]] = []
     for scenario_index in range(len(scenario_list)):
         if scenario_index in built:

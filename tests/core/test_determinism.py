@@ -9,8 +9,7 @@ same routing under any ``PYTHONHASHSEED``.  These tests verify exactly that
 by comparing routing fingerprints across subprocesses with different hash
 seeds — an in-process test cannot catch the regression because the hash seed
 is fixed per interpreter.  Scenario-suite campaign rows printed by ``repro
-campaign`` are held to the same standard, across hash seeds and worker
-counts.
+grid`` are held to the same standard, across hash seeds and worker counts.
 """
 
 from __future__ import annotations
@@ -86,11 +85,9 @@ def _fingerprints(hash_seed: str) -> str:
     return completed.stdout
 
 
-def _campaign_rows(hash_seed: str, workers: int) -> str:
-    """``repro campaign`` over the scenarios, without the caption naming the workers."""
-    command = [sys.executable, "-m", "repro", "campaign"]
-    for spec in CAMPAIGN_SCENARIOS:
-        command += ["--scenario", spec]
+def _grid_rows(hash_seed: str, workers: int) -> str:
+    """``repro grid`` over the scenarios, without the caption naming the workers."""
+    command = [sys.executable, "-m", "repro", "grid", *CAMPAIGN_SCENARIOS]
     command += ["--bound", "6", "--seed", "7", "--samples", "12", "--workers", str(workers)]
     completed = subprocess.run(
         command, capture_output=True, text=True, env=_env(hash_seed), check=False
@@ -98,7 +95,7 @@ def _campaign_rows(hash_seed: str, workers: int) -> str:
     # Exit 1 reports a bound violation, a legitimate outcome of the rows.
     assert completed.returncode in (0, 1), completed.stderr
     lines = completed.stdout.splitlines()
-    assert lines[0].startswith("Scenario suite (")
+    assert lines[0].startswith("Grid sweep [")
     return "\n".join(lines[1:])
 
 
@@ -144,10 +141,10 @@ class TestConstructionDeterminism:
 
 class TestScenarioCampaignDeterminism:
     def test_rows_identical_across_hash_seeds_and_worker_counts(self):
-        rows = _campaign_rows("1", workers=1)
+        rows = _grid_rows("1", workers=1)
         assert all(spec in rows for spec in CAMPAIGN_SCENARIOS)
-        assert _campaign_rows("2", workers=1) == rows
-        assert _campaign_rows("3", workers=2) == rows
+        assert _grid_rows("2", workers=1) == rows
+        assert _grid_rows("3", workers=2) == rows
 
 
 class TestCommittedFingerprints:

@@ -2,15 +2,8 @@
 
 import pytest
 
-from repro.core import (
-    Routing,
-    check_tolerance,
-    diameter_profile,
-    kernel_routing,
-    verify_construction,
-    worst_case_diameter,
-)
-from repro.faults import FaultSet, all_fault_sets
+from repro.core import Routing, check_tolerance, kernel_routing, verify_construction
+from repro.faults import CampaignEngine, FaultSet, all_fault_sets
 from repro.graphs import generators
 
 
@@ -26,8 +19,8 @@ def edge_only_routing():
 class TestWorstCaseDiameter:
     def test_no_faults_baseline(self, edge_only_routing):
         graph, routing = edge_only_routing
-        worst, worst_set, evaluated = worst_case_diameter(
-            graph, routing, [FaultSet(())]
+        worst, worst_set, evaluated = CampaignEngine(graph, routing).worst_case(
+            [FaultSet(())]
         )
         assert worst == 4  # diameter of C_8
         assert evaluated == 1
@@ -36,7 +29,7 @@ class TestWorstCaseDiameter:
     def test_worst_fault_identified(self, edge_only_routing):
         graph, routing = edge_only_routing
         fault_sets = [FaultSet(()), FaultSet({0})]
-        worst, worst_set, evaluated = worst_case_diameter(graph, routing, fault_sets)
+        worst, worst_set, evaluated = CampaignEngine(graph, routing).worst_case(fault_sets)
         # Removing one node of a cycle routed edge-only leaves a path: diameter 6.
         assert worst == 6
         assert worst_set == FaultSet({0})
@@ -45,7 +38,7 @@ class TestWorstCaseDiameter:
     def test_disconnection_dominates(self, edge_only_routing):
         graph, routing = edge_only_routing
         fault_sets = [FaultSet({0}), FaultSet({0, 4})]
-        worst, worst_set, _ = worst_case_diameter(graph, routing, fault_sets)
+        worst, worst_set, _ = CampaignEngine(graph, routing).worst_case(fault_sets)
         assert worst == float("inf")
         assert worst_set == FaultSet({0, 4})
 
@@ -140,13 +133,3 @@ class TestVerifyConstruction:
             result, fault_sets=list(all_fault_sets(graph.nodes(), 1))
         )
         assert report.evaluated == 11
-
-
-class TestDiameterProfile:
-    def test_profile_matches_individual_calls(self, edge_only_routing):
-        graph, routing = edge_only_routing
-        fault_sets = [FaultSet(()), FaultSet({0}), FaultSet({1, 5})]
-        profile = diameter_profile(graph, routing, fault_sets)
-        assert len(profile) == 3
-        assert profile[0][1] == 4
-        assert profile[1][1] == 6

@@ -1,4 +1,4 @@
-"""Bounded-decision campaigns through ``run_campaign(bound=...)``."""
+"""Bounded-decision campaigns through ``CampaignEngine.run_campaign(bound=...)``."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import pickle
 import pytest
 
 from repro.core import RouteIndex, kernel_routing
-from repro.faults import CampaignEngine, DecisionCampaignResult, run_campaign
+from repro.faults import CampaignEngine, DecisionCampaignResult
 from repro.faults.adversary import random_fault_sets
 from repro.graphs import generators
 
@@ -74,11 +74,6 @@ class TestDecisionCampaigns:
                 for row in parallel.sweep_fault_sizes([1, 2, 3], samples=18, seed=4, bound=4)
             ]
         assert a == b
-
-    def test_module_level_run_campaign_bound(self, workload):
-        graph, routing = workload
-        row = run_campaign(graph, routing, 2, samples=10, seed=1, bound=5)
-        assert isinstance(row, DecisionCampaignResult)
 
     def test_decision_row_rendering(self, workload):
         graph, routing = workload

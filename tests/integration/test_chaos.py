@@ -3,8 +3,8 @@
 The supervision layer's whole claim is that fault recovery is *invisible in
 the results*: a sweep that loses a worker, hits a poisoned task, wedges on
 a hang or tears a store write must end with byte-identical store contents
-to an undisturbed run.  These tests drive :func:`run_scenario_suite`, the
-campaign engine's :func:`sweep_fault_sizes` and the ``repro grid`` CLI
+to an undisturbed run.  These tests drive :func:`run_scenario_suite`,
+:meth:`CampaignEngine.sweep_fault_sizes` and the ``repro grid`` CLI
 under ``REPRO_CHAOS`` injections (see :mod:`repro.runtime.chaos`) and
 compare stores and rows against golden runs.
 
@@ -24,7 +24,7 @@ import pytest
 
 from repro.analysis import render_scaling_report
 from repro.core import kernel_routing
-from repro.faults import sweep_fault_sizes
+from repro.faults import CampaignEngine
 from repro.faults.simulation import CampaignStatus
 from repro.graphs import generators
 from repro.results import ResultStore
@@ -162,9 +162,8 @@ class TestEngineRecovery:
     @staticmethod
     def _sweep(workload, workers):
         graph, routing = workload
-        rows = sweep_fault_sizes(
-            graph, routing, [1, 2, 3], samples=40, seed=7, workers=workers
-        )
+        with CampaignEngine(graph, routing, workers=workers) as engine:
+            rows = engine.sweep_fault_sizes([1, 2, 3], samples=40, seed=7)
         return [row.record() for row in rows]
 
     @pytest.mark.parametrize(

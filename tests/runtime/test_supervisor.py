@@ -279,12 +279,12 @@ def test_single_worker_sweeps_never_import_the_pool():
     code = (
         "import sys\n"
         "from repro.core import kernel_routing\n"
-        "from repro.faults import sweep_fault_sizes\n"
+        "from repro.faults import CampaignEngine\n"
         "from repro.graphs import generators\n"
         "from repro.scenarios import run_scenario_suite\n"
         "graph = generators.cycle_graph(12)\n"
         "routing = kernel_routing(graph).routing\n"
-        "sweep_fault_sizes(graph, routing, [1, 2], samples=8, seed=1)\n"
+        "CampaignEngine(graph, routing).sweep_fault_sizes([1, 2], samples=8, seed=1)\n"
         "run_scenario_suite(['hypercube:d=3/kernel/sizes:1'], samples=4)\n"
         "print('multiprocessing.pool' in sys.modules)\n"
     )

@@ -99,6 +99,20 @@ class TestSuiteBasics:
             assert "exhaustive:f=11 exceeds the graph's 10 nodes" in str(raised.value)
             assert len(store) == 0
 
+    def test_sizes_model_past_the_node_count_is_a_clean_error(self, tmp_path):
+        """A sampled size above the node count is refused as ``exhaustive:f``
+        is: before the feasible size 1 is evaluated or stored."""
+        from repro.results import ResultStore
+        from repro.scenarios import suite_manifest
+
+        scenarios = ["petersen/kernel/sizes:1,11"]
+        message = "fault-set size 11 exceeds the graph's 10 nodes"
+        path = str(tmp_path / "rows.jsonl")
+        with ResultStore.open(path, suite_manifest(scenarios, 3, 0)) as store:
+            with pytest.raises(ValueError, match=message):
+                run_scenario_suite(scenarios, samples=3, seed=0, store=store)
+            assert len(store) == 0
+
     def test_scenario_values_and_strings_mix(self):
         scenario = parse_scenario("hypercube:d=3/kernel/sizes:1")
         rows = run_scenario_suite([scenario, "petersen/kernel/sizes:1"], samples=4, seed=0)
@@ -574,6 +588,13 @@ class TestStrategyAxisSuite:
         assert {record["disposition"] for record in status} == {"inapplicable"}
         assert {record["n"] for record in status} == {8}
         assert len(records) == len(status) + 3
+
+    def test_dropped_sizes_model_past_the_node_count(self):
+        """A dropped scenario's sizes are never checked against its node
+        count either."""
+        specs = ["hypercube:d=3/circular/sizes:9", "petersen/kernel/sizes:1"]
+        rows = _rows(specs, samples=2, seed=0, skip_inapplicable=True)
+        assert [row["scenario"] for row in rows] == [specs[1]]
 
     def test_dropped_exhaustive_model_past_the_node_count_resumes(self, tmp_path):
         """A store cut inside the status rows, or complete, resumes to the

@@ -59,27 +59,28 @@ class TestParser:
         assert args.strategy == "auto"
         assert args.t is None
 
-    def test_shared_sweep_options_keep_per_command_defaults(self):
+    def test_grid_sweep_option_defaults(self):
         parser = build_parser()
-        campaign = parser.parse_args(["campaign", "--graph", "cycle:10"])
         grid = parser.parse_args(["grid", "cycle:n=10/kernel"])
-        assert (campaign.samples, grid.samples) == (100, 50)
-        for args in (campaign, grid):
-            assert args.eval_backend is None  # the index's backend rule decides
-            assert (args.seed, args.bound, args.workers) == (0, None, 1)
-            assert (args.chunk_size, args.greedy, args.candidate_limit) == (
-                32,
-                False,
-                40,
-            )
+        assert grid.samples == 50
+        assert grid.eval_backend is None  # the index's backend rule decides
+        assert (grid.seed, grid.bound, grid.workers) == (0, None, 1)
+        assert (grid.chunk_size, grid.greedy, grid.candidate_limit) == (32, False, 40)
         serve = parser.parse_args(["serve", "--eval-backend", "numpy"])
         assert serve.eval_backend == "numpy"
         for argv in (
-            ["campaign", "--graph", "cycle:10", "--eval-backend", "auto"],
+            ["grid", "cycle:n=10/kernel", "--eval-backend", "auto"],
             ["compile", "--graph", "cycle:10", "--output", "x", "--eval-backend", "numpy"],
         ):
             with pytest.raises(SystemExit):
                 parser.parse_args(argv)
+
+    def test_campaign_command_is_gone(self, capsys):
+        # `repro grid` runs every fault campaign; `campaign` is no command.
+        with pytest.raises(SystemExit) as info:
+            main(["campaign", "--graph", "cycle:10"])
+        assert info.value.code == 2
+        assert "invalid choice: 'campaign'" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -144,41 +145,6 @@ class TestCommands:
         assert "leave 1 of 6 nodes live" in captured.err
         assert captured.out == ""
 
-    def test_campaign_command(self, capsys):
-        code = main(
-            [
-                "campaign",
-                "--graph", "circulant:12,1,2",
-                "--sizes", "0,1,2",
-                "--samples", "10",
-                "--seed", "0",
-            ]
-        )
-        assert code == 0
-        output = capsys.readouterr().out
-        assert "Fault campaigns" in output
-        assert "mean_diam" in output
-
-    def test_campaign_command_worker_count_invariance(self, capsys):
-        argv = [
-            "campaign",
-            "--graph", "circulant:12,1,2",
-            "--sizes", "1,2",
-            "--samples", "12",
-            "--seed", "5",
-        ]
-        assert main(argv) == 0
-        sequential = capsys.readouterr().out
-        assert main(argv + ["--workers", "2"]) == 0
-        parallel = capsys.readouterr().out
-        # The rows must be identical; only the caption mentions the workers.
-        assert sequential.replace("workers=1", "workers=2") == parallel
-
-    def test_campaign_command_rejects_bad_sizes(self, capsys):
-        code = main(["campaign", "--graph", "cycle:12", "--sizes", "-1"])
-        assert code == 2
-        assert "error" in capsys.readouterr().err
-
     def test_error_exit_code_on_bad_graph(self, capsys):
         assert main(["build", "--graph", "nonsense:1"]) == 2
         assert "error" in capsys.readouterr().err
@@ -194,62 +160,18 @@ class TestBatteryArguments:
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_chunk_size_below_one(self, capsys, value):
-        spec = "cycle:n=10/kernel/sizes:1"
-        for argv in (
-            ["grid", spec],
-            ["campaign", "--scenario", spec],
-            ["campaign", "--graph", "cycle:10", "--sizes", "1"],
-        ):
-            assert main(argv + ["--samples", "4", "--chunk-size", value]) == 2
-            assert "chunk_size must be at least 1" in capsys.readouterr().err
+        argv = ["grid", "cycle:n=10/kernel/sizes:1", "--samples", "4"]
+        assert main(argv + ["--chunk-size", value]) == 2
+        assert "chunk_size must be at least 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_greedy_candidate_limit_below_one(self, capsys, value):
-        for argv in (
-            ["campaign", "--graph", "cycle:10", "--sizes", "2"],
-            ["campaign", "--scenario", "cycle:n=10/kernel/sizes:2"],
-            ["grid", "cycle:n=10/kernel/sizes:2"],
-        ):
-            argv = argv + ["--samples", "4", "--greedy", "--candidate-limit", value]
-            assert main(argv) == 2
-            assert "candidate_limit must be at least 1" in capsys.readouterr().err
+        argv = ["grid", "cycle:n=10/kernel/sizes:2", "--samples", "4", "--greedy"]
+        assert main(argv + ["--candidate-limit", value]) == 2
+        assert "candidate_limit must be at least 1" in capsys.readouterr().err
 
 
-class TestScenarioCampaignFlags:
-    def test_scenario_rejects_graph_mode_flags(self, capsys):
-        for flags in (
-            ["--strategy", "kernel"],
-            ["--t", "2"],
-            ["--sizes", "4,5"],
-        ):
-            code = main(
-                ["campaign", "--scenario", "petersen/kernel/sizes:1", *flags]
-            )
-            assert code == 2
-            assert "has no effect with --scenario" in capsys.readouterr().err
-
-    def test_scenario_and_graph_are_exclusive(self, capsys):
-        code = main(
-            ["campaign", "--scenario", "petersen", "--graph", "cycle:12"]
-        )
-        assert code == 2
-        assert "mutually exclusive" in capsys.readouterr().err
-
-    def test_scenario_campaign_runs(self, capsys):
-        code = main(
-            [
-                "campaign",
-                "--scenario", "hypercube:d=3/kernel/sizes:1",
-                "--samples", "5",
-                "--seed", "3",
-                "--bound", "6",
-            ]
-        )
-        assert code == 0
-        output = capsys.readouterr().out
-        assert "hypercube:d=3/kernel/sizes:1" in output
-        assert "fingerprint" in output
-
+class TestScenariosCommand:
     def test_scenarios_command(self, capsys):
         assert main(["scenarios"]) == 0
         output = capsys.readouterr().out
@@ -319,6 +241,13 @@ class TestGridCommand:
         assert main(["grid", "hypercube:d=3/kernel/sizes:1", "--resume"]) == 2
         assert "--resume needs --store" in capsys.readouterr().err
 
+    def test_grid_fsync_requires_store(self, capsys):
+        argv = ["grid", "hypercube:d=3/kernel/sizes:1", "--fsync", "always"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert "--fsync needs --store" in captured.err
+        assert captured.out == ""
+
     def test_grid_report_file_and_csv(self, tmp_path, capsys):
         report = str(tmp_path / "report.csv")
         code = main(
@@ -353,6 +282,19 @@ class TestGridCommand:
         # Only the manifest line: no campaign row was stored.
         assert len(store.read_text().splitlines()) == 1
 
+    def test_grid_sizes_past_the_node_count_exits_2(self, tmp_path, capsys):
+        store = tmp_path / "x.jsonl"
+        code = main(
+            ["grid", "cycle:n=10/kernel/sizes:1,11", "--samples", "2",
+             "--store", str(store)]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cycle:n=10/kernel/sizes:1,11" in err
+        assert "fault-set size 11 exceeds the graph's 10 nodes" in err
+        # Only the manifest line: not even the size-1 row was stored.
+        assert len(store.read_text().splitlines()) == 1
+
     def test_grid_dropped_exhaustive_past_the_node_count_runs(self, tmp_path, capsys):
         # circular does not apply to the 8-node 3-cube: the dropped scenario
         # is never planned, so the run succeeds with or without a store.
@@ -369,6 +311,40 @@ class TestGridCommand:
         assert len(lines) == 14
         assert main(args + ["--resume"]) == 0
         assert store.read_text().splitlines() == lines
+
+    def test_grid_runs_a_positional_graph_spec(self, capsys):
+        code = main(
+            ["grid", "circulant:12,1,2/auto/sizes:0,1,2", "--samples", "10",
+             "--seed", "0"]
+        )
+        assert code == 0
+        output = capsys.readouterr().out
+        assert "Grid sweep [circulant:n=12,offsets=1+2/auto/sizes:0,1,2]" in output
+        assert "mean_diam" in output
+
+    def test_grid_worker_count_invariance(self, capsys):
+        argv = ["grid", "circulant:12,1,2/auto/sizes:1,2", "--samples", "12",
+                "--seed", "5"]
+        assert main(argv) == 0
+        sequential = capsys.readouterr().out
+        assert main(argv + ["--workers", "2"]) == 0
+        parallel = capsys.readouterr().out
+        # The rows must be identical; only the caption mentions the workers.
+        assert sequential.replace("workers=1", "workers=2") == parallel
+
+    def test_grid_refuses_negative_sizes(self, capsys):
+        assert main(["grid", "cycle:12/auto/sizes:-1"]) == 2
+        assert "sizes must be non-negative" in capsys.readouterr().err
+
+    def test_grid_bound_within_reach_exits_0(self, capsys):
+        code = main(
+            ["grid", "hypercube:d=3/kernel/sizes:1", "--samples", "5",
+             "--seed", "3", "--bound", "6"]
+        )
+        assert code == 0
+        output = capsys.readouterr().out
+        assert "hypercube:d=3/kernel/sizes:1" in output
+        assert "fingerprint" in output
 
     def test_grid_bad_spec(self, capsys):
         assert main(["grid", "hypercube:d=5..3/kernel"]) == 2
@@ -504,7 +480,7 @@ class TestReportCommand:
              "--store", store]
         ) == 0
         capsys.readouterr()
-        assert main(["report", "--store", store]) == 0
+        assert main(["report", store]) == 0
         output = capsys.readouterr().out
         assert "# Scaling report" in output
         assert "hypercube:d=3/kernel/sizes:1" in output
@@ -517,8 +493,7 @@ class TestReportCommand:
               "--store", store])
         capsys.readouterr()
         out = str(tmp_path / "table.csv")
-        assert main(["report", "--store", store, "--format", "csv",
-                     "--output", out]) == 0
+        assert main(["report", store, "--format", "csv", "--output", out]) == 0
         assert Path(out).read_text().startswith("family,n,")
 
     def test_report_positional_store_path(self, tmp_path, capsys):
@@ -546,7 +521,7 @@ class TestReportCommand:
         assert "no result store" in capsys.readouterr().err
 
     def test_report_missing_store(self, capsys):
-        assert main(["report", "--store", "/nonexistent/rows.jsonl"]) == 2
+        assert main(["report", "/nonexistent/rows.jsonl"]) == 2
         assert "does not exist" in capsys.readouterr().err
 
 
@@ -670,6 +645,15 @@ class TestTrafficCommand:
         )
         assert code == 2
         assert "fault-model segment" in capsys.readouterr().err
+
+    def test_traffic_fsync_requires_store(self, capsys):
+        code = main(
+            ["traffic", self.SPEC, "--messages", "5", "--fsync", "always"]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "--fsync needs --store" in captured.err
+        assert captured.out == ""
 
     def test_traffic_buffer_requires_capacity(self, capsys):
         code = main(
