@@ -25,15 +25,13 @@ import pytest
 
 from repro.analysis import format_table, sweep_two_trees
 
-#: ``(eps, sizes)`` per sweep, all inside Lemma 24's regime ``eps < 1/4``.
-CELLS = ((0.2, [40, 60, 80, 120]), (0.1, [120, 240]))
-
 
 @pytest.mark.benchmark(group="random-graphs")
 def test_lemma24_theorem25_two_trees_probability(benchmark, experiment_log):
     """E10: empirical two-trees probabilities versus Lemma 24's bound."""
 
     def run():
+        # (eps, sizes) per sweep, all inside Lemma 24's regime eps < 1/4.
         return {
             eps: sweep_two_trees(
                 sizes=sizes,
@@ -43,7 +41,7 @@ def test_lemma24_theorem25_two_trees_probability(benchmark, experiment_log):
                 seed=0,
                 search_all_pairs=True,
             )
-            for eps, sizes in CELLS
+            for eps, sizes in ((0.2, [40, 60, 80, 120]), (0.1, [120, 240]))
         }
 
     sweeps = benchmark.pedantic(run, rounds=1, iterations=1)
